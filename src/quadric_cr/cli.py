@@ -418,12 +418,8 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_HANDLERS))
     parser.add_argument("--scenario", required=True, help="scenario file or index of scenario= lines")
     parser.add_argument("--out", default=None, help="output directory (default: alongside the scenario)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is single-threaded")
     parser.add_argument("--seed", type=int, default=None, help="overrides the scenario seed")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
 
     try:
         scenarios = cio.load_scenarios(args.scenario)
@@ -449,8 +445,7 @@ def main(argv=None):
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        header = {"scenario": scn.name, "subcommand": args.subcommand,
-                  "seed": seed, "threads": args.threads}
+        header = {"scenario": scn.name, "subcommand": args.subcommand, "seed": seed}
         header.update(meta)
         base = os.path.join(outdir, f"{scn.name}_{args.subcommand}")
         cio.write_csv(base + ".csv", cols, rows, meta=header)

@@ -14,16 +14,17 @@ truncated at total degree D.  A group point (z, x) acts by
                             + 2 phi_lam(w, z) - phi_lam(z)) psi(w - w(z)),
 
 where tau is a real 2d-vector of frequencies against the (Re, Im) radical
-coordinates.  Matrix elements of the shift part are computed by
-Gauss-Hermite quadrature against the layer Gaussian; the quadrature order
-tracks the size of the shift so the displaced Gaussian saddle stays well
-inside the node range.
+coordinates.  The shift part factorizes across modes, and each mode's block
+is a displacement operator whose matrix elements have a closed form in
+generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
+(1969)); no quadrature is involved.
 
 `pi_of_f` integrates these matrices against a boundary function over a
 tensor grid.  The perpendicular part of the grid is clipped where the layer
-weight phi_lam exceeds `phi_cut`, because the true matrix elements are
-suppressed by exp(-phi_lam/2) there; the clip keeps the shifted-Gaussian
-quadrature order bounded uniformly in lam.
+weight phi_lam exceeds `phi_cut`: the true matrix elements are suppressed
+by exp(-phi_lam/2) there, and the clip keeps the fixed number of zeta nodes
+on the region that carries the layer, so the grid resolves it uniformly in
+lam.
 """
 
 import math
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import GridSpec
-from .quadrature import complex_grid, gauss_hermite, gauss_legendre, panel_gauss, tensor_rule
+from .quadrature import complex_grid, gauss_legendre, panel_gauss, tensor_rule
 from .spectral import is_exceptional, spectral_data, generic_dimension
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "plancherel_residual",
     "hs_norm",
 ]
-
-_Q_CAP = 140
 
 
 def multi_indices(kdim, degree):
@@ -74,9 +73,6 @@ class FockBasis:
     degree: int
     alphas: np.ndarray
     norms: np.ndarray
-
-    def __post_init__(self):
-        self._cache = {}
 
     @property
     def size(self):
@@ -118,82 +114,54 @@ def eval_basis(fb, w):
     return out / fb.norms
 
 
-def _plane_rule(mu, q):
-    """Quadrature for integrals against exp(-2 mu |w|^2) d(Lebesgue) on C."""
-    x, wts = gauss_hermite(q)
-    scale = math.sqrt(2.0 * mu)
-    nodes, weights = complex_grid((x / scale, wts / scale))
-    return nodes, weights
-
-
-def _pick_q(degree, b):
-    """Hermite order covering polynomial degree and a Gaussian shifted by b."""
-    q = max(2 * degree + 8, int(math.ceil(((0.5 * b + 5.5) ** 2 - 1.0) / 2.0)))
-    return q
-
-
-def _dim_shift_blocks(mu, wz, degree, q, chunk=64):
+def _mode_blocks(mu, wz, degree):
     """Single-mode shift matrices for shifts wz (P,), shape (P, D+1, D+1).
 
-    Entries are <pi(z) e_b, e_a> for the one-variable normalized monomials,
-    computed by Gauss-Hermite quadrature of the coherent kernel
-    exp(2 mu w conj(wz) - mu |wz|^2) against the layer Gaussian.
+    Entry [a, b] is <pi(z) e_b, e_a> for the one-variable normalized
+    monomials, a displacement-operator matrix element.  With
+    beta = conj(sqrt(2 mu) wz) and s = |beta|^2 it is
+
+        a >= b:  sqrt(b!/a!) beta^(a-b) L_b^(a-b)(s) exp(-s/2),
+        a <  b:  the same with (a, b) swapped and beta -> -conj(beta).
+
+    For each k = a - b the normalized Laguerre values
+    g_b = sqrt(b! k!/(b+k)!) L_b^k(s) follow the three-term recurrence in b,
+    and c_k = beta^k exp(-s/2)/sqrt(k!) is a running product; exp(-s/2) is
+    split evenly between g and c so neither overflows at large shifts.
     """
-    wz = np.asarray(wz, complex)
-    nodes, weights = _plane_rule(mu, q)
-    nrm = np.sqrt(np.pi * np.cumprod(np.concatenate([[1.0], np.arange(1.0, degree + 1)]))
-                  / (2.0 * mu) ** (np.arange(degree + 1) + 1.0))
-    bvals = np.empty((nodes.size, degree + 1), complex)
-    bvals[:, 0] = 1.0
-    for a in range(1, degree + 1):
-        bvals[:, a] = bvals[:, a - 1] * nodes
-    vt = np.conj(bvals / nrm) * weights[:, None]  # (W, D+1), weights folded in
-    out = np.empty((wz.size, degree + 1, degree + 1), complex)
-    for lo in range(0, wz.size, chunk):
-        zc = wz[lo : lo + chunk]
-        expo = 2.0 * mu * nodes[None, :] * np.conj(zc)[:, None] - (mu * np.abs(zc) ** 2)[:, None]
-        e2 = np.exp(expo)
-        diff = nodes[None, :] - zc[:, None]
-        dpow = np.ones_like(diff)
-        for b in range(degree + 1):
-            if b:
-                dpow = dpow * diff
-            out[lo : lo + chunk, :, b] = (e2 * dpow) @ vt
-    return out / nrm[None, None, :]
-
-
-def _shift_matrices(fb, wz, q=None):
-    """Shift-operator matrices for points wz (P, K), shape (P, B, B).
-
-    The kernel factorizes across modes, so each mode's (D+1) x (D+1) block
-    is quadratured separately and the full matrix is assembled entrywise on
-    the degree-truncated index set.
-    """
-    sd = fb.sd
-    P = wz.shape[0]
-    if sd.kdim == 0:
-        return np.ones((P, 1, 1), complex)
-    mu = np.abs(sd.eigenvalues)
-    al = fb.alphas
-    out = None
-    for k in range(sd.kdim):
-        bk = b_of(mu[k], wz[:, k])
-        qk = q or _pick_q(fb.degree, bk)
-        if qk > _Q_CAP:
-            raise ValueError(
-                f"shift of size {bk:.1f} Gaussian widths needs Hermite order {qk} > {_Q_CAP}; "
-                "the point is outside the representation's quadrature reach"
-            )
-        mk = _dim_shift_blocks(mu[k], wz[:, k], fb.degree, qk)
-        piece = mk[:, al[:, k][:, None], al[None, :, k]]
-        out = piece if out is None else out * piece
+    beta = np.conj(math.sqrt(2.0 * mu) * np.asarray(wz, complex))
+    s = np.abs(beta) ** 2
+    half = np.exp(-0.25 * s)
+    k = np.arange(degree + 1)
+    steps = np.concatenate([half[:, None], beta[:, None] / np.sqrt(k[1:])], axis=1)
+    c = np.cumprod(steps, axis=1)  # beta^k exp(-s/4) / sqrt(k!)
+    c_up = (-1.0) ** k * np.conj(c)  # the same for -conj(beta)
+    out = np.empty((beta.size, degree + 1, degree + 1), complex)
+    g_prev = np.zeros((beta.size, degree + 1))
+    g = np.repeat(half[:, None], degree + 1, axis=1)  # g_0 exp(-s/4)
+    for b in range(degree + 1):
+        n = degree + 1 - b
+        out[:, b:, b] = c[:, :n] * g[:, :n]  # a = b + k
+        out[:, b, b + 1 :] = c_up[:, 1:n] * g[:, 1:n]  # the mirrored a < b entries
+        kk = k[: n - 1]
+        g_next = ((2 * b + 1 + kk - s[:, None]) * g[:, : n - 1]
+                  - np.sqrt(b * (b + kk)) * g_prev[:, : n - 1]) / np.sqrt((b + 1) * (b + 1 + kk))
+        g_prev, g = g[:, : n - 1], g_next
     return out
 
 
-def b_of(mu, wzk):
-    """Shift size in Gaussian widths: sqrt(2 mu) |wz| (max over points)."""
-    arr = np.abs(np.asarray(wzk))
-    return float(np.sqrt(2.0 * mu) * (arr.max() if arr.size else 0.0))
+def _shift_matrices(fb, wz):
+    """Shift-operator matrices for points wz (P, K), shape (P, B, B).
+
+    The kernel factorizes across modes, so the full matrix is the entrywise
+    product of the per-mode blocks on the degree-truncated index set.
+    """
+    mu = np.abs(fb.sd.eigenvalues)
+    al = fb.alphas
+    out = np.ones((wz.shape[0], 1, 1), complex)
+    for k in range(fb.sd.kdim):
+        out = out * _mode_blocks(mu[k], wz[:, k], fb.degree)[:, al[:, k][:, None], al[None, :, k]]
+    return out
 
 
 def _tau_dot(tau, r):
@@ -205,13 +173,12 @@ def _tau_dot(tau, r):
     )
 
 
-def rep_apply(fb, point, tau=None, q=None):
+def rep_apply(fb, point, tau=None):
     """Matrix of pi_(lam,tau)(z, x) on the truncated basis, shape (B, B).
 
     The central and radical parts contribute the scalar phase
     exp(-i <lam, x> - i <tau, z_rad>); the perpendicular part acts by the
-    quadratured shift operator.  Raises if the shift is too large for the
-    capped Hermite order.
+    closed-form shift operator.
     """
     sd = fb.sd
     z, x = point
@@ -223,7 +190,7 @@ def rep_apply(fb, point, tau=None, q=None):
         tau = np.zeros(2 * sd.d)
     tau = np.asarray(tau, float).reshape(2 * sd.d)
     phase = np.exp(-1j * float(sd.lam @ x) - 1j * _tau_dot(tau, r))
-    return phase * _shift_matrices(fb, wz[None, :], q=q)[0]
+    return phase * _shift_matrices(fb, wz[None, :])[0]
 
 
 @dataclass
@@ -246,9 +213,10 @@ def _layer_grids(fb, grid, phi_cut):
     """Adapted quadrature grids for one layer.
 
     Perpendicular directions get Gauss-Legendre boxes clipped where the
-    layer weight exceeds phi_cut (true matrix elements there are suppressed
-    by exp(-phi_lam/2), and the clip bounds the shift sizes uniformly in
-    lam); radical directions keep the function's own box.
+    layer weight exceeds phi_cut: true matrix elements there are suppressed
+    by exp(-phi_lam/2), and the clip keeps the zeta nodes on the region
+    that carries the layer, so the grid resolves it for every lam.  Radical
+    directions keep the function's own box.
     """
     sd = fb.sd
     mu = np.abs(sd.eigenvalues)
@@ -281,7 +249,7 @@ def _edge_mask(num_nodes, dims):
     return mask.reshape(-1)
 
 
-def pi_of_f_batch(fb, f, taus=None, grid=None, q=None, phi_cut=40.0):
+def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     """Integrated representation pi_(lam,tau)(f) for a batch of tau.
 
     Returns (matrices (T, B, B), warnings).  The integral over the group is
@@ -345,7 +313,7 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, q=None, phi_cut=40.0):
     amp = (fhat @ tphase).T * pw[None, :]  # (T, P)
 
     wz = sd.w_coords(zperp) if sd.kdim else np.zeros((P, 0))
-    out = _contract_shifts(fb, wz, amp, q=q)
+    out = np.tensordot(amp, _shift_matrices(fb, wz), axes=([1], [0]))
 
     warnings = []
     if tail_all > 0 and tail_w / tail_all > 1e-6:
@@ -355,57 +323,13 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, q=None, phi_cut=40.0):
     return out, tuple(warnings)
 
 
-def _contract_shifts(fb, wz, amp, q=None):
-    """sum_p amp[t, p] * Shift(wz_p) as a (T, B, B) array.
-
-    For a single mode the amplitude sum is folded in before the basis
-    contraction; otherwise the per-point matrices are assembled from the
-    per-mode blocks and contracted afterwards.
-    """
-    sd = fb.sd
-    T, P = amp.shape
-    B = fb.size
-    if sd.kdim == 0:
-        return np.sum(amp, axis=1)[:, None, None] * np.ones((1, 1), complex)
-    if sd.kdim == 1 and T <= B:
-        mu = float(np.abs(sd.eigenvalues[0]))
-        z = wz[:, 0]
-        qk = q or _pick_q(fb.degree, b_of(mu, z))
-        if qk > _Q_CAP:
-            raise ValueError("shift grid exceeds the Hermite order cap")
-        nodes, weights = _plane_rule(mu, qk)
-        nrm = fb.norms
-        bvals = np.empty((nodes.size, B), complex)
-        bvals[:, 0] = 1.0
-        for a in range(1, B):
-            bvals[:, a] = bvals[:, a - 1] * nodes
-        vt = np.conj(bvals / nrm) * weights[:, None]
-        racc = np.zeros((T, nodes.size, B), complex)
-        chunk = max(1, 4_000_000 // nodes.size)
-        for lo in range(0, P, chunk):
-            zc = z[lo : lo + chunk]
-            ac = amp[:, lo : lo + chunk]
-            e2 = np.exp(2.0 * mu * nodes[None, :] * np.conj(zc)[:, None]
-                        - (mu * np.abs(zc) ** 2)[:, None])
-            diff = nodes[None, :] - zc[:, None]
-            dpow = np.ones_like(diff)
-            for b in range(B):
-                if b:
-                    dpow = dpow * diff
-                racc[:, :, b] += ac @ (e2 * dpow)
-        racc /= nrm[None, None, :]
-        return np.einsum("wa,twb->tab", vt, racc)
-    mats = _shift_matrices(fb, wz, q=q)
-    return np.tensordot(amp, mats, axes=([1], [0]))
-
-
-def pi_of_f(fb, f, tau=None, grid=None, q=None, phi_cut=40.0):
+def pi_of_f(fb, f, tau=None, grid=None, phi_cut=40.0):
     """Integrated representation at a single tau, as an OperatorMatrix."""
     sd = fb.sd
     if tau is None:
         tau = np.zeros(2 * sd.d)
     tau = np.asarray(tau, float).reshape(2 * sd.d)
-    mats, warns = pi_of_f_batch(fb, f, taus=tau[None, :], grid=grid, q=q, phi_cut=phi_cut)
+    mats, warns = pi_of_f_batch(fb, f, taus=tau[None, :], grid=grid, phi_cut=phi_cut)
     return OperatorMatrix(lam=sd.lam, tau=tau, degree=fb.degree, matrix=mats[0], warnings=warns)
 
 
@@ -487,7 +411,6 @@ class PlancherelConfig:
     tau_box: float = 6.0
     tau_nodes: int = 12
     grid: GridSpec | None = None
-    q: int | None = None
     phi_cut: float = 40.0
 
 
@@ -542,7 +465,7 @@ def plancherel_residual(model, f, cfg):
             taus, tau_w = tensor_rule(tau_rules)
         else:
             taus, tau_w = np.zeros((1, 0)), np.ones(1)
-        mats, warns = pi_of_f_batch(fb, f, taus=taus, grid=grid, q=cfg.q, phi_cut=cfg.phi_cut)
+        mats, warns = pi_of_f_batch(fb, f, taus=taus, grid=grid, phi_cut=cfg.phi_cut)
         warnings.update(warns)
         layer = float(np.sum(tau_w * hs_norm(mats) ** 2))
         rhs += lam_weights[j] * sd.pfaffian * layer

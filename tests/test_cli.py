@@ -2,8 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from quadric_cr.cli import EXIT_MISSING, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
 
 HEIS1_MODEL = "n = 1\nm = 1\nA_1 = 1,0\n"
@@ -107,13 +105,6 @@ def test_batch_index_runs_every_entry(tmp_path, capsys):
     assert "PASS one.basis_orthonormality" in printed
     assert "PASS two.basis_orthonormality" in printed
     assert (out / "one_spectral.csv").exists() and (out / "two_spectral.csv").exists()
-
-
-def test_thread_count_is_validated(tmp_path):
-    scn = _write_spectral(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["spectral", "--scenario", str(scn), "--threads", "0"])
-    assert exc.value.code == EXIT_PARSE
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import laguerre
 
 from quadric_cr.functions import GridSpec, SampledFunction, SpectralForm, gaussian_function, l2_norm
@@ -15,7 +18,7 @@ from quadric_cr.fock import (
     plancherel_residual,
     rep_apply,
 )
-from quadric_cr.model import QuadraticModel, multiply
+from quadric_cr.model import QuadraticModel, inverse, multiply
 from quadric_cr.quadrature import complex_grid, gauss_hermite
 from quadric_cr.spectral import spectral_data
 
@@ -112,11 +115,112 @@ def test_rep_radical_phase():
     assert np.abs(m - phase * np.eye(fb.size)).max() < 1e-10
 
 
-def test_rep_rejects_far_points():
-    sd = spectral_data(HEIS1, np.array([4.0]))
-    fb = fock_basis(sd, 8)
-    with pytest.raises(ValueError):
-        rep_apply(fb, (np.array([40.0 + 0.0j]), np.array([0.0])))
+@functools.lru_cache(maxsize=None)
+def displacement_oracle(mu, r, theta, degree=48):
+    """<pi(z) e_b, e_a> on HEIS1 at lam = mu > 0, z = r e^(i theta), in mpmath.
+
+    Straight from the Fock-space action: expand exp(2 mu w conj(z)) (w - z)^b
+    in powers of w and read off the w^a coefficient,
+
+        exp(-mu r^2) ||w^a|| / ||w^b|| sum_l C(b, l) (-z)^(b-l) (2 mu conj(z))^(a-l) / (a-l)!,
+
+    with ||w^a||^2 = pi a! / (2 mu)^(a+1).  Every term carries the phase
+    e^(i (b-a) theta), so the sum is done in real arithmetic.  Entries do not
+    depend on the truncation degree, so one table serves every degree.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu, r = mpmath.mpf(mu), mpmath.mpf(r)
+        fac = [mpmath.factorial(j) for j in range(degree + 1)]
+        neg = [(-r) ** j / fac[j] for j in range(degree + 1)]
+        coh = [(2 * mu * r) ** j / fac[j] for j in range(degree + 1)]
+        pref = mpmath.exp(-mu * r**2)
+        out = np.empty((degree + 1, degree + 1), complex)
+        for a in range(degree + 1):
+            for b in range(degree + 1):
+                tot = sum(neg[b - l] * coh[a - l] / fac[l] for l in range(min(a, b) + 1))
+                val = pref * mpmath.sqrt(fac[a] * fac[b] * (2 * mu) ** (b - a)) * tot
+                out[a, b] = float(val) * np.exp(1j * (b - a) * theta)
+    return out
+
+
+def heis1_shift(lam, degree, z):
+    fb = fock_basis(spectral_data(HEIS1, np.array([lam])), degree)
+    return rep_apply(fb, (np.array([z]), np.array([0.0])))
+
+
+# |beta|^2 = 2 mu |z|^2, from near the origin to far past the degree-48 basis
+SHIFT_SIZES = (0.5, 8.0, 40.0, 80.0, 160.0, 400.0)
+
+
+@pytest.mark.parametrize("mu", [0.05, 1.0, 4.0])
+@pytest.mark.parametrize("degree", [12, 24, 48])
+def test_rep_shift_blocks_match_mpmath(degree, mu):
+    theta = 0.7
+    for s in SHIFT_SIZES:
+        r = float(np.sqrt(s / (2.0 * mu)))
+        m = heis1_shift(mu, degree, r * np.exp(1j * theta))
+        exact = displacement_oracle(mu, r, theta)[: degree + 1, : degree + 1]
+        assert np.isfinite(m).all()
+        err = np.abs(m - exact)
+        assert np.tril(err).max() <= 1e-13, (s, "a >= b")
+        assert np.triu(err, 1).max() <= 1e-13, (s, "a < b")
+
+
+def test_rep_far_shifts_vanish():
+    # lam = 4, z = 40 is |beta|^2 = 12800: far outside every basis function
+    for degree in (8, 12, 24, 48):
+        sizes = []
+        for s in (80.0, 160.0, 400.0, 12800.0):
+            r = float(np.sqrt(s / 8.0))
+            m = heis1_shift(4.0, degree, r + 0j)
+            assert np.isfinite(m).all()
+            assert np.abs(m - displacement_oracle(4.0, r, 0.0)[: degree + 1, : degree + 1]).max() <= 1e-13
+            sizes.append(np.abs(m).max())
+        assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
+        assert sizes[-1] < 1e-300
+
+
+# Degree 170 is the largest whose factorial fits a double (fock_basis norms);
+# the old Hermite order cap refused every shift from degree 67 on.
+STABLE_DEGREE = 170
+lams = st.floats(0.5, 4.0).flatmap(lambda a: st.sampled_from([a, -a]))
+angles = st.floats(0.0, 2.0 * np.pi)
+
+
+def point_at(lam, beta, theta, x):
+    # HEIS1 has w(z) = z (conj z for lam < 0), so |beta| = sqrt(2 |lam|) |z|
+    return np.array([beta / np.sqrt(2.0 * abs(lam)) * np.exp(1j * theta)]), np.array([x])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lams, st.floats(0.0, 9.0), angles, st.floats(-2.0, 2.0))
+def test_rep_unitary_on_stable_block_large_shifts(lam, beta, theta, x):
+    fb = fock_basis(spectral_data(HEIS1, np.array([lam])), STABLE_DEGREE)
+    m = rep_apply(fb, point_at(lam, beta, theta, x))
+    g = m.conj().T @ m
+    assert np.abs(g[:9, :9] - np.eye(9)).max() < 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lams, st.floats(0.0, 9.0), angles, st.floats(0.0, 9.0), angles, st.floats(-2.0, 2.0))
+def test_rep_homomorphism_on_stable_block_large_shifts(lam, b1, t1, b2, t2, x):
+    fb = fock_basis(spectral_data(HEIS1, np.array([lam])), STABLE_DEGREE)
+    p = point_at(lam, b1, t1, x)
+    q = point_at(lam, b2, t2, -x)
+    lhs = rep_apply(fb, p) @ rep_apply(fb, q)
+    rhs = rep_apply(fb, multiply(HEIS1, p, q))
+    assert np.abs((lhs - rhs)[:9, :9]).max() < 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lams, st.floats(0.0, 12.0), angles, st.floats(-2.0, 2.0))
+def test_rep_inverse_is_adjoint(lam, beta, theta, x):
+    # pi(p^-1) = pi(p)^H holds entry by entry, truncation included
+    fb = fock_basis(spectral_data(HEIS1, np.array([lam])), 48)
+    p = point_at(lam, beta, theta, x)
+    m = rep_apply(fb, p)
+    assert np.abs(rep_apply(fb, inverse(HEIS1, p)) - m.conj().T).max() < 1e-13
 
 
 @pytest.mark.parametrize("lam", [0.5, -0.7, 1.0])
