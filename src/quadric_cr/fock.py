@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import GridSpec
+from .functions import CHUNK_ELEMENTS, GridSpec
 from .quadrature import complex_grid, gauss_legendre, panel_gauss, tensor_rule
 from .spectral import is_exceptional, spectral_data, generic_dimension
 
@@ -72,7 +72,6 @@ class FockBasis:
     sd: object
     degree: int
     alphas: np.ndarray
-    norms: np.ndarray
 
     @property
     def size(self):
@@ -81,37 +80,28 @@ class FockBasis:
 
 def fock_basis(sd, degree):
     """Build the graded basis bookkeeping for a spectral layer."""
-    alphas = multi_indices(sd.kdim, degree)
-    mu = np.abs(sd.eigenvalues)
-    if sd.kdim == 0:
-        norms = np.ones(1)
-    else:
-        # ||w^alpha||^2 = prod_k pi alpha_k! / (2 mu_k)^(alpha_k+1)
-        fact = np.cumprod(np.concatenate([[1.0], np.arange(1, degree + 1)]))
-        norms2 = np.ones(alphas.shape[0])
-        for k in range(sd.kdim):
-            a = alphas[:, k]
-            norms2 = norms2 * np.pi * fact[a] / (2.0 * mu[k]) ** (a + 1)
-        norms = np.sqrt(norms2)
-    return FockBasis(sd=sd, degree=degree, alphas=alphas, norms=norms)
+    return FockBasis(sd=sd, degree=degree, alphas=multi_indices(sd.kdim, degree))
 
 
 def eval_basis(fb, w):
-    """Normalized basis values e_alpha(w) for w of shape (..., K)."""
+    """Normalized basis values e_alpha(w) for w of shape (..., K).
+
+    Each mode's normalized powers w^a / ||w^a|| are the running product
+    e_0 = sqrt(2 mu / pi), e_a = e_(a-1) w sqrt(2 mu / a), so no factorial
+    or power of 2 mu is formed on its own and none overflows at high degree.
+    """
     w = np.asarray(w, dtype=complex)
     if fb.sd.kdim == 0:
         return np.ones(w.shape[:-1] + (1,), dtype=complex)
-    pows = []
+    mu = np.abs(fb.sd.eigenvalues)
+    out = 1.0
     for k in range(fb.sd.kdim):
         pw = np.empty(w.shape[:-1] + (fb.degree + 1,), dtype=complex)
-        pw[..., 0] = 1.0
+        pw[..., 0] = math.sqrt(2.0 * mu[k] / np.pi)
         for a in range(1, fb.degree + 1):
-            pw[..., a] = pw[..., a - 1] * w[..., k]
-        pows.append(pw)
-    out = pows[0][..., fb.alphas[:, 0]]
-    for k in range(1, fb.sd.kdim):
-        out = out * pows[k][..., fb.alphas[:, k]]
-    return out / fb.norms
+            pw[..., a] = pw[..., a - 1] * w[..., k] * math.sqrt(2.0 * mu[k] / a)
+        out = out * pw[..., fb.alphas[:, k]]
+    return out
 
 
 def _mode_blocks(mu, wz, degree):
@@ -257,6 +247,12 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     the layer frequency), then radical directions against the tau phases,
     then the perpendicular directions against the shift matrices.  The
     factored order changes nothing about which terms are summed.
+
+    f is sampled a chunk of perpendicular points at a time, with chunks
+    sized to stay in cache.  The x-sum of each chunk is one matrix product:
+    a real GEMM against (Re, Im) of the x-phases when the samples are real,
+    a complex one otherwise; the x-tail diagnostics are one more real GEMM
+    of |f| against the box and boundary weights.
     """
     sd = fb.sd
     grid = grid or f.grid
@@ -278,13 +274,14 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
         glft = np.exp(1j * (xn @ spectral.lambdas.T)).T @ phase_x  # (J,)
 
     fhat = np.empty((P, R), complex)
-    tail_w = 0.0
-    tail_all = 0.0
     xedge = _edge_mask(grid.fnodes, sd.lam.size)
+    # x-sums of |f| over the whole box and over its boundary nodes
+    xabs = np.stack([np.abs(xw), np.abs(xw) * xedge], axis=1)  # (X, 2)
+    phase_ri = np.stack([phase_x.real, phase_x.imag], axis=1)  # (X, 2)
     xtail = 0.0
     xtot = 0.0
     damp = np.exp(-0.5 * fb.sd.phi_lam(zperp)) * np.abs(pw)  # (P,)
-    chunk = max(1, 2_000_000 // max(1, R * max(X, 1)))
+    chunk = max(1, CHUNK_ELEMENTS // (R * (X if spectral is None else glft.size)))
     for lo in range(0, P, chunk):
         hi = min(P, lo + chunk)
         zg = zperp[lo:hi, None, :] + zrad[None, :, :]
@@ -294,11 +291,15 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
             absx = np.abs(coeffs) @ np.abs(glft)
             xtot += float(np.sum(absx))  # x-tails are not observable in this form
         else:
-            vals = f(zg[..., None, :], xn[None, None, :, :])  # (c, R, X)
-            fhat[lo:hi] = vals @ phase_x
-            av = np.abs(vals)
-            xtot += float(np.sum(av * np.abs(xw)))
-            xtail += float(np.sum(av[..., xedge] * np.abs(xw[xedge])))
+            vals = f(zg[..., None, :], xn[None, None, :, :]).reshape(-1, X)  # (c R, X)
+            if np.isrealobj(vals):
+                ri = vals @ phase_ri
+                fhat[lo:hi] = (ri[:, 0] + 1j * ri[:, 1]).reshape(hi - lo, R)
+            else:
+                fhat[lo:hi] = (vals @ phase_x).reshape(hi - lo, R)
+            tot, tail = np.sum(np.abs(vals) @ xabs, axis=0)
+            xtot += float(tot)
+            xtail += float(tail)
     # weighted tail diagnostics on the zeta grid
     absf = np.abs(fhat)
     wgt = damp[:, None] * np.abs(rw)[None, :]

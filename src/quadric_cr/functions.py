@@ -19,6 +19,12 @@ from .quadrature import gauss_legendre, tensor_rule
 
 __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "l2_norm"]
 
+# Samples evaluated and contracted at a time by the grid sums here and in
+# fock.pi_of_f_batch: small enough that a chunk, the evaluator's temporaries
+# and the x-sums stay in cache.  On a 2-core Xeon with 2 MiB of L2 per core,
+# 5e4 to 5e5 ran within 15% of each other and 2e6 about twice as slow.
+CHUNK_ELEMENTS = 200_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -81,7 +87,7 @@ def gaussian_function(model, grid=None):
     return SampledFunction(model, ev, grid or GridSpec())
 
 
-def l2_norm(f, grid=None, chunk=200_000):
+def l2_norm(f, grid=None):
     """L^2 norm of a boundary function over its grid box.
 
     Plain tensor Gauss-Legendre rule in the 2n real E coordinates and the m
@@ -97,10 +103,8 @@ def l2_norm(f, grid=None, chunk=200_000):
     xnodes, xweights = tensor_rule([frule] * model.m)
     zgrid = enodes[:, 0::2] + 1j * enodes[:, 1::2]
     total = 0.0
-    for lo in range(0, zgrid.shape[0], max(1, chunk // max(1, xnodes.shape[0]))):
-        hi = min(zgrid.shape[0], lo + max(1, chunk // max(1, xnodes.shape[0])))
-        vals = f(zgrid[lo:hi, None, :], xnodes[None, :, :])
-        total += float(
-            np.sum(eweights[lo:hi, None] * xweights[None, :] * np.abs(vals) ** 2)
-        )
+    step = max(1, CHUNK_ELEMENTS // xnodes.shape[0])
+    for lo in range(0, zgrid.shape[0], step):
+        vals = f(zgrid[lo : lo + step, None, :], xnodes[None, :, :])  # (c, X)
+        total += float(eweights[lo : lo + step] @ (np.abs(vals) ** 2 @ xweights))
     return np.sqrt(total)

@@ -117,10 +117,13 @@ def test_criterion_01_plancherel_degenerate():
         lam_lo=[-10.0], lam_hi=[10.0], lam_nodes=41, degree=12,
         tau_box=6.0, tau_nodes=16, grid=grid,
     )
+    t0 = time.time()
     rep = plancherel_residual(DEG21, f, cfg)
+    wall = time.time() - t0
     assert rep.generic_d == 1
     resid = _report("criterion-1 degenerate residual", rep.residual, 1e-3)
     assert resid <= 1e-3
+    assert wall <= 120.0, f"runtime {wall:.1f}s exceeds the 2 minute budget"
 
 
 def test_criterion_02_rockland_spectrum():

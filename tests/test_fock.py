@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_basis_gram_orthonormal():
     vals = eval_basis(fb, nodes[:, None])
     gram = np.einsum("w,wa,wb->ab", weights, np.conj(vals), vals)
     assert np.abs(gram - np.eye(fb.size)).max() < 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam, degree", [(1.0, 300), (0.05, 170)])
+def test_eval_basis_finite_at_high_degree(lam, degree):
+    # |e_a(w)| = |w|^a sqrt((2 mu)^(a+1) / (pi a!)), entry by entry in log form
+    fb = fock_basis(spectral_data(HEIS1, np.array([lam])), degree)
+    w = np.array([[0.3 + 0.4j], [2.0 - 1.5j], [-6.0 + 1.0j]])
+    vals = eval_basis(fb, w)
+    assert np.isfinite(vals).all()
+    a = np.arange(degree + 1)
+    lgam = np.array([math.lgamma(k + 1.0) for k in a])
+    logs = a * np.log(np.abs(w)) + 0.5 * ((a + 1) * np.log(2.0 * lam) - np.log(np.pi) - lgam)
+    big = logs > -700.0  # below this the reference underflows
+    assert np.abs(np.abs(vals[big]) / np.exp(logs[big]) - 1.0).max() < 1e-12
+    assert np.abs(vals[~big]).max(initial=0.0) < 1e-290
 
 
 def test_shift_matrix_ground_overlap():
@@ -181,9 +198,9 @@ def test_rep_far_shifts_vanish():
         assert sizes[-1] < 1e-300
 
 
-# Degree 170 is the largest whose factorial fits a double (fock_basis norms);
-# the old Hermite order cap refused every shift from degree 67 on.
-STABLE_DEGREE = 170
+# The 9x9 block is stable under shifts up to |beta| = 12 at degree 300; the
+# shift blocks and the basis are running products, so no factorial caps it.
+STABLE_DEGREE = 300
 lams = st.floats(0.5, 4.0).flatmap(lambda a: st.sampled_from([a, -a]))
 angles = st.floats(0.0, 2.0 * np.pi)
 
@@ -194,7 +211,7 @@ def point_at(lam, beta, theta, x):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(lams, st.floats(0.0, 9.0), angles, st.floats(-2.0, 2.0))
+@given(lams, st.floats(0.0, 12.0), angles, st.floats(-2.0, 2.0))
 def test_rep_unitary_on_stable_block_large_shifts(lam, beta, theta, x):
     fb = fock_basis(spectral_data(HEIS1, np.array([lam])), STABLE_DEGREE)
     m = rep_apply(fb, point_at(lam, beta, theta, x))
@@ -203,7 +220,7 @@ def test_rep_unitary_on_stable_block_large_shifts(lam, beta, theta, x):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(lams, st.floats(0.0, 9.0), angles, st.floats(0.0, 9.0), angles, st.floats(-2.0, 2.0))
+@given(lams, st.floats(0.0, 12.0), angles, st.floats(0.0, 12.0), angles, st.floats(-2.0, 2.0))
 def test_rep_homomorphism_on_stable_block_large_shifts(lam, b1, t1, b2, t2, x):
     fb = fock_basis(spectral_data(HEIS1, np.array([lam])), STABLE_DEGREE)
     p = point_at(lam, b1, t1, x)
@@ -259,6 +276,30 @@ def test_degenerate_tau_batch():
         pred = coherent_diag(lam[0], alpha) * np.pi * np.exp(-(tau @ tau) / 4.0)
         assert np.abs(np.real(np.diag(mats[t])) - pred).max() < 1e-5
         assert np.abs(mats[t] - np.diag(np.diag(mats[t]))).max() < 1e-5
+
+
+def modulated_gaussian(grid, dtype):
+    def ev(z, x):
+        z = np.asarray(z, complex)
+        x = np.asarray(x, float)
+        rad = np.sum(np.abs(z) ** 2, axis=-1) + np.sum(x**2, axis=-1)
+        return (np.exp(-rad) * np.cos(2.0 * x[..., 0])).astype(dtype)
+
+    return SampledFunction(DEG21, ev, grid)
+
+
+def test_real_samples_match_complex_twin():
+    # real samples take the real x-GEMM, their +0j twin the complex one
+    fb = fock_basis(spectral_data(DEG21, np.array([0.8])), 8)
+    taus = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]])
+    # boxes short enough that both the zeta- and the x-grid boundary warn
+    grid = GridSpec(ebox=2.5, enodes=20, fbox=3.0, fnodes=40)
+    real, rwarn = pi_of_f_batch(fb, modulated_gaussian(grid, float), taus=taus)
+    cplx, cwarn = pi_of_f_batch(fb, modulated_gaussian(grid, complex), taus=taus)
+    assert np.abs(real - cplx).max() <= 1e-12 * np.abs(cplx).max()
+    assert any("x-grid boundary" in w for w in rwarn)
+    assert any("zeta-grid boundary" in w for w in rwarn)
+    assert rwarn == cwarn
 
 
 def test_flat_layer_scalar():
