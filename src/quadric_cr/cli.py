@@ -69,13 +69,13 @@ def _vec(scn, key, m, default=None):
     return np.asarray(vals)
 
 
-def _grid_spec(scn, fbox=None, fnodes=None):
+def _grid_spec(scn):
     base = GridSpec()
     return GridSpec(
         ebox=scn.flt("ebox", base.ebox),
         enodes=scn.integer("enodes", base.enodes),
-        fbox=scn.flt("fbox", fbox if fbox is not None else base.fbox),
-        fnodes=scn.integer("fnodes", fnodes if fnodes is not None else base.fnodes),
+        fbox=scn.flt("fbox", base.fbox),
+        fnodes=scn.integer("fnodes", base.fnodes),
     )
 
 
@@ -88,7 +88,7 @@ def _lam_table(scn, m):
     return np.stack(mesh, axis=-1).reshape(-1, m)
 
 
-def _sample_ambient(model, prof_body, rng, count, scale, hmax):
+def _sample_ambient(model, rng, count, scale, hmax):
     n, m = model.n, model.m
     z = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) * scale
     h = rng.uniform(0.05, hmax, (count, m))
@@ -211,7 +211,7 @@ def _run_extend(scn, seed, rng):
     prof = scn.profile(body)
     count = scn.integer("points", 200)
     order = scn.integer("order", 3)
-    z, u = _sample_ambient(model, body, rng, count, scn.flt("scale", 0.6), scn.flt("hmax", 1.2))
+    z, u = _sample_ambient(model, rng, count, scn.flt("scale", 0.6), scn.flt("hmax", 1.2))
     vb = extend_profile(model, prof, z, u, route="B",
                         lam_nodes=scn.integer("lam_nodes", 64))
     va = extend_profile(model, prof, z, u, route="A",

@@ -21,10 +21,7 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 
 `pi_of_f` integrates these matrices against a boundary function over a
 tensor grid.  The perpendicular part of the grid is clipped where the layer
-weight phi_lam exceeds `phi_cut`: the true matrix elements are suppressed
-by exp(-phi_lam/2) there, and the clip keeps the fixed number of zeta nodes
-on the region that carries the layer, so the grid resolves it uniformly in
-lam.
+weight phi_lam exceeds `PHI_CUT`.
 """
 
 import math
@@ -32,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import CHUNK_ELEMENTS, GridSpec
+from .functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
+                        central_transform)
 from .quadrature import complex_grid, gauss_legendre, panel_gauss, tensor_rule
 from .spectral import is_exceptional, spectral_data, generic_dimension
 
@@ -52,11 +50,16 @@ __all__ = [
     "hs_norm",
 ]
 
+# Layer weight phi_lam past which the perpendicular zeta-box is clipped.  The
+# true matrix elements are suppressed by exp(-phi_lam/2) there, and the clip
+# keeps the fixed number of zeta nodes on the region that carries the layer,
+# so the grid resolves it uniformly in lam; without it the degree-24
+# Plancherel residual is 8x off its floor.
+PHI_CUT = 40.0
+
 
 def multi_indices(kdim, degree):
     """Multi-indices with |alpha| <= degree in graded lexicographic order."""
-    if kdim == 0:
-        return np.zeros((1, 0), dtype=int)
     idx = [()]
     for _ in range(kdim):
         idx = [t + (a,) for t in idx for a in range(degree + 1)]
@@ -156,8 +159,6 @@ def _shift_matrices(fb, wz):
 
 def _tau_dot(tau, r):
     """Real pairing of tau (.., 2d) with radical coordinates r (.., d)."""
-    if tau.shape[-1] == 0:
-        return np.zeros(np.broadcast_shapes(tau.shape[:-1], r.shape[:-1]))
     return np.einsum("...d,...d->...", tau[..., 0::2], np.real(r)) + np.einsum(
         "...d,...d->...", tau[..., 1::2], np.imag(r)
     )
@@ -199,38 +200,26 @@ def hs_norm(mat):
     return np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1)))
 
 
-def _layer_grids(fb, grid, phi_cut):
+def _layer_grids(fb, grid):
     """Adapted quadrature grids for one layer.
 
     Perpendicular directions get Gauss-Legendre boxes clipped where the
-    layer weight exceeds phi_cut: true matrix elements there are suppressed
-    by exp(-phi_lam/2), and the clip keeps the zeta nodes on the region
-    that carries the layer, so the grid resolves it for every lam.  Radical
-    directions keep the function's own box.
+    layer weight exceeds `PHI_CUT`; radical directions keep the function's
+    own box.  A layer with no direction of a kind gets the one-point rule.
     """
     sd = fb.sd
     mu = np.abs(sd.eigenvalues)
     perp_rules = []
     for k in range(sd.kdim):
-        lk = min(grid.ebox, math.sqrt(phi_cut / (2.0 * mu[k])))
+        lk = min(grid.ebox, math.sqrt(PHI_CUT / (2.0 * mu[k])))
         perp_rules.append(complex_grid(gauss_legendre(grid.enodes, -lk, lk)))
-    if perp_rules:
-        pn, pw = tensor_rule(perp_rules)
-    else:
-        pn, pw = np.zeros((1, 0), complex), np.ones(1)
     rad_rules = [complex_grid(grid.e_rule()) for _ in range(sd.d)]
-    if rad_rules:
-        rn, rw = tensor_rule(rad_rules)
-    else:
-        rn, rw = np.zeros((1, 0), complex), np.ones(1)
     xn, xw = tensor_rule([grid.f_rule()] * sd.lam.size)
-    return (pn, pw), (rn, rw), (xn, xw)
+    return tensor_rule(perp_rules), tensor_rule(rad_rules), (xn, xw)
 
 
 def _edge_mask(num_nodes, dims):
     """Mask of tensor-grid points having an extreme index along any axis."""
-    if dims == 0:
-        return np.zeros(1, dtype=bool)
     mask = np.zeros((num_nodes,) * dims, dtype=bool)
     for ax in range(dims):
         sl = [slice(None)] * dims
@@ -239,7 +228,7 @@ def _edge_mask(num_nodes, dims):
     return mask.reshape(-1)
 
 
-def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
+def pi_of_f_batch(fb, f, taus=None, grid=None):
     """Integrated representation pi_(lam,tau)(f) for a batch of tau.
 
     Returns (matrices (T, B, B), warnings).  The integral over the group is
@@ -262,10 +251,10 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     if taus.ndim == 1:
         taus = taus[None, :]
     taus = taus.reshape(taus.shape[0], 2 * sd.d)
-    (pn, pw), (rn, rw), (xn, xw) = _layer_grids(fb, grid, phi_cut)
+    (pn, pw), (rn, rw), (xn, xw) = _layer_grids(fb, grid)
     P, R, X = pn.shape[0], rn.shape[0], xn.shape[0]
-    zperp = pn @ sd.eigenvectors.T if sd.kdim else np.zeros((P, f.model.n), complex)
-    zrad = rn @ sd.radical.T if sd.d else np.zeros((R, f.model.n), complex)
+    zperp = pn @ sd.eigenvectors.T
+    zrad = rn @ sd.radical.T
     phase_x = xw * np.exp(-1j * (xn @ sd.lam))  # (X,)
 
     spectral = getattr(f, "spectral", None)
@@ -304,8 +293,8 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     absf = np.abs(fhat)
     wgt = damp[:, None] * np.abs(rw)[None, :]
     tail_all = float(np.sum(absf * wgt))
-    pmask = _edge_mask(grid.enodes, 2 * sd.kdim)[:P] if sd.kdim else np.zeros(P, bool)
-    rmask = _edge_mask(grid.enodes, 2 * sd.d)[:R] if sd.d else np.zeros(R, bool)
+    pmask = _edge_mask(grid.enodes, 2 * sd.kdim)
+    rmask = _edge_mask(grid.enodes, 2 * sd.d)
     emask = pmask[:, None] | rmask[None, :]
     tail_w = float(np.sum(absf[emask].reshape(-1) * wgt[emask].reshape(-1))) if emask.any() else 0.0
 
@@ -313,8 +302,7 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     tphase = rw[:, None] * np.exp(-1j * _tau_dot(taus[None, :, :], rn[:, None, :]))
     amp = (fhat @ tphase).T * pw[None, :]  # (T, P)
 
-    wz = sd.w_coords(zperp) if sd.kdim else np.zeros((P, 0))
-    out = np.tensordot(amp, _shift_matrices(fb, wz), axes=([1], [0]))
+    out = np.tensordot(amp, _shift_matrices(fb, sd.w_coords(zperp)), axes=([1], [0]))
 
     warnings = []
     if tail_all > 0 and tail_w / tail_all > 1e-6:
@@ -324,13 +312,13 @@ def pi_of_f_batch(fb, f, taus=None, grid=None, phi_cut=40.0):
     return out, tuple(warnings)
 
 
-def pi_of_f(fb, f, tau=None, grid=None, phi_cut=40.0):
+def pi_of_f(fb, f, tau=None, grid=None):
     """Integrated representation at a single tau, as an OperatorMatrix."""
     sd = fb.sd
     if tau is None:
         tau = np.zeros(2 * sd.d)
     tau = np.asarray(tau, float).reshape(2 * sd.d)
-    mats, warns = pi_of_f_batch(fb, f, taus=tau[None, :], grid=grid, phi_cut=phi_cut)
+    mats, warns = pi_of_f_batch(fb, f, taus=tau[None, :], grid=grid)
     return OperatorMatrix(lam=sd.lam, tau=tau, degree=fb.degree, matrix=mats[0], warnings=warns)
 
 
@@ -341,8 +329,6 @@ def group_convolve(f, g, grid=None):
     result does too (the central integral against each frequency is done
     once and reused); otherwise a direct, slower evaluator is returned.
     """
-    from .functions import SampledFunction, SpectralForm
-
     model = f.model
     grid = grid or f.grid
     erule = grid.e_rule()
@@ -352,20 +338,14 @@ def group_convolve(f, g, grid=None):
 
     if getattr(g, "spectral", None) is not None:
         lambdas = g.spectral.lambdas  # (J, m)
-        # central transform of f at the fixed frequencies, on the q-grid
-        phases = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
-        fhat = np.empty((zq.shape[0], lambdas.shape[0]), complex)
-        chunk = max(1, 1_000_000 // max(1, xn.shape[0]))
-        for lo in range(0, zq.shape[0], chunk):
-            vals = f(zq[lo : lo + chunk, None, :], xn[None, :, :])  # (c, X)
-            fhat[lo : lo + chunk] = vals @ phases
+        fhat = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
         gcoeff = g.spectral.coeff
 
         def coeff(z):
             z = np.asarray(z, complex)
             flat = z.reshape(-1, model.n)
             out = np.empty((flat.shape[0], lambdas.shape[0]), complex)
-            czch = max(1, 2_000_000 // max(1, zq.shape[0] * lambdas.shape[0]))
+            czch = max(1, CHUNK_ELEMENTS // (zq.shape[0] * lambdas.shape[0]))
             for lo in range(0, flat.shape[0], czch):
                 zc = flat[lo : lo + czch]
                 shift = 2.0 * np.imag(model.phi_pair(zq[None, :, :], zc[:, None, :]))
@@ -376,12 +356,8 @@ def group_convolve(f, g, grid=None):
                 out[lo : lo + czch] = np.einsum("q,qj,zqj,zqj->zj", eweights, fhat, gz, ph)
             return out.reshape(z.shape[:-1] + (lambdas.shape[0],))
 
-        def ev(z, x):
-            c = coeff(z)
-            return np.einsum("...j,...j->...", c, np.exp(1j * (np.asarray(x, float) @ lambdas.T)))
-
-        return SampledFunction(model, ev, grid, spectral=SpectralForm(lambdas, coeff),
-                               meta={"convolved": True})
+        form = SpectralForm(lambdas, coeff)
+        return SampledFunction(model, form, grid, spectral=form, meta={"convolved": True})
 
     def ev(z, x):
         z = np.asarray(z, complex)
@@ -412,7 +388,6 @@ class PlancherelConfig:
     tau_box: float = 6.0
     tau_nodes: int = 12
     grid: GridSpec | None = None
-    phi_cut: float = 40.0
 
 
 @dataclass
@@ -466,7 +441,7 @@ def plancherel_residual(model, f, cfg):
             taus, tau_w = tensor_rule(tau_rules)
         else:
             taus, tau_w = np.zeros((1, 0)), np.ones(1)
-        mats, warns = pi_of_f_batch(fb, f, taus=taus, grid=grid, phi_cut=cfg.phi_cut)
+        mats, warns = pi_of_f_batch(fb, f, taus=taus, grid=grid)
         warnings.update(warns)
         layer = float(np.sum(tau_w * hs_norm(mats) ** 2))
         rhs += lam_weights[j] * sd.pfaffian * layer

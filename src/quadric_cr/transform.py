@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import ConvexBody, contains, empty_body, erode, support
-from .functions import GridSpec, SampledFunction, SpectralForm
+from .functions import GridSpec, SampledFunction, SpectralForm, central_transform
 from .quadrature import gauss_legendre, tensor_rule
 from .spectral import is_exceptional, spectral_data
 
@@ -168,36 +168,23 @@ def inverse_FN(model, profile, grid=None):
         ph = model.phi(z)  # (..., m)
         return amp * np.exp(-(ph @ lams.T))
 
-    def ev(z, x):
-        c = coeff(z)
-        return np.einsum(
-            "...j,...j->...", c, np.exp(1j * (np.asarray(x, float) @ lams.T))
-        )
-
     meta = {"profile": profile}
     if warnings:
         meta["warnings"] = tuple(warnings)
-    return SampledFunction(model, ev, grid, spectral=SpectralForm(lams, coeff), meta=meta)
+    form = SpectralForm(lams, coeff)
+    return SampledFunction(model, form, grid, spectral=form, meta=meta)
 
 
 def central_spectrum(f, lambdas, xbox=160.0, xnodes=768, z=None):
     """Raw Euclidean fiber transform fhat(z, lam) over a long central box."""
-    model = f.model
     lambdas = np.atleast_2d(np.asarray(lambdas, float))
     if z is None:
-        z = np.zeros(model.n, complex)
-    rules = [gauss_legendre(xnodes, -xbox, xbox)] * model.m
-    xn, xw = tensor_rule(rules)
-    out = np.empty(lambdas.shape[0], complex)
-    vals = f(np.asarray(z, complex)[None, :], xn)  # (X,)
-    chunk = max(1, 4_000_000 // max(1, xn.shape[0]))
-    for lo in range(0, lambdas.shape[0], chunk):
-        phases = np.exp(-1j * (xn @ lambdas[lo : lo + chunk].T))  # (X, j)
-        out[lo : lo + chunk] = (xw * vals) @ phases
-    return out
+        z = np.zeros(f.model.n, complex)
+    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * f.model.m)
+    return central_transform(f, np.asarray(z, complex)[None, :], lambdas, xn, xw)[0]
 
 
-def forward_FN(f, lambdas, degree=8, grid=None, phi_cut=40.0):
+def forward_FN(f, lambdas, degree=8, grid=None):
     """The transform lam -> tr pi_lam(f), one layer quadrature per frequency.
 
     Returns (values, warnings).  Exceptional frequencies are skipped with a
@@ -222,7 +209,7 @@ def forward_FN(f, lambdas, degree=8, grid=None, phi_cut=40.0):
             warnings.append(f"frequency {j} is exceptional, skipped")
             continue
         fb = fock_basis(sd, degree)
-        op = pi_of_f(fb, f, grid=grid, phi_cut=phi_cut)
+        op = pi_of_f(fb, f, grid=grid)
         out[j] = np.trace(op.matrix)
         warnings.extend(op.warnings)
     return out, warnings
@@ -266,7 +253,7 @@ def _gl_refine(body, integrand, start=64, cap=_NODE_CAP, rtol=1e-8):
         if prev is not None:
             scale = np.max(np.abs(val)) + 1e-300
             if np.max(np.abs(val - prev)) < rtol * scale or nodes * 2 > cap:
-                return val, nodes
+                return val
         prev = val
         nodes *= 2
 
@@ -299,25 +286,19 @@ def extend_profile(model, profile, z, u, route="B", xbox=160.0, xnodes=768,
             kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
             return const * vals * pf * np.exp(trace_factor + kernel)
 
-        val, _ = _gl_refine(profile.body, integrand, start=lam_nodes, rtol=rtol)
-        return val
+        return _gl_refine(profile.body, integrand, start=lam_nodes, rtol=rtol)
     if route == "A":
         f0 = inverse_FN(model, profile)
-        rules = [gauss_legendre(xnodes, -xbox, xbox)] * model.m
-        xn, xw = tensor_rule(rules)
+        xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
         lo, hi = _body_box(profile.body)
         lams, lw = tensor_rule(
             [gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)]
         )
-        out = np.empty(z.shape[0], complex)
+        fhat = central_transform(f0, z, lams, xn, xw)  # (P, J)
         # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
         # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
         resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
-        for i in range(z.shape[0]):
-            vals = f0(z[i][None, :], xn)  # (X,)
-            fhat = (xw * vals) @ np.exp(-1j * (xn @ lams.T))  # (J,)
-            out[i] = (lw * fhat * resynth[i]).sum() / (2.0 * np.pi) ** model.m
-        return out
+        return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -444,14 +425,8 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
         def coeff(z):
             return base(z) * scale
 
-        def ev(z, x):
-            return np.einsum(
-                "...j,...j->...", coeff(z), np.exp(1j * (np.asarray(x, float) @ lams.T))
-            )
-
-        return SampledFunction(
-            model, ev, grid, spectral=SpectralForm(lams, coeff), meta={"windowed": True}
-        )
+        form = SpectralForm(lams, coeff)
+        return SampledFunction(model, form, grid, spectral=form, meta={"windowed": True})
     if window.empty:
         return SampledFunction(
             model,
@@ -485,10 +460,8 @@ def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
                        + 1j * rng.standard_normal((2, model.n))),
             ]
         )
-    mass = np.zeros(lam_grid.shape[0])
-    for zp in zs:
-        vals = np.abs(central_spectrum(f, lam_grid, xbox=xbox, xnodes=xnodes, z=zp))
-        mass = np.maximum(mass, vals)
+    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
+    mass = np.abs(central_transform(f, np.asarray(zs, complex), lam_grid, xn, xw)).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:
         inside = np.array([bool(contains(body, lam)) for lam in lam_grid])

@@ -4,8 +4,14 @@ import pytest
 from quadric_cr.model import QuadraticModel
 from quadric_cr.convex import boundary_distance, interval_body, support
 from quadric_cr.fock import fock_basis, group_convolve, pi_of_f
-from quadric_cr.functions import GridSpec, SampledFunction
-from quadric_cr.quadrature import gauss_legendre
+from quadric_cr.functions import (
+    CHUNK_ELEMENTS,
+    GridSpec,
+    SampledFunction,
+    central_transform,
+    gaussian_function,
+)
+from quadric_cr.quadrature import gauss_legendre, tensor_rule
 from quadric_cr.spectral import spectral_data
 from quadric_cr.transform import (
     SpectralProfile,
@@ -143,6 +149,22 @@ def test_product_becomes_frequency_convolution():
     ])
     assert not warns
     assert np.abs(got - want).max() < 1e-6
+
+
+def test_central_transform_gaussian_closed_form():
+    # exp(-|z|^2 - x^2) transforms to sqrt(pi) exp(-|z|^2) exp(-lam^2/4)
+    f = gaussian_function(HEIS1)
+    xn, xw = tensor_rule([gauss_legendre(768, -8.0, 8.0)])
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal((600, 1)) + 1j * rng.standard_normal((600, 1))) * 0.8
+    assert -(-z.shape[0] // (CHUNK_ELEMENTS // xn.shape[0])) == 3  # the samples span 3 chunks
+    lams = np.array([[-3.0], [-0.5], [0.0], [1.5], [4.0]])
+    got = central_transform(f, z, lams, xn, xw)
+    want = np.sqrt(np.pi) * np.exp(-np.abs(z) ** 2 - lams[:, 0] ** 2 / 4.0)
+    assert got.shape == (600, 5)
+    assert np.abs(got / want - 1.0).max() < 1e-12
+    row = central_spectrum(f, lams, xbox=8.0, xnodes=768, z=z[417])
+    assert np.abs(row / got[417] - 1.0).max() < 1e-13
 
 
 def test_leakage_outside_body():
