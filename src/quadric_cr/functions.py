@@ -60,18 +60,31 @@ class SpectralForm:
 
     lambdas : (J, m) frequencies
     coeff   : callable, z (..., n) -> (..., J) complex coefficients
+    amp     : (J,) amplitudes when the form is a ground form, else None
 
-    Calling the form evaluates the expansion, so it serves as the function's
-    evaluator.
+    A ground form has coefficients c_j(z) = amp_j exp(-<lam_j, Phi(z)>), the
+    ground-layer coefficients that band-limited synthesis produces; build it
+    with `SpectralForm.ground`.  Calling the form evaluates the expansion, so
+    it serves as the function's evaluator.
     """
 
     lambdas: np.ndarray
     coeff: object
+    amp: np.ndarray | None = None
+
+    @classmethod
+    def ground(cls, model, lambdas, amp):
+        """The ground form sum_j amp_j exp(-<lam_j, Phi(z)>) exp(i <lam_j, x>)."""
+
+        def coeff(z):
+            return amp * np.exp(-(model.phi(z) @ lambdas.T))
+
+        return cls(lambdas, coeff, amp)
 
     def __call__(self, z, x):
         """sum_j coeff(z)_j exp(i <lam_j, x>), broadcast over z and x."""
         waves = np.exp(1j * (np.asarray(x, float) @ self.lambdas.T))
-        return np.einsum("...j,...j->...", self.coeff(z), waves)
+        return (self.coeff(z)[..., None, :] @ waves[..., :, None])[..., 0, 0]
 
 
 @dataclass

@@ -146,7 +146,8 @@ def _pfaffians(model, lams):
 def inverse_FN(model, profile, grid=None):
     """Band-limited synthesis from a spectral profile.
 
-    Returns a SampledFunction carrying the finite SpectralForm.  Profile
+    Returns a SampledFunction carrying the finite SpectralForm, a ground
+    form with amplitudes c_N w_j psi(lam_j) |Pf(lam_j)|.  Profile
     nodes outside the closed positivity cone make the ground-layer weight
     formula unreliable; they are recorded in meta["warnings"].
     """
@@ -162,16 +163,10 @@ def inverse_FN(model, profile, grid=None):
                 f"profile node {j} lies outside the closed positivity cone"
             )
     amp = _pw_const(model) * profile.weights * profile.values * pf  # (J,)
-
-    def coeff(z):
-        z = np.asarray(z, complex)
-        ph = model.phi(z)  # (..., m)
-        return amp * np.exp(-(ph @ lams.T))
-
     meta = {"profile": profile}
     if warnings:
         meta["warnings"] = tuple(warnings)
-    form = SpectralForm(lams, coeff)
+    form = SpectralForm.ground(model, lams, amp)
     return SampledFunction(model, form, grid, spectral=form, meta=meta)
 
 
@@ -409,9 +404,10 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
 
     On spectral data the convolution theorem collapses this to reweighting
     each frequency node by the window value, and that identity is exact for
-    the finite form, so it is used directly.  Otherwise the window kernel
-    is synthesized and the group convolution evaluated by quadrature over
-    the function's grid box.
+    the finite form, so it is used directly; a ground form stays a ground
+    form with its amplitudes reweighted.  Otherwise the window kernel is
+    synthesized and the group convolution evaluated by quadrature over the
+    function's grid box.
     """
     from .fock import group_convolve
 
@@ -420,12 +416,15 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
     if f.spectral is not None:
         lams = f.spectral.lambdas
         scale = window(lams)
-        base = f.spectral.coeff
+        if f.spectral.amp is not None:
+            form = SpectralForm.ground(model, lams, f.spectral.amp * scale)
+        else:
+            base = f.spectral.coeff
 
-        def coeff(z):
-            return base(z) * scale
+            def coeff(z):
+                return base(z) * scale
 
-        form = SpectralForm(lams, coeff)
+            form = SpectralForm(lams, coeff)
         return SampledFunction(model, form, grid, spectral=form, meta={"windowed": True})
     if window.empty:
         return SampledFunction(

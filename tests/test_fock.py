@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import laguerre
 
-from quadric_cr.functions import GridSpec, SampledFunction, SpectralForm, gaussian_function, l2_norm
+from quadric_cr.functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
+                                  central_transform, gaussian_function, l2_norm)
 from quadric_cr.fock import (
     PlancherelConfig,
     eval_basis,
@@ -20,8 +21,10 @@ from quadric_cr.fock import (
     rep_apply,
 )
 from quadric_cr.model import QuadraticModel, inverse, multiply
-from quadric_cr.quadrature import complex_grid, gauss_hermite
+from quadric_cr.quadrature import complex_grid, gauss_hermite, tensor_rule
 from quadric_cr.spectral import spectral_data
+from quadric_cr.convex import interval_body
+from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]], dtype=complex))
 DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
@@ -339,7 +342,76 @@ def test_hs_norm_batch():
     assert np.allclose(hs_norm(m), [3.0, 5.0])
 
 
-def test_group_convolve_paths_agree():
+def spectral_oracle(f, g, grid=None):
+    """The generic spectral convolution: g's own coefficients at z - q.
+
+    The former spectral path of `group_convolve`, kept as an oracle: for
+    every output point, quadrature point and frequency it evaluates g.coeff
+    at z - q and the group-law phase, and sums over q.
+    """
+    model = f.model
+    grid = grid or f.grid
+    erule = grid.e_rule()
+    enodes, eweights = tensor_rule([erule] * (2 * model.n))
+    zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
+    xn, xw = tensor_rule([grid.f_rule()] * model.m)  # (X, m)
+
+    lambdas = g.spectral.lambdas  # (J, m)
+    fhat = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
+    gcoeff = g.spectral.coeff
+
+    def coeff(z):
+        z = np.asarray(z, complex)
+        flat = z.reshape(-1, model.n)
+        out = np.empty((flat.shape[0], lambdas.shape[0]), complex)
+        czch = max(1, CHUNK_ELEMENTS // (zq.shape[0] * lambdas.shape[0]))
+        for lo in range(0, flat.shape[0], czch):
+            zc = flat[lo : lo + czch]
+            shift = 2.0 * np.imag(model.phi_pair(zq[None, :, :], zc[:, None, :]))
+            # shift of the central variable produced by the group law,
+            # as a phase at each fixed frequency
+            ph = np.exp(-1j * np.einsum("zqm,jm->zqj", shift, lambdas))
+            gz = gcoeff(zc[:, None, :] - zq[None, :, :])  # (c, Q, J)
+            out[lo : lo + czch] = np.einsum("q,qj,zqj,zqj->zj", eweights, fhat, gz, ph)
+        return out.reshape(z.shape[:-1] + (lambdas.shape[0],))
+
+    form = SpectralForm(lambdas, coeff)
+    return SampledFunction(model, form, grid, spectral=form, meta={"convolved": True})
+
+
+def direct_oracle(f, g, grid=None):
+    """The direct convolution: f(q, y) g((q, y)^-1 p) summed point by point.
+
+    The former non-spectral path of `group_convolve`, kept as an oracle that
+    needs nothing of g but its values.
+    """
+    model = f.model
+    grid = grid or f.grid
+    erule = grid.e_rule()
+    enodes, eweights = tensor_rule([erule] * (2 * model.n))
+    zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
+    xn, xw = tensor_rule([grid.f_rule()] * model.m)  # (X, m)
+
+    def ev(z, x):
+        z = np.asarray(z, complex)
+        x = np.asarray(x, float)
+        zb = np.broadcast_to(z, np.broadcast_shapes(z.shape, x.shape[:-1] + (model.n,)))
+        xb = np.broadcast_to(x, np.broadcast_shapes(x.shape, z.shape[:-1] + (model.m,)))
+        flatz = zb.reshape(-1, model.n)
+        flatx = xb.reshape(-1, model.m)
+        out = np.empty(flatz.shape[0], complex)
+        fq = f(zq[:, None, :], xn[None, :, :])  # (Q, X)
+        for i in range(flatz.shape[0]):
+            shift = 2.0 * np.imag(model.phi_pair(zq, flatz[i]))  # (Q, m)
+            vals = g(flatz[i] - zq[:, None, :], flatx[i] - xn[None, :, :] - shift[:, None, :])
+            out[i] = np.sum(eweights[:, None] * xw[None, :] * fq * vals)
+        return out.reshape(zb.shape[:-1])
+
+    return SampledFunction(model, ev, grid, meta={"convolved": True})
+
+
+def test_convolution_oracles_agree():
+    # a kernel whose coefficients are no ground form reaches only the oracles
     g9 = GridSpec(ebox=3.5, enodes=16, fbox=5.0, fnodes=20)
     f = gaussian_function(HEIS1, grid=g9)
     lambdas = np.array([[1.3], [-0.4]])
@@ -356,11 +428,104 @@ def test_group_convolve_paths_agree():
 
     gs = SampledFunction(HEIS1, gev, g9, spectral=SpectralForm(lambdas, coeff))
     gp = SampledFunction(HEIS1, gev, g9)
-    hs = group_convolve(f, gs)
-    hp = group_convolve(f, gp)
+    hs = spectral_oracle(f, gs)
+    hp = direct_oracle(f, gp)
     zs = np.array([[0.3 + 0.2j], [-0.5 + 0.1j]])
     xs = np.array([[0.4], [-0.7]])
     a, b = hs(zs, xs), hp(zs, xs)
     assert np.abs(a - b).max() < 1e-10
     assert hs.spectral is not None
     assert np.allclose(hs.spectral.lambdas, lambdas)
+
+
+# n = 2, m = 2, with off-diagonal Hermitian layers
+PAIR22 = QuadraticModel(np.array([
+    [[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.6]],
+    [[0.4, -0.25j], [0.25j, 1.1]],
+]))
+
+
+def ground_kernel(model, lambdas, amp, grid):
+    form = SpectralForm.ground(model, np.asarray(lambdas, float), np.asarray(amp, complex))
+    return SampledFunction(model, form, grid, spectral=form)
+
+
+def box_points(rng, count, n, half):
+    return rng.uniform(-half, half, (count, n)) + 1j * rng.uniform(-half, half, (count, n))
+
+
+CONVOLVE_CASES = {
+    # model, grid, kernel frequencies (one with a negative component on
+    # PAIR22), output points (more than one chunk holds)
+    "heis1": (HEIS1, GridSpec(ebox=3.5, enodes=16, fbox=5.0, fnodes=20),
+              np.linspace(0.4, 2.0, 16)[:, None], 1000),
+    "pair22": (PAIR22, GridSpec(ebox=2.5, enodes=6, fbox=4.0, fnodes=10),
+               np.array([[1.2, -0.3], [0.5, 0.8], [1.0, 1.0]]), 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVOLVE_CASES))
+def test_group_convolve_matches_oracles(case):
+    model, grid, lambdas, count = CONVOLVE_CASES[case]
+    J, N = lambdas.shape[0], grid.enodes
+    assert count > CHUNK_ELEMENTS // (J * N ** (2 * model.n - 1))
+    rng = np.random.default_rng(11)
+    amp = rng.uniform(0.5, 1.5, J) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, J))
+    f = gaussian_function(model, grid=grid)
+    g = ground_kernel(model, lambdas, amp, grid)
+    h = group_convolve(f, g)
+    assert h.spectral.amp is None
+    z = box_points(rng, count, model.n, grid.ebox)
+    got = h.spectral.coeff(z)
+    want = spectral_oracle(f, g).spectral.coeff(z)
+    assert got.shape == (count, J)
+    # entry by entry, relative to each frequency's scale: the two orders of
+    # summation cancel differently where a coefficient is near zero
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0)).all()
+    # the direct oracle sums f(q, y) g((q, y)^-1 p) over the q and y grids
+    x = rng.uniform(-2.0, 2.0, (4, model.m))
+    got = h(z[:4], x)
+    want = direct_oracle(f, g)(z[:4], x)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+def test_group_convolve_needs_ground_form():
+    grid = GridSpec(ebox=3.5, enodes=8, fbox=5.0, fnodes=10)
+    f = gaussian_function(HEIS1, grid=grid)
+    lambdas = np.array([[1.0]])
+    plain = SpectralForm(lambdas, lambda z: np.exp(-HEIS1.phi(z) @ lambdas.T))
+    with pytest.raises(ValueError, match="ground form"):
+        group_convolve(f, SampledFunction(HEIS1, plain, grid, spectral=plain))
+    with pytest.raises(ValueError, match="ground form"):
+        group_convolve(f, gaussian_function(HEIS1, grid=grid))
+
+
+def test_group_convolve_refuses_overflow():
+    grid = GridSpec(ebox=3.5, enodes=8, fbox=5.0, fnodes=10)
+    f = gaussian_function(HEIS1, grid=grid)
+    # lam = -40 grows like exp(40 |q|^2) over the box: refused before any sum
+    with pytest.raises(ValueError, match="pairing cone"):
+        group_convolve(f, ground_kernel(HEIS1, [[-40.0]], [1.0], grid))
+    # a fine kernel probed far outside the box, where e^(t s) reaches about e^680
+    h = group_convolve(f, ground_kernel(HEIS1, [[1.0]], [1.0], grid))
+    assert np.isfinite(h.spectral.coeff(np.array([[3.0 + 1.0j]]))).all()
+    with pytest.raises(ValueError, match="pairing cone"):
+        h.spectral.coeff(np.array([[0.0], [100.0 + 0.0j]]))
+
+
+def test_bandlimit_projection_stays_ground():
+    grid = GridSpec(ebox=3.5, enodes=16, fbox=5.0, fnodes=20)
+    f = inverse_FN(HEIS1, bump_profile(interval_body(1.2, 1.8), nodes=32), grid=grid)
+    window = spectral_window(interval_body(1.0, 2.0), 0.8)
+    p = bandlimit_project(f, window)
+    scale = window(f.spectral.lambdas)
+    assert ((scale > 0.0) & (scale < 1.0)).any()  # the window bites on some nodes
+    assert np.array_equal(p.spectral.amp, f.spectral.amp * scale)
+    z = box_points(np.random.default_rng(3), 200, 1, 3.5)
+    reweighted = f.spectral.coeff(z) * scale  # the reweighting of a plain spectral form
+    assert (np.abs(p.spectral.coeff(z) - reweighted) <= 1e-15 * np.abs(reweighted)).all()
+    # the projection is itself a convolution kernel
+    g = gaussian_function(HEIS1, grid=grid)
+    got = group_convolve(g, p).spectral.coeff(z)
+    want = spectral_oracle(g, p).spectral.coeff(z)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0)).all()

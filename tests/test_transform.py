@@ -8,6 +8,7 @@ from quadric_cr.functions import (
     CHUNK_ELEMENTS,
     GridSpec,
     SampledFunction,
+    SpectralForm,
     central_transform,
     gaussian_function,
 )
@@ -65,6 +66,53 @@ def test_synthesis_carries_spectral_form():
         "...j,...j->...", c, np.exp(1j * (x @ f.spectral.lambdas.T))
     )
     assert np.allclose(direct, f(z, x), atol=1e-14)
+
+
+def test_synthesis_is_a_ground_form():
+    prof = bump_profile(K12, nodes=24)
+    f = inverse_FN(HEIS1, prof)
+    lams = prof.lambdas
+    pf = np.array([spectral_data(HEIS1, lam).pfaffian for lam in lams])
+    amp = CONST1 * prof.weights * prof.values * pf
+    assert np.array_equal(f.spectral.amp, amp)
+
+    def closure(z):  # the synthesis coefficients as a plain closure
+        z = np.asarray(z, complex)
+        ph = HEIS1.phi(z)  # (..., m)
+        return amp * np.exp(-(ph @ lams.T))
+
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((5, 3, 1)) + 1j * rng.standard_normal((5, 3, 1))
+    assert np.array_equal(f.spectral.coeff(z), closure(z))
+
+
+@pytest.mark.parametrize("zshape, xshape", [((40, 1, 1), (1, 30, 1)), ((7, 1), (7, 1)),
+                                            ((1,), (6, 1)), ((4, 1), (1,))])
+def test_spectral_form_call_matches_einsum(zshape, xshape):
+    # a ground and a plain form on an n = 2, m = 2 model
+    rng = np.random.default_rng(4)
+    lams = rng.uniform(0.2, 1.5, (9, 2))
+    model = QuadraticModel(np.array([[[1.0, 0.2j], [-0.2j, 0.5]], [[0.3, 0.0], [0.0, 1.0]]]))
+    zshape, xshape = zshape[:-1] + (2,), xshape[:-1] + (2,)
+    z = rng.standard_normal(zshape) + 1j * rng.standard_normal(zshape)
+    x = rng.standard_normal(xshape)
+    amp = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for form in (SpectralForm.ground(model, lams, amp),
+                 SpectralForm(lams, lambda z: np.cos(np.asarray(z)[..., :1] * lams[:, 0]))):
+        want = np.einsum("...j,...j->...", form.coeff(z), np.exp(1j * (x @ lams.T)))
+        got = form(z, x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_gauss_legendre_rules_are_cached_and_read_only():
+    nodes, weights = gauss_legendre(48, -2.0, 3.0)
+    again = gauss_legendre(48, -2, 3)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights, again[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert abs(weights.sum() - 5.0) < 1e-13
 
 
 def test_negative_cone_profile_warns():
