@@ -343,17 +343,22 @@ def group_convolve(f, g, grid=None):
     so the q-sum is 2n one-axis contractions of the z-independent array
     H = w_q fhat(q, lam_j) e^(-<lam_j, Phi(q)>): the same terms, summed in
     another order.  The result carries a spectral form that is not a ground
-    form.  Raises ValueError when g has no ground form, and when the
-    factors' exponents could add up past 600 (kernel frequencies too far
-    outside the pairing cone for the box), so no sum overflows.
+    form.  Raises ValueError when g has no ground form, when one factor's
+    exponent exceeds 600 (as `extend` does), and when a product of factors
+    overflows, so no inf or nan is returned.  The axis factors stay below
+    e^(ebox |s_i|), so output points with ebox |s_i| < 600 are served (on
+    HEIS1, 2 |lam| ebox |z| < 600); kernel frequencies outside the pairing
+    cone are refused once e^(-<lam_j, Phi(q)>) passes e^600 on the box.
     """
     if getattr(g, "spectral", None) is None or g.spectral.amp is None:
         raise ValueError("the convolution kernel needs a ground form")
 
-    def guard(top):
+    def guard(exponent):
+        top = float(np.max(exponent))
         if top > 600.0:
-            raise ValueError(f"convolution factors reach exp({top:.0f}): the kernel's "
-                             "frequencies lie too far outside the pairing cone for the box")
+            raise ValueError(f"a convolution factor reaches exp({top:.0f}): the kernel "
+                             "frequencies or output points lie too far outside the pairing "
+                             "cone for the box")
 
     model = f.model
     grid = grid or f.grid
@@ -365,8 +370,7 @@ def group_convolve(f, g, grid=None):
     lambdas, amp = g.spectral.lambdas, g.spectral.amp  # (J, m), (J,)
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
-    qtop = max(0.0, float(qexp.max()))
-    guard(qtop)
+    guard(qexp)
     fhat = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
@@ -383,23 +387,28 @@ def group_convolve(f, g, grid=None):
             # 2i + 1 is Im q_i, with factor e^(-i t s_i)
             slopes = [s[:, k // 2] * (1.0 if k % 2 == 0 else -1j) for k in range(axes)]
             zexp = -(model.phi(zc) @ lambdas.T)  # (c, J)
-            # the largest exponent any partial product of the factors can reach;
-            # t * Re w peaks at an end node, and the nodes ascend
-            guard(qtop + max(0.0, float(zexp.max())) + sum(
-                max(0.0, float(np.max(np.maximum(t[0] * w.real, t[-1] * w.real))))
-                for w in slopes))
+            guard(zexp)
             # every exponential before the matmul: a complex exp right after a
             # BLAS call ran 12x slower on an AVX-512 Xeon (dirty upper state)
             fac = []
             for w in slopes:
+                # t * Re w peaks at an end node, and the nodes ascend
+                guard(np.maximum(t[0] * w.real, t[-1] * w.real))
                 e = t[:, None] * w[:, None, :]  # (J, N, c)
                 fac.append(np.exp(e, out=e))
-            acc = H @ fac[-1]  # (J, N^(axes-1), c)
-            for e in reversed(fac[:-1]):
-                acc = acc.reshape(J, -1, N, zc.shape[0])
-                acc *= e[:, None]
-                acc = acc.sum(axis=2)
-            out[lo : lo + step] = amp * np.exp(zexp) * acc[:, 0, :].T
+            # the factors are finite, but far outside the pairing cone their
+            # products can still overflow; such a chunk is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc = H @ fac[-1]  # (J, N^(axes-1), c)
+                for e in reversed(fac[:-1]):
+                    acc = acc.reshape(J, -1, N, zc.shape[0])
+                    acc *= e[:, None]
+                    acc = acc.sum(axis=2)
+                block = amp * np.exp(zexp) * acc[:, 0, :].T
+            if not np.isfinite(block).all():
+                raise ValueError("the convolution sum overflows: the output points lie too "
+                                 "far outside the pairing cone for the box")
+            out[lo : lo + step] = block
         return out.reshape(z.shape[:-1] + (J,))
 
     form = SpectralForm(lambdas, coeff)

@@ -16,6 +16,7 @@ at fixed frequencies, fhat(z, lam) = sum_x w_x f(z, x) exp(-i <lam, x>), for
 the extension, the support scans and the spectral convolution.
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +55,22 @@ class GridSpec:
         return gauss_legendre(self.fnodes, -self.fbox, self.fbox)
 
 
+class _GroundCoeff:
+    """The ground-form coefficient z -> amp_j exp(-<lam_j, Phi(z)>)."""
+
+    def __init__(self, model, lambdas, amp):
+        self.model, self.lambdas, self.amp = model, lambdas, amp
+
+    def __call__(self, z):
+        return self.amp * np.exp(-(self.model.phi(z) @ self.lambdas.T))
+
+
 @dataclass(frozen=True)
 class SpectralForm:
     """Finite central-frequency expansion of a boundary function.
 
     lambdas : (J, m) frequencies
     coeff   : callable, z (..., n) -> (..., J) complex coefficients
-    amp     : (J,) amplitudes when the form is a ground form, else None
 
     A ground form has coefficients c_j(z) = amp_j exp(-<lam_j, Phi(z)>), the
     ground-layer coefficients that band-limited synthesis produces; build it
@@ -70,16 +80,23 @@ class SpectralForm:
 
     lambdas: np.ndarray
     coeff: object
-    amp: np.ndarray | None = None
 
     @classmethod
     def ground(cls, model, lambdas, amp):
         """The ground form sum_j amp_j exp(-<lam_j, Phi(z)>) exp(i <lam_j, x>)."""
+        return cls(lambdas, _GroundCoeff(model, lambdas, amp))
 
-        def coeff(z):
-            return amp * np.exp(-(model.phi(z) @ lambdas.T))
+    @property
+    def amp(self):
+        """The (J,) amplitudes of a ground form, else None.
 
-        return cls(lambdas, coeff, amp)
+        They are read off `coeff`, so a form whose coeff is replaced by any
+        other callable is no longer a ground form.  A coeff that wraps a
+        ground coefficient through `functools.wraps` keeps the amplitudes:
+        such a wrapper must return the values it wraps.
+        """
+        base = inspect.unwrap(self.coeff)
+        return base.amp if isinstance(base, _GroundCoeff) else None
 
     def __call__(self, z, x):
         """sum_j coeff(z)_j exp(i <lam_j, x>), broadcast over z and x."""

@@ -7,8 +7,6 @@ summation on contiguous axes, so a rerun of the same computation accumulates
 in exactly the same sequence and reproduces results bit for bit.
 """
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -21,23 +19,10 @@ __all__ = [
 
 
 def gauss_legendre(num, lo, hi):
-    """Gauss-Legendre nodes and weights on the interval [lo, hi].
-
-    Rules are cached, so repeated calls return the same read-only arrays.
-    """
-    return _gauss_legendre(int(num), float(lo), float(hi))
-
-
-@functools.lru_cache(maxsize=128)
-def _gauss_legendre(num, lo, hi):
-    # leggauss is an eigenvalue solve: 0.07 s at 768 nodes, and the
-    # transforms ask for the same few rules many times per computation
-    x, w = np.polynomial.legendre.leggauss(num)
+    """Gauss-Legendre nodes and weights on the interval [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(int(num))
     half = 0.5 * (hi - lo)
-    nodes, weights = lo + half * (x + 1.0), half * w
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return lo + half * (x + 1.0), half * w
 
 
 def gauss_hermite(num):

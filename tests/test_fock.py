@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -498,6 +499,17 @@ def test_group_convolve_needs_ground_form():
         group_convolve(f, SampledFunction(HEIS1, plain, grid, spectral=plain))
     with pytest.raises(ValueError, match="ground form"):
         group_convolve(f, gaussian_function(HEIS1, grid=grid))
+    # the amplitudes are read off the coefficient: replacing it drops them,
+    # and a functools.wraps wrapper of a ground coefficient keeps them
+    g = ground_kernel(HEIS1, lambdas, [1.0], grid)
+    replaced = dataclasses.replace(g.spectral, coeff=lambda z: 2.0 * g.spectral.coeff(z))
+    assert replaced.amp is None
+    with pytest.raises(ValueError, match="ground form"):
+        group_convolve(f, SampledFunction(HEIS1, replaced, grid, spectral=replaced))
+    wrapped = dataclasses.replace(g.spectral, coeff=functools.wraps(g.spectral.coeff)(
+        lambda z: g.spectral.coeff(z)))
+    assert wrapped.amp is g.spectral.amp
+    group_convolve(f, SampledFunction(HEIS1, wrapped, grid, spectral=wrapped))
 
 
 def test_group_convolve_refuses_overflow():
@@ -506,11 +518,26 @@ def test_group_convolve_refuses_overflow():
     # lam = -40 grows like exp(40 |q|^2) over the box: refused before any sum
     with pytest.raises(ValueError, match="pairing cone"):
         group_convolve(f, ground_kernel(HEIS1, [[-40.0]], [1.0], grid))
-    # a fine kernel probed far outside the box, where e^(t s) reaches about e^680
     h = group_convolve(f, ground_kernel(HEIS1, [[1.0]], [1.0], grid))
     assert np.isfinite(h.spectral.coeff(np.array([[3.0 + 1.0j]]))).all()
-    with pytest.raises(ValueError, match="pairing cone"):
+    # one factor e^(t s) reaches about e^670 at z = 100
+    with pytest.raises(ValueError, match="factor reaches"):
         h.spectral.coeff(np.array([[0.0], [100.0 + 0.0j]]))
+    # at z = 60 + 60i each factor stays below e^420, but their product overflows
+    with pytest.raises(ValueError, match="sum overflows"):
+        h.spectral.coeff(np.array([[60.0 + 60.0j]]))
+
+
+def test_group_convolve_serves_large_factors():
+    # lam = 5 on an ebox = 6 box: at the corners the axis factors reach e^360,
+    # and e^(-lam |q|^2) in H brings every term back in range
+    grid = GridSpec(ebox=6.0, enodes=16, fbox=5.0, fnodes=20)
+    f = gaussian_function(HEIS1, grid=grid)
+    g = ground_kernel(HEIS1, [[5.0]], [1.0], grid)
+    z = np.array([[6.0 + 6.0j], [-6.0 + 6.0j], [6.0 - 6.0j], [-6.0 - 6.0j], [3.0 + 0.0j]])
+    got = group_convolve(f, g).spectral.coeff(z)
+    want = spectral_oracle(f, g).spectral.coeff(z)
+    assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
 
 def test_bandlimit_projection_stays_ground():
