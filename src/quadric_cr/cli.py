@@ -165,8 +165,8 @@ def _run_plancherel(scn, seed, rng):
         grid=grid,
     )
     rep = plancherel_residual(model, f, cfg)
-    rows = [tuple(lam) + (pf, layer) for lam, pf, layer in rep.rows]
-    cols = [f"lam_{k}" for k in range(model.m)] + ["pfaffian", "layer_hs_sq"]
+    rows = [tuple(lam) + (pf, layer, captured) for lam, pf, layer, captured in rep.rows]
+    cols = [f"lam_{k}" for k in range(model.m)] + ["pfaffian", "layer_hs_sq", "captured"]
     meta = {
         "lhs": rep.lhs,
         "rhs": rep.rhs,

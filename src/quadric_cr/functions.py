@@ -32,6 +32,16 @@ __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "
 # 5e4 to 5e5 ran within 15% of each other and 2e6 about twice as slow.
 CHUNK_ELEMENTS = 200_000
 
+# Bytes of per-layer state one Plancherel batch keeps while it walks its
+# radical chunks (see `fock.plancherel_residual`).  A larger budget means
+# fewer batches, so f is sampled fewer times, at the cost of resident memory.
+# At the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds
+# six of its 41 layers and f is sampled 7 times, not 41; on a 2-core Xeon
+# that run took 29 s at this budget and 37 s at 16 MiB.  The plancherel-deg21
+# benchmark fits its 21 layers in one batch (peak RSS 125 MB, 115 MB at
+# 16 MiB).
+BATCH_STATE_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -101,7 +111,16 @@ class SpectralForm:
     def __call__(self, z, x):
         """sum_j coeff(z)_j exp(i <lam_j, x>), broadcast over z and x."""
         waves = np.exp(1j * (np.asarray(x, float) @ self.lambdas.T))
-        return (self.coeff(z)[..., None, :] @ waves[..., :, None])[..., 0, 0]
+        coeff = self.coeff(z)
+        if np.isrealobj(coeff):
+            # a real coefficient meets Re and Im of the waves in two real
+            # products written into the result, with no complex copy of it
+            out = np.empty(np.broadcast_shapes(coeff.shape[:-1], waves.shape[:-1]), complex)
+            for part, wave in ((out.real, waves.real), (out.imag, waves.imag)):
+                np.matmul(coeff[..., None, :], np.ascontiguousarray(wave)[..., None],
+                          out=part[..., None, None])
+            return out
+        return (coeff[..., None, :] @ waves[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -138,19 +157,27 @@ def l2_norm(f, grid=None):
     central coordinates; the box must capture the function's mass, which is
     the caller's responsibility (checked where it matters by the transforms'
     tail diagnostics).
+
+    The E grid is built one chunk at a time from the C-ordered index range,
+    node for node and weight for weight what `tensor_rule` gives, so the
+    full (N^(2n), 2n) node array is never held.
     """
     model = f.model
     g = grid or f.grid
-    erule = g.e_rule()
-    frule = g.f_rule()
-    enodes, eweights = tensor_rule([erule] * (2 * model.n))
-    xnodes, xweights = tensor_rule([frule] * model.m)
-    zgrid = enodes[:, 0::2] + 1j * enodes[:, 1::2]
+    t, tw = g.e_rule()
+    xnodes, xweights = tensor_rule([g.f_rule()] * model.m)
+    shape = (t.size,) * (2 * model.n)
+    points = t.size ** (2 * model.n)
     total = 0.0
     step = max(1, CHUNK_ELEMENTS // xnodes.shape[0])
-    for lo in range(0, zgrid.shape[0], step):
-        vals = f(zgrid[lo : lo + step, None, :], xnodes[None, :, :])  # (c, X)
-        total += float(eweights[lo : lo + step] @ (np.abs(vals) ** 2 @ xweights))
+    for lo in range(0, points, step):
+        idx = np.unravel_index(np.arange(lo, min(lo + step, points)), shape)
+        weights = np.ones(idx[0].size)
+        for i in idx:
+            weights = weights * tw[i]
+        zc = np.stack([t[idx[k]] + 1j * t[idx[k + 1]] for k in range(0, len(idx), 2)], axis=-1)
+        vals = f(zc[:, None, :], xnodes[None, :, :])  # (c, X)
+        total += float(weights @ (np.abs(vals) ** 2 @ xweights))
     return np.sqrt(total)
 
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import laguerre
+from numpy.polynomial import laguerre, legendre
 
+from quadric_cr import fock
 from quadric_cr.functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
                                   central_transform, gaussian_function, l2_norm)
 from quadric_cr.fock import (
@@ -22,7 +23,7 @@ from quadric_cr.fock import (
     rep_apply,
 )
 from quadric_cr.model import QuadraticModel, inverse, multiply
-from quadric_cr.quadrature import complex_grid, gauss_hermite, tensor_rule
+from quadric_cr.quadrature import complex_grid, gauss_hermite, gauss_legendre, tensor_rule
 from quadric_cr.spectral import spectral_data
 from quadric_cr.convex import interval_body
 from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
@@ -338,6 +339,28 @@ def test_plancherel_gaussian_smoke():
     assert rep.skipped == 0
 
 
+def test_interp_matrix_reproduces_polynomials():
+    # a degree N-1 polynomial from N source nodes onto a clipped rule
+    for num in (24, 40):
+        src = GridSpec(enodes=num).e_rule()[0]
+        dst = gauss_legendre(num, -1.58, 1.58)[0]
+        coef = np.random.default_rng(num).standard_normal(num)
+        want = legendre.legval(dst / 4.0, coef)
+        got = fock._interp_matrix(src, dst) @ legendre.legval(src / 4.0, coef)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert (fock._interp_matrix(src, src) == np.eye(num)).all()
+    # in a layer, an unclipped axis takes no matrix at all, a clipped one does
+    grid = GridSpec()
+    erule = grid.e_rule()
+    taus = np.zeros((1, 0))
+    wide = fock._BatchLayer(spectral_data(HEIS1, np.array([0.5])), 4, grid, erule, taus)
+    narrow = fock._BatchLayer(spectral_data(HEIS1, np.array([8.0])), 4, grid, erule, taus)
+    assert wide.mats == [None, None]
+    assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
+    fhat = np.ones((1600, 3), complex)
+    assert fock._interpolate(fhat, wide.mats) is fhat
+
+
 def test_hs_norm_batch():
     m = np.array([[[1.0, 2.0], [0.0, 2.0]], [[3.0, 0.0], [4.0, 0.0]]])
     assert np.allclose(hs_norm(m), [3.0, 5.0])
@@ -556,3 +579,153 @@ def test_bandlimit_projection_stays_ground():
     got = group_convolve(g, p).spectral.coeff(z)
     want = spectral_oracle(g, p).spectral.coeff(z)
     assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0)).all()
+
+
+# n = 2, m = 2, two decoupled copies of HEIS1: the eigenvalue order, and
+# with it the frame, flips across the diagonal lam_1 = lam_2
+DECOUPLED22 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                                      complex))
+
+def counted_gaussian(model, grid, points, width=None):
+    """exp(-|z|^2 - |x|^2) as complex samples, or exp(-|z|^2/width^2 - |x|^2)
+    as real ones; each call appends its sample count to points."""
+
+    def ev(z, x):
+        z = np.asarray(z, complex)
+        x = np.asarray(x, float)
+        zz = np.sum(np.abs(z) ** 2, axis=-1)
+        xx = np.sum(x**2, axis=-1)
+        out = np.exp(-zz - xx + 0j) if width is None else np.exp(-zz / width**2 - xx)
+        points.append(out.size)
+        return out
+
+    return SampledFunction(model, ev, grid)
+
+
+# model, grid, config, width of the real gaussian (None: the complex one),
+# batches.  DEG21 also shrinks the chunk and the batch budget, so its pass
+# spans several radical chunks and batches; PAIR22's frame turns with lam,
+# so each of its batches holds one layer.
+PLANCHEREL_CASES = {
+    "heis1": (HEIS1, GridSpec(ebox=4.0, enodes=24, fbox=5.0, fnodes=24),
+              dict(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=9, degree=6), None, 1),
+    "deg21": (DEG21, GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=16),
+              dict(lam_lo=[-10.0], lam_hi=[10.0], lam_nodes=7, degree=4, tau_nodes=4), 2.0, 3),
+    "decoupled22": (DECOUPLED22, GridSpec(ebox=3.0, enodes=10, fbox=4.5, fnodes=10),
+                    dict(lam_lo=[-6.0, -6.0], lam_hi=[6.0, 6.0], lam_nodes=4, degree=2), 2.0, 2),
+    "pair22": (PAIR22, GridSpec(ebox=3.0, enodes=10, fbox=4.5, fnodes=10),
+               dict(lam_lo=[0.3, 0.3], lam_hi=[4.0, 4.0], lam_nodes=2, degree=3), 2.0, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANCHEREL_CASES))
+def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
+    model, grid, kw, width, batches = PLANCHEREL_CASES[case]
+    cfg = PlancherelConfig(grid=grid, **kw)
+    if case == "deg21":
+        # batches of 3, 2 and 2 layers (B^2 = 25, T = 16, P = R = 144), with
+        # 16 radical points a chunk for three layers and 24 for two
+        monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 3 * 16 * 25 * (16 + 144))
+        monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 3 * 16)
+    seen, radical = [], []
+    run_batch, sample = fock._plancherel_batch, fock._central_samples
+
+    def spy_batch(f, sds, *args):
+        seen.append(len(sds))
+        return run_batch(f, sds, *args)
+
+    def spy_sample(f, zperp, zrad, *args):
+        radical.append(zrad.shape[0])
+        return sample(f, zperp, zrad, *args)
+
+    monkeypatch.setattr(fock, "_plancherel_batch", spy_batch)
+    monkeypatch.setattr(fock, "_central_samples", spy_sample)
+    points = []
+    f = counted_gaussian(model, grid, points, width)
+    rep = plancherel_residual(model, f, cfg)
+    monkeypatch.undo()
+    assert len(seen) == batches and sum(seen) == len(rep.rows) == rep.n_layers
+    # f is sampled once for the norm and once per batch, never per layer
+    assert sum(points) == (1 + batches) * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
+    if case == "deg21":
+        assert sorted(seen) == [2, 2, 3] and len(radical) == 9 + 6 + 6 and max(radical) == 24
+
+    erule = grid.e_rule()
+    xn, xw = tensor_rule([grid.f_rule()] * model.m)
+    taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
+                              * (2 * rep.generic_d))
+    clipped = []
+    for lam, pf, layer, captured in rep.rows:
+        sd = spectral_data(model, lam)
+        mats, _ = pi_of_f_batch(fock_basis(sd, cfg.degree), f, taus=taus, grid=grid)
+        want = float(np.sum(tau_w * hs_norm(mats) ** 2))
+        err = abs(layer - want) / want
+        if math.sqrt(fock.PHI_CUT / (2.0 * np.abs(sd.eigenvalues).max())) >= grid.ebox:
+            assert err <= 1e-12, (lam, err)
+        else:
+            clipped.append(err)
+        # the certificate's denominator, on the frame's unclipped grid
+        pn, pw = tensor_rule([complex_grid(erule)] * sd.kdim)
+        rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
+        z = (pn @ sd.eigenvectors.T)[:, None, :] + (rn @ sd.radical.T)[None, :, :]
+        fhat = central_transform(f, z.reshape(-1, model.n), lam[None, :], xn, xw)[:, 0]
+        mass = float(np.outer(pw, rw).reshape(-1) @ np.abs(fhat) ** 2) / (2 * np.pi) ** model.m
+        assert abs(captured - rep.constant * pf * layer / mass) <= 1e-12 * captured
+    # clipped layers differ by the error of interpolating fhat onto the
+    # clipped nodes; on these coarse grids (10 to 24 nodes) it reads 1.0e-5
+    # (heis1) to 5.9e-4 (decoupled22)
+    assert 0 < len(clipped) < len(rep.rows)
+    assert max(clipped) <= 1e-3
+
+
+def test_plancherel_x_tail_warning_reads_the_shared_samples():
+    # an x-box short enough that its boundary carries mass; the ratio is
+    # read off the samples of the frame's unclipped grid, not a layer's
+    grid = GridSpec(ebox=3.5, enodes=10, fbox=2.5, fnodes=16)
+    f = counted_gaussian(DEG21, grid, [], 2.0)
+    cfg = PlancherelConfig(lam_lo=[-10.0], lam_hi=[10.0], lam_nodes=5, degree=3, tau_nodes=4,
+                           grid=grid)
+    rep = plancherel_residual(DEG21, f, cfg)
+    t, tw = grid.e_rule()
+    z = np.stack(np.meshgrid(t + 0j, t, t, t, indexing="ij"), axis=-1).reshape(-1, 4)
+    z = z[:, 0::2] + 1j * z[:, 1::2]
+    xn, xw = grid.f_rule()
+    absf = np.abs(f(z[:, None, :], xn[None, :, None]))  # (Z, X)
+    edge = np.isin(np.arange(xn.size), [0, xn.size - 1])
+    ratio = float(np.sum(absf @ (xw * edge)) / np.sum(absf @ xw))
+    assert ratio > 1e-6
+    assert f"x-grid boundary carries {ratio:.2e} of the absolute mass" in rep.warnings
+    assert sum("x-grid" in w for w in rep.warnings) == 1
+
+
+def test_plancherel_certificate_names_unresolved_layers():
+    # at degree 48 the 40-node grid cannot resolve pi(f) on [0.2, 4], and
+    # the global residual alone does not say so; 64 nodes do
+    cfg = PlancherelConfig(lam_lo=[0.2], lam_hi=[4.0], lam_nodes=2, degree=48)
+    coarse = plancherel_residual(HEIS1, gaussian_function(HEIS1), cfg)
+    assert all(row[3] > 1.4 for row in coarse.rows)
+    named = [w for w in coarse.warnings if "captures" in w]
+    assert len(named) == len(coarse.rows) == 2
+    for lam, _, _, captured in coarse.rows:
+        assert any(f"lam = {np.array2string(lam, precision=4)} captures {captured:.7g}" in w
+                   for w in named)
+    fine = plancherel_residual(HEIS1, gaussian_function(HEIS1, GridSpec(enodes=64)), cfg)
+    assert max(row[3] for row in fine.rows) <= 1.0 + fock.CAPTURED_TOL
+    assert not any("captures" in w for w in fine.warnings)
+
+
+def test_l2_norm_chunks_match_the_materialised_rule():
+    # 20736 zeta points against 10000 a chunk, summed exactly as the
+    # materialised tensor rule sums them
+    grid = GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=20)
+    f = modulated_gaussian(grid, float)
+    enodes, eweights = tensor_rule([grid.e_rule()] * 4)
+    xn, xw = tensor_rule([grid.f_rule()])
+    z = enodes[:, 0::2] + 1j * enodes[:, 1::2]
+    step = CHUNK_ELEMENTS // xn.shape[0]
+    assert z.shape[0] > 2 * step
+    total = 0.0
+    for lo in range(0, z.shape[0], step):
+        vals = f(z[lo : lo + step, None, :], xn[None, :, :])
+        total += float(eweights[lo : lo + step] @ (np.abs(vals) ** 2 @ xw))
+    assert l2_norm(f) == np.sqrt(total)

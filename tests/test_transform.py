@@ -98,11 +98,15 @@ def test_spectral_form_call_matches_einsum(zshape, xshape):
     x = rng.standard_normal(xshape)
     amp = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     for form in (SpectralForm.ground(model, lams, amp),
+                 SpectralForm.ground(model, lams, amp.real),
                  SpectralForm(lams, lambda z: np.cos(np.asarray(z)[..., :1] * lams[:, 0]))):
         want = np.einsum("...j,...j->...", form.coeff(z), np.exp(1j * (x @ lams.T)))
         got = form(z, x)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # a real coefficient takes the real products; its complex twin the complex one
+        twin = SpectralForm(lams, lambda z, form=form: form.coeff(z).astype(complex))(z, x)
+        assert np.abs(got - twin).max() <= 1e-15 * np.abs(twin).max()
 
 
 def test_negative_cone_profile_warns():
