@@ -9,7 +9,8 @@ working Paley-Wiener certificate.
 
 import numpy as np
 
-from quadric_cr import QuadraticModel, inverse_FN, extend, extend_profile, pw_margin
+from quadric_cr import (QuadraticModel, inverse_FN, extend, extend_by_resynthesis,
+                        extend_profile, pw_margin)
 from quadric_cr.convex import interval_body
 from quadric_cr.transform import bump_profile
 
@@ -31,8 +32,8 @@ zs = (rng.standard_normal((50, 1)) + 1j * rng.standard_normal((50, 1))) * 0.6
 hs = rng.uniform(0.05, 1.2, (50, 1))
 xs = rng.standard_normal((50, 1))
 us = xs + 1j * (HEIS1.phi(zs) + hs)
-va = extend_profile(HEIS1, prof, zs, us, route="A")
-vb = extend_profile(HEIS1, prof, zs, us, route="B")
+va = extend_by_resynthesis(f, K, zs, us)
+vb = extend_profile(HEIS1, prof, zs, us)
 print("route A vs route B, max relative gap:",
       (np.abs(va - vb) / np.abs(vb)).max())
 

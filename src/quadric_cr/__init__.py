@@ -30,6 +30,7 @@ from .transform import (
     forward_FN,
     extend,
     extend_profile,
+    extend_by_resynthesis,
     pw_margin,
     spectral_window,
     bandlimit_project,

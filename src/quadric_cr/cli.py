@@ -35,6 +35,7 @@ from .split import split, split_invariants, support_invariance, verify_split_gro
 from .transform import (
     bandlimit_project,
     extend,
+    extend_by_resynthesis,
     extend_profile,
     inverse_FN,
     pw_margin,
@@ -212,13 +213,12 @@ def _run_extend(scn, seed, rng):
     count = scn.integer("points", 200)
     order = scn.integer("order", 3)
     z, u = _sample_ambient(model, rng, count, scn.flt("scale", 0.6), scn.flt("hmax", 1.2))
-    vb = extend_profile(model, prof, z, u, route="B",
-                        lam_nodes=scn.integer("lam_nodes", 64))
-    va = extend_profile(model, prof, z, u, route="A",
-                        xbox=scn.flt("xbox", 160.0), xnodes=scn.integer("xnodes", 768),
-                        lam_nodes=scn.integer("lam_nodes", 64))
-    rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
     f = inverse_FN(model, prof)
+    vb = extend_profile(model, prof, z, u, lam_nodes=scn.integer("lam_nodes", 64))
+    va = extend_by_resynthesis(f, body, z, u, xbox=scn.flt("xbox", 160.0),
+                               xnodes=scn.integer("xnodes", 768),
+                               lam_nodes=scn.integer("lam_nodes", 64))
+    rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
     xb = rng.standard_normal((count, model.m)) * 2.0
     ub = xb + 1j * model.phi(z)
     bvals = extend(f, z, ub)

@@ -23,17 +23,20 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 tensor grid.  The perpendicular part of the grid is clipped where the layer
 weight phi_lam exceeds `PHI_CUT`.
 
-`plancherel_residual` samples f once per batch of layers rather than once
-per layer.  A batch is a set of layers sharing a frame (the same
-eigenvectors and radical), cut so that the state its layers keep across
-radical chunks fits `functions.BATCH_STATE_BYTES`.  The batch samples f on
-the frame's unclipped grid, takes the central transform for all its
-frequencies at once, and each layer interpolates that fhat onto its own
-clipped Gauss-Legendre nodes by tensor-product barycentric Lagrange
-interpolation before the layer contraction that `pi_of_f_batch` runs on
-directly sampled fhat.  Each layer reports `captured`, its Hilbert-Schmidt
-mass over its fhat mass on the unclipped grid, which cannot exceed 1 but
-through quadrature error; layers past 1 + `CAPTURED_TOL` are warned about.
+One runner computes every pi(f).  It takes a batch of layers sharing a frame
+(the same eigenvectors and radical) and per-mode source rules, samples f on
+the source grid a radical chunk at a time with one `central_transform` for
+all the batch's frequencies, and each layer interpolates that fhat onto its
+own clipped Gauss-Legendre nodes (tensor-product barycentric Lagrange, only
+on axes whose nodes differ from the source's) before the one layer
+contraction.  `pi_of_f_batch` is one batch of one layer whose source rules
+are its own clipped rules, so nothing is interpolated.
+`plancherel_residual` passes the frame's unclipped rules and cuts each frame
+into batches whose cross-chunk state fits `functions.BATCH_STATE_BYTES`, so f
+is sampled once per batch rather than once per layer.  Each of its layers
+reports `captured`, its Hilbert-Schmidt mass over its fhat mass on the
+unclipped grid, which cannot exceed 1 but through quadrature error; layers
+past 1 + `CAPTURED_TOL` are warned about.
 """
 
 import math
@@ -43,7 +46,7 @@ import numpy as np
 
 from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
                         SpectralForm, central_transform)
-from .quadrature import complex_grid, gauss_legendre, panel_gauss, tensor_rule
+from .quadrature import boundary_mask, complex_grid, gauss_legendre, panel_gauss, tensor_rule
 from .spectral import is_exceptional, spectral_data, generic_dimension
 
 __all__ = [
@@ -121,10 +124,8 @@ def eval_basis(fb, w):
     or power of 2 mu is formed on its own and none overflows at high degree.
     """
     w = np.asarray(w, dtype=complex)
-    if fb.sd.kdim == 0:
-        return np.ones(w.shape[:-1] + (1,), dtype=complex)
     mu = np.abs(fb.sd.eigenvalues)
-    out = 1.0
+    out = np.ones(w.shape[:-1] + (fb.size,), complex)
     for k in range(fb.sd.kdim):
         pw = np.empty(w.shape[:-1] + (fb.degree + 1,), dtype=complex)
         pw[..., 0] = math.sqrt(2.0 * mu[k] / np.pi)
@@ -240,7 +241,7 @@ def _clipped_rules(sd, grid, erule):
     return rules
 
 
-def _perp_grid(sd, rules, num_nodes):
+def _perp_grid(sd, rules):
     """The perpendicular tensor grid of per-mode rules: points z (P, n),
     weights (P,), damping exp(-phi_lam(z)/2)|w| (P,) and boundary mask (P,).
 
@@ -249,24 +250,14 @@ def _perp_grid(sd, rules, num_nodes):
     pn, pw = tensor_rule([complex_grid(r) for r in rules])
     zperp = pn @ sd.eigenvectors.T
     damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
-    return zperp, pw, damp, _edge_mask(num_nodes, 2 * sd.kdim)
+    return zperp, pw, damp, boundary_mask(pn)
 
 
 def _radical_grid(sd, erule):
     """The radical directions' grid, on the function's own box: points z (R, n),
     coordinates (R, d), weights (R,) and boundary mask (R,)."""
     rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
-    return rn @ sd.radical.T, rn, rw, _edge_mask(erule[0].size, 2 * sd.d)
-
-
-def _edge_mask(num_nodes, dims):
-    """Mask of tensor-grid points having an extreme index along any axis."""
-    mask = np.zeros((num_nodes,) * dims, dtype=bool)
-    for ax in range(dims):
-        sl = [slice(None)] * dims
-        sl[ax] = [0, num_nodes - 1]
-        mask[tuple(sl)] = True
-    return mask.reshape(-1)
+    return rn @ sd.radical.T, rn, rw, boundary_mask(rn)
 
 
 def _tau_phases(taus, rn, rw):
@@ -281,70 +272,6 @@ def _weighted_shifts(fb, zperp, pw):
     return out
 
 
-def _central_samples(f, zperp, zrad, xrule, xedge, lambdas):
-    """Central transform of f at the points zperp + zrad, one column per frequency.
-
-    Returns fhat (J, P, R) and the x-sums of |f| over the whole x-box and
-    over its boundary nodes.  f is sampled a chunk of perpendicular points at
-    a time, with chunks sized to stay in cache.  The x-sum of each chunk is
-    one matrix product for all J frequencies: a real GEMM against (Re, Im)
-    of the x-phases when the samples are real, a complex one otherwise; the
-    x-tail sums are one more real GEMM of |f| against the box and boundary
-    weights.  A spectral form is contracted against its precontracted
-    central phases instead, and its x-tails are not observable.
-    """
-    xn, xw = xrule
-    P, R, X, J = zperp.shape[0], zrad.shape[0], xn.shape[0], lambdas.shape[0]
-    phase_x = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
-    spectral = getattr(f, "spectral", None)
-    if spectral is not None:
-        # same x-sums, reorganized: precontract the central phases per frequency
-        glft = np.exp(1j * (xn @ spectral.lambdas.T)).T @ phase_x  # (Jf, J)
-    else:
-        phase_ri = np.concatenate([phase_x.real, phase_x.imag], axis=1)  # (X, 2J)
-        xabs = np.stack([np.abs(xw), np.abs(xw) * xedge], axis=1)  # (X, 2)
-    fhat = np.empty((J, P, R), complex)
-    xtot = xtail = 0.0
-    chunk = max(1, CHUNK_ELEMENTS // (R * (X if spectral is None else glft.shape[0])))
-    for lo in range(0, P, chunk):
-        hi = min(P, lo + chunk)
-        zg = zperp[lo:hi, None, :] + zrad[None, :, :]
-        if spectral is not None:
-            coeffs = spectral.coeff(zg)  # (c, R, Jf)
-            vals = coeffs @ glft
-            xtot += float(np.sum(np.abs(coeffs) @ np.abs(glft)))
-        else:
-            samples = f(zg[..., None, :], xn[None, None, :, :]).reshape(-1, X)  # (c R, X)
-            if np.isrealobj(samples):
-                ri = samples @ phase_ri
-                vals = ri[:, :J] + 1j * ri[:, J:]
-            else:
-                vals = samples @ phase_x
-            tot, tail = np.sum(np.abs(samples) @ xabs, axis=0)
-            xtot += float(tot)
-            xtail += float(tail)
-        fhat[:, lo:hi] = vals.reshape(hi - lo, R, J).transpose(2, 0, 1)
-    return fhat, xtot, xtail
-
-
-def _layer_share(fhat, tphase, wshift, damp, pmask, rabs, rmask):
-    """One layer's terms of pi(f) from fhat (P, R) on the layer's own zeta grid.
-
-    tphase (R, T) carries the radical weights and tau phases, wshift
-    (P, B*B) the perpendicular weights and shift matrices, damp (P,) and
-    rabs (R,) the weights of the tail diagnostics.  Returns the (T, B*B)
-    share of pi_(lam,tau)(f) summed over these points, and the weighted |fhat|
-    over all of them and over those on the grid boundary.  The chain
-    tphase^T fhat^T wshift is multiplied in its cheaper order: tau-phases
-    first for few tau, the shift contraction first for many.
-    """
-    share = np.linalg.multi_dot([tphase.T, fhat.T, wshift])
-    absf = np.abs(fhat)
-    full = absf @ rabs
-    edge = absf[:, rmask] @ rabs[rmask]
-    return share, float(damp @ full), float(damp @ np.where(pmask, full, edge))
-
-
 def _tail_warning(part, whole, text):
     """(text with the fraction part/whole filled in,) past 1e-6, else ()."""
     return (text.format(part / whole),) if whole > 0 and part / whole > 1e-6 else ()
@@ -357,9 +284,11 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     a tensor-grid quadrature: central directions first (a Fourier phase at
     the layer frequency), then radical directions against the tau phases,
     then the perpendicular directions against the shift matrices.  The
-    factored order changes nothing about which terms are summed.  f is
-    sampled on the layer's own clipped grid; `plancherel_residual` shares
-    its samples between layers and runs the same layer contraction.
+    factored order changes nothing about which terms are summed.  This is
+    one batch of one layer for `_run_layers`, the runner `plancherel_residual`
+    uses, with the layer's own clipped rules as the source rules: f is
+    sampled on that grid, so nothing is interpolated, and the zeta- and
+    x-tail warnings are this layer's own.
     """
     sd = fb.sd
     grid = grid or f.grid
@@ -370,16 +299,12 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
         taus = taus[None, :]
     taus = taus.reshape(taus.shape[0], 2 * sd.d)
     erule = grid.e_rule()
-    zperp, pw, damp, pmask = _perp_grid(sd, _clipped_rules(sd, grid, erule), grid.enodes)
-    zrad, rn, rw, rmask = _radical_grid(sd, erule)
     xrule = tensor_rule([grid.f_rule()] * sd.lam.size)
-    xedge = _edge_mask(grid.fnodes, sd.lam.size)
-    fhat, xtot, xtail = _central_samples(f, zperp, zrad, xrule, xedge, sd.lam[None, :])
-    share, tail_all, tail_w = _layer_share(fhat[0], _tau_phases(taus, rn, rw),
-                                           _weighted_shifts(fb, zperp, pw), damp, pmask,
-                                           np.abs(rw), rmask)
-    warnings = _tail_warning(tail_w, tail_all, _ZETA_TAIL) + _tail_warning(xtail, xtot, _X_TAIL)
-    return share.reshape(-1, fb.size, fb.size), warnings
+    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid, erule,
+                                        _clipped_rules(sd, grid, erule), xrule, taus)
+    warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
+                + _tail_warning(xtail, xtot, _X_TAIL))
+    return layer.share.reshape(-1, fb.size, fb.size), warnings
 
 
 def pi_of_f(fb, f, tau=None, grid=None):
@@ -441,7 +366,7 @@ def group_convolve(f, g, grid=None):
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
     guard(qexp)
-    fhat = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
+    fhat, _, _ = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
     step = max(1, CHUNK_ELEMENTS // (J * N ** (axes - 1)))
@@ -552,51 +477,65 @@ def _interpolate(fhat, mats):
 
 
 class _BatchLayer:
-    """One layer of a Plancherel batch: its clipped grid and what it accumulates."""
+    """One layer of a batch: its clipped grid and what it accumulates."""
 
-    def __init__(self, sd, degree, grid, erule, taus):
+    def __init__(self, sd, degree, grid, erule, src_rules, taus):
         self.fb = fock_basis(sd, degree)
         rules = _clipped_rules(sd, grid, erule)
-        self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules, grid.enodes)
-        # one matrix per real axis, (Re, Im) of each mode; None where unclipped
-        self.mats = [None if r is erule else _interp_matrix(erule[0], r[0])
-                     for r in rules for _ in range(2)]
+        self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules)
+        # one matrix per real axis, (Re, Im) of each mode; None where the
+        # layer's nodes are the source's
+        self.mats = [None if np.array_equal(r[0], s[0]) else _interp_matrix(s[0], r[0])
+                     for r, s in zip(rules, src_rules) for _ in range(2)]
         self.wshift = None  # kept only while more radical chunks remain
         self.share = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
         self.tail_all = self.tail_w = self.mass = 0.0
 
     def add(self, fhat_src, src_w, tphase, rabs, rmask, last):
-        """Add one radical chunk from fhat (P, R_c) on the frame's unclipped grid."""
+        """Add one radical chunk from fhat (P, R_c) on the source grid.
+
+        tphase (R_c, T) carries the radical weights and tau phases, rabs
+        (R_c,) the radical weights of the tail diagnostics.  The layer's terms
+        of pi(f), the chain tphase^T fhat^T wshift, are multiplied in their
+        cheaper order: tau-phases first for few tau, the shift contraction
+        first for many.
+        """
         wshift = self.wshift if self.wshift is not None else _weighted_shifts(
             self.fb, self.zperp, self.pw)
         self.wshift = None if last else wshift
         self.mass += float(src_w @ np.abs(fhat_src) ** 2 @ rabs)
-        share, tail_all, tail_w = _layer_share(_interpolate(fhat_src, self.mats), tphase, wshift,
-                                               self.damp, self.pmask, rabs, rmask)
-        self.share += share
-        self.tail_all += tail_all
-        self.tail_w += tail_w
+        fhat = _interpolate(fhat_src, self.mats)
+        self.share += np.linalg.multi_dot([tphase.T, fhat.T, wshift])
+        absf = np.abs(fhat)
+        full = absf @ rabs
+        edge = absf[:, rmask] @ rabs[rmask]
+        self.tail_all += float(self.damp @ full)
+        self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
 
 
-def _plancherel_batch(f, sds, degree, grid, erule, xrule, taus):
-    """Run one batch of layers that share a frame; returns its layers and x-tail sums.
+def _run_layers(f, sds, degree, grid, erule, src_rules, xrule, taus):
+    """Run a batch of layers that share a frame; returns its layers and x-tail sums.
 
-    f is sampled once on the frame's unclipped grid, a radical chunk at a
-    time, and each layer interpolates the chunk onto its own clipped grid.
+    f is sampled once on the source grid, the tensor grid of the per-mode
+    src_rules, a radical chunk at a time, with one central transform for
+    all the batch's frequencies; each layer interpolates the chunk onto its
+    own clipped grid where that differs from the source.
     """
     sd0 = sds[0]
-    layers = [_BatchLayer(sd, degree, grid, erule, taus) for sd in sds]
-    zperp, src_w, _, _ = _perp_grid(sd0, [erule] * sd0.kdim, grid.enodes)
+    layers = [_BatchLayer(sd, degree, grid, erule, src_rules, taus) for sd in sds]
+    zperp, src_w, _, _ = _perp_grid(sd0, src_rules)
     zrad, rn, rw, rmask = _radical_grid(sd0, erule)
     lambdas = np.array([sd.lam for sd in sds])
-    xedge = _edge_mask(grid.fnodes, lambdas.shape[1])
-    step = max(1, CHUNK_ELEMENTS // (zperp.shape[0] * len(sds)))
+    P = zperp.shape[0]
+    step = max(1, CHUNK_ELEMENTS // (P * len(sds)))
     xtot = xtail = 0.0
     for lo in range(0, zrad.shape[0], step):
         sl = slice(lo, lo + step)
-        fhat, tot, tail = _central_samples(f, zperp, zrad[sl], xrule, xedge, lambdas)
+        z = (zperp[:, None, :] + zrad[None, sl, :]).reshape(-1, zperp.shape[1])
+        fhat, tot, tail = central_transform(f, z, lambdas, *xrule)
         xtot += tot
         xtail += tail
+        fhat = fhat.T.reshape(len(sds), P, -1)
         tphase = _tau_phases(taus, rn[sl], rw[sl])
         for lay, fh in zip(layers, fhat):
             lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= zrad.shape[0])
@@ -622,10 +561,11 @@ def plancherel_residual(model, f, cfg):
     layer then interpolates the chunk's fhat onto its own clipped
     Gauss-Legendre nodes (tensor-product barycentric Lagrange, one matrix
     per real axis, the identity where the clip does not bite) and runs the
-    same layer contraction as `pi_of_f_batch`.  Across chunks a layer keeps
-    only its (T, B^2) share of pi(f), its tail sums, its source mass and,
-    while more chunks remain, its weighted shift matrices; the budget bounds
-    that state, so a frame that turns with lam costs what one layer does.
+    layer contraction; `pi_of_f_batch` runs through the same runner.  Across
+    chunks a layer keeps only its (T, B^2) share of pi(f), its tail sums,
+    its source mass and, while more chunks remain, its weighted shift
+    matrices; the budget bounds that state, so a frame that turns with lam
+    costs what one layer does.
 
     Each row is (lam, |Pf(lam)|, layer, captured), where layer is the tau
     integral of ||pi_(lam,tau)(f)||_HS^2 and captured is the certificate
@@ -680,8 +620,9 @@ def plancherel_residual(model, f, cfg):
     for frame in frames:
         for batch in np.array_split(np.arange(len(frame)), -(-len(frame) // size)):
             items = [frame[i] for i in batch]
-            layers, xtot, xtail = _plancherel_batch(f, [sd for sd, _ in items], cfg.degree,
-                                                    grid, erule, xrule, taus)
+            sds = [sd for sd, _ in items]
+            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid, erule,
+                                              [erule] * sds[0].kdim, xrule, taus)
             warnings.update(_tail_warning(xtail, xtot, _X_TAIL))
             for (sd, j), lay in zip(items, layers):
                 warnings.update(_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL))

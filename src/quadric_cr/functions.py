@@ -12,8 +12,10 @@ it to reorganize their quadrature sums without changing what is summed.  A
 `SpectralForm` is itself the function's evaluator.
 
 `central_transform` computes the Fourier transform in the central variable
-at fixed frequencies, fhat(z, lam) = sum_x w_x f(z, x) exp(-i <lam, x>), for
-the extension, the support scans and the spectral convolution.
+at fixed frequencies, fhat(z, lam) = sum_x w_x f(z, x) exp(-i <lam, x>), and
+is the only such x-sum in the package: the layer operators pi(f), the
+Plancherel layers, the convolution, the extension and the support scans all
+call it.  It also returns the x-sums of |f| that the tail diagnostics read.
 """
 
 import inspect
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_legendre, tensor_rule
+from .quadrature import boundary_mask, gauss_legendre, tensor_rule
 
 __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "l2_norm",
            "central_transform"]
@@ -184,12 +186,38 @@ def l2_norm(f, grid=None):
 def central_transform(f, z, lambdas, xn, xw):
     """Central Fourier transform sum_x w_x f(z, x) exp(-i <lam, x>), shape (Z, J).
 
-    z is (Z, n), lambdas (J, m), and (xn, xw) the central rule.  The phase
-    matrix is built once; f is sampled on chunks of z points.
+    z is (Z, n), lambdas (J, m), and (xn, xw) the central rule.  Returns fhat
+    and the x-sums of |f| over the whole box and over its boundary nodes
+    (`boundary_mask`), the two sides of an x-tail diagnostic.  f is sampled
+    on chunks of z points, and each chunk's x-sum is one matrix product for
+    all J frequencies: a real GEMM against (Re, Im) of the phases when the
+    samples are real, a complex one otherwise; the |f| sums are one more
+    real GEMM.  A spectral form is contracted through its precontracted
+    central phases instead, the same x-sums reorganized, on chunks of
+    coefficients; its x-tails are not observable and both sums read 0.
     """
     phases = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
-    out = np.empty((z.shape[0], phases.shape[1]), complex)
+    J = phases.shape[1]
+    out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
+    spectral = getattr(f, "spectral", None)
+    if spectral is not None:
+        glft = np.exp(1j * (xn @ spectral.lambdas.T)).T @ phases  # (Jf, J)
+        step = max(1, CHUNK_ELEMENTS // glft.shape[0])
+        for lo in range(0, z.shape[0], step):
+            out[lo : lo + step] = spectral.coeff(z[lo : lo + step]) @ glft
+        return out, 0.0, 0.0
+    phase_ri = np.concatenate([phases.real, phases.imag], axis=1)  # (X, 2J)
+    xabs = np.stack([np.abs(xw), np.abs(xw) * boundary_mask(xn)], axis=1)  # (X, 2)
+    xtot = xtail = 0.0
     step = max(1, CHUNK_ELEMENTS // xn.shape[0])
     for lo in range(0, z.shape[0], step):
-        out[lo : lo + step] = f(z[lo : lo + step, None, :], xn[None, :, :]) @ phases
-    return out
+        samples = f(z[lo : lo + step, None, :], xn[None, :, :])  # (c, X)
+        if np.isrealobj(samples):
+            ri = samples @ phase_ri
+            out[lo : lo + step] = ri[:, :J] + 1j * ri[:, J:]
+        else:
+            out[lo : lo + step] = samples @ phases
+        tot, tail = np.sum(np.abs(samples) @ xabs, axis=0)
+        xtot += float(tot)
+        xtail += float(tail)
+    return out, xtot, xtail

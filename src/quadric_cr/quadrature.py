@@ -15,6 +15,7 @@ __all__ = [
     "panel_gauss",
     "tensor_rule",
     "complex_grid",
+    "boundary_mask",
 ]
 
 
@@ -89,3 +90,10 @@ def complex_grid(rule_re, rule_im=None):
         rule_im = rule_re
     nodes, weights = tensor_rule([rule_re, rule_im])
     return nodes[:, 0] + 1j * nodes[:, 1], weights
+
+
+def boundary_mask(nodes):
+    """Mask of tensor-rule nodes (N, k) with a coordinate at its axis's first
+    or last node; a complex coordinate counts as its real and imaginary parts."""
+    real = np.asarray(nodes).view(float)
+    return ((real == real.min(axis=0)) | (real == real.max(axis=0))).any(axis=1)

@@ -50,9 +50,8 @@ def ladder_matrices(fb):
                 lo = np.sqrt(2.0 * mu[k] * a[k])
                 lower[k, j, i] = -lo
                 raise_[k, i, j] = lo
-    if sd.kdim:
-        neg = sd.eigenvalues < 0
-        lower[neg], raise_[neg] = raise_[neg].copy(), lower[neg].copy()
+    neg = sd.eigenvalues < 0
+    lower[neg], raise_[neg] = raise_[neg].copy(), lower[neg].copy()
     return lower, raise_
 
 
@@ -115,8 +114,6 @@ def rockland_spectrum(fb, tau=None, keep_untrusted=False):
     diag = np.diag(mat)
     degrees = fb.alphas.sum(axis=1)
     keep = np.ones(fb.size, bool) if keep_untrusted else (degrees < max(fb.degree, 1))
-    if fb.sd.kdim == 0:
-        keep = np.ones(fb.size, bool)
     diag, alphas = diag[keep], fb.alphas[keep]
     order = np.argsort(diag, kind="stable")
     return RocklandSpectrum(eigenvalues=diag[order], alphas=alphas[order], tau=tau)

@@ -18,11 +18,13 @@ quadrature; the central box must be long because band-limited functions
 decay slowly along the center (the default reaches well past 1e-6).
 
 The ambient extension continues f0 holomorphically in the central variable.
-Route A resynthesizes from boundary data: a Euclidean transform of
-f0(zeta, .) followed by a complex-frequency quadrature.  Route B evaluates
-the rank-one trace display directly from the profile.  The two share no
-intermediate values past f0 itself, which is what makes their agreement a
-meaningful check.  Both grow like exp(H_K(rho)) with rho = Im u - Phi(z).
+Route A (`extend_by_resynthesis`) resynthesizes from the boundary function:
+a Euclidean transform of f0(zeta, .) followed by a complex-frequency
+quadrature.  Route B (`extend_profile`) evaluates the rank-one trace display
+directly from the profile.  Route A's x-sum may be reorganized through f0's
+spectral form, but the two routes share no intermediate value past f0
+itself, which is what makes their agreement a meaningful check.  Both grow
+like exp(H_K(rho)) with rho = Im u - Phi(z).
 
 Spectral windows are clipped-mollifier convolutions tau = chi_{K_{e/2}} *
 psi_{e/4}, evaluated exactly for interval and box bodies through the
@@ -54,6 +56,7 @@ __all__ = [
     "forward_FN",
     "extend",
     "extend_profile",
+    "extend_by_resynthesis",
     "pw_margin",
     "WindowFunction",
     "spectral_window",
@@ -148,8 +151,9 @@ def inverse_FN(model, profile, grid=None):
 
     Returns a SampledFunction carrying the finite SpectralForm, a ground
     form with amplitudes c_N w_j psi(lam_j) |Pf(lam_j)|.  Profile
-    nodes outside the closed positivity cone make the ground-layer weight
-    formula unreliable; they are recorded in meta["warnings"].
+    nodes outside the closed positivity cone (A(lam) has a negative
+    eigenvalue) make the ground-layer weight formula unreliable; they are
+    recorded in meta["warnings"].
     """
     grid = grid or GridSpec()
     lams = profile.lambdas
@@ -158,7 +162,7 @@ def inverse_FN(model, profile, grid=None):
     for j in range(lams.shape[0]):
         sd = spectral_data(model, lams[j])
         pf[j] = sd.pfaffian
-        if np.min(np.linalg.eigvalsh(sd.a_lam)) < -1e-10 * max(1.0, np.abs(sd.a_lam).max()):
+        if sd.e_minus.shape[1]:
             warnings.append(
                 f"profile node {j} lies outside the closed positivity cone"
             )
@@ -176,7 +180,7 @@ def central_spectrum(f, lambdas, xbox=160.0, xnodes=768, z=None):
     if z is None:
         z = np.zeros(f.model.n, complex)
     xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * f.model.m)
-    return central_transform(f, np.asarray(z, complex)[None, :], lambdas, xn, xw)[0]
+    return central_transform(f, np.asarray(z, complex)[None, :], lambdas, xn, xw)[0][0]
 
 
 def forward_FN(f, lambdas, degree=8, grid=None):
@@ -253,48 +257,52 @@ def _gl_refine(body, integrand, start=64, cap=_NODE_CAP, rtol=1e-8):
         nodes *= 2
 
 
-def extend_profile(model, profile, z, u, route="B", xbox=160.0, xnodes=768,
-                   lam_nodes=64, rtol=1e-8):
-    """Ambient extension from a profile by one of two independent routes.
+def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
+    """Ambient extension straight from a profile (route B).
 
-    Route B quadratures the rank-one trace display
+    Quadratures the rank-one trace display
 
         c_N int_K psi |Pf| e^{-<lam, Phi(z)>} e^{<lam, iu + Phi(z)>} dlam
 
-    with node doubling on the frequency body.  Route A first synthesizes
-    the boundary function, takes its Euclidean fiber transform along the
-    center at each requested z, and resynthesizes with the complex
-    frequency kernel; it touches the profile only through boundary values.
+    with node doubling on the frequency body.  `extend_by_resynthesis` is
+    the independent route A.
     """
+    if profile.psi is None:
+        raise ValueError("route B refinement needs the profile's evaluator")
     z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
-    if route == "B":
-        if profile.psi is None:
-            raise ValueError("route B refinement needs the profile's evaluator")
-        const = _pw_const(model)
-        ph = model.phi(z)  # (P, m)
+    const = _pw_const(model)
+    ph = model.phi(z)  # (P, m)
 
-        def integrand(lams):
-            pf = _pfaffians(model, lams)
-            vals = np.asarray(profile.psi(lams), float)
-            trace_factor = -(ph @ lams.T)  # <pi(z,0) e0, e0> on the positive side
-            kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
-            return const * vals * pf * np.exp(trace_factor + kernel)
+    def integrand(lams):
+        pf = _pfaffians(model, lams)
+        vals = np.asarray(profile.psi(lams), float)
+        trace_factor = -(ph @ lams.T)  # <pi(z,0) e0, e0> on the positive side
+        kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
+        return const * vals * pf * np.exp(trace_factor + kernel)
 
-        return _gl_refine(profile.body, integrand, start=lam_nodes, rtol=rtol)
-    if route == "A":
-        f0 = inverse_FN(model, profile)
-        xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
-        lo, hi = _body_box(profile.body)
-        lams, lw = tensor_rule(
-            [gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)]
-        )
-        fhat = central_transform(f0, z, lams, xn, xw)  # (P, J)
-        # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
-        # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
-        resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
-        return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
-    raise ValueError(f"unknown route {route!r}")
+    return _gl_refine(profile.body, integrand, start=lam_nodes, rtol=rtol)
+
+
+def extend_by_resynthesis(f, body, z, u, xbox=160.0, xnodes=768, lam_nodes=64):
+    """Ambient extension of boundary data f by resynthesis (route A).
+
+    Takes the Euclidean fiber transform of f along the center at each
+    requested z, over a long central box, and resynthesizes with the
+    complex-frequency kernel on a Gauss grid over the frequency body's box;
+    it touches the data only through f.
+    """
+    model = f.model
+    z = np.atleast_2d(np.asarray(z, complex))
+    u = np.atleast_2d(np.asarray(u, complex))
+    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
+    lo, hi = _body_box(body)
+    lams, lw = tensor_rule([gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)])
+    fhat, _, _ = central_transform(f, z, lams, xn, xw)  # (P, J)
+    # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
+    # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
+    resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
+    return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
 
 
 def pw_margin(f, body, z, u, order=4):
@@ -460,7 +468,8 @@ def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
             ]
         )
     xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
-    mass = np.abs(central_transform(f, np.asarray(zs, complex), lam_grid, xn, xw)).max(axis=0)
+    fhat, _, _ = central_transform(f, np.asarray(zs, complex), lam_grid, xn, xw)
+    mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:
         inside = np.array([bool(contains(body, lam)) for lam in lam_grid])

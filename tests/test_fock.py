@@ -24,7 +24,7 @@ from quadric_cr.fock import (
 )
 from quadric_cr.model import QuadraticModel, inverse, multiply
 from quadric_cr.quadrature import complex_grid, gauss_hermite, gauss_legendre, tensor_rule
-from quadric_cr.spectral import spectral_data
+from quadric_cr.spectral import generic_dimension, spectral_data
 from quadric_cr.convex import interval_body
 from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
 
@@ -327,6 +327,99 @@ def test_small_box_warns():
     assert any("boundary" in w for w in warns)
 
 
+def layer_oracle(fb, f, taus, grid):
+    """pi_(lam,tau)(f) (T, B, B) and its warnings, the unchunked per-layer way.
+
+    The former body of `pi_of_f_batch`, kept as an oracle for the runner:
+    f is sampled on the layer's whole clipped grid through one
+    `central_transform` call, and one multi_dot contracts the tau phases,
+    fhat and the weighted shift matrices.  The grid boundaries are read off
+    the node indices.
+    """
+    sd = fb.sd
+    erule = grid.e_rule()
+    pn, pw = tensor_rule([complex_grid(r) for r in fock._clipped_rules(sd, grid, erule)])
+    rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
+    zperp, zrad = pn @ sd.eigenvectors.T, rn @ sd.radical.T
+    xn, xw = tensor_rule([grid.f_rule()] * sd.lam.size)
+    z = (zperp[:, None, :] + zrad[None, :, :]).reshape(-1, zperp.shape[1])
+    fhat, xtot, xtail = central_transform(f, z, sd.lam[None, :], xn, xw)
+    fhat = fhat[:, 0].reshape(zperp.shape[0], zrad.shape[0])
+    tphase = rw[:, None] * np.exp(-1j * fock._tau_dot(taus[None, :, :], rn[:, None, :]))
+    wshift = fock._weighted_shifts(fb, zperp, pw)
+    share = np.linalg.multi_dot([tphase.T, fhat.T, wshift])
+
+    def edge(dims):
+        idx = np.indices((grid.enodes,) * dims).reshape(dims, grid.enodes**dims)
+        return ((idx == 0) | (idx == grid.enodes - 1)).any(axis=0)
+
+    damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
+    pmask, rmask, rabs = edge(2 * sd.kdim), edge(2 * sd.d), np.abs(rw)
+    absf = np.abs(fhat)
+    full = absf @ rabs
+    tail_w = float(damp @ np.where(pmask, full, absf[:, rmask] @ rabs[rmask]))
+    warnings = (fock._tail_warning(tail_w, float(damp @ full), fock._ZETA_TAIL)
+                + fock._tail_warning(xtail, xtot, fock._X_TAIL))
+    return share.reshape(-1, fb.size, fb.size), warnings
+
+
+def off_centre_gaussian(model, grid):
+    """A real gaussian off the origin, modulated in x: pi(f) is not diagonal."""
+
+    def ev(z, x):
+        z = np.asarray(z, complex)
+        x = np.asarray(x, float)
+        rad = np.sum(np.abs(z - (0.4 - 0.3j)) ** 2, axis=-1) + np.sum(x**2, axis=-1)
+        return np.exp(-rad) * np.cos(1.5 * x[..., 0])
+
+    return SampledFunction(model, ev, grid)
+
+
+ZERO = QuadraticModel(np.zeros((1, 1, 1), dtype=complex))
+
+# model, lam, degree, taus, grid; the HEIS1 clip bites past |lam| = 1.25 on
+# ebox 4, and the short boxes make the tail warnings fire
+RUNNER_CASES = {
+    "heis1-unclipped": (HEIS1, 0.7, 10, np.zeros((1, 0)), GridSpec(enodes=30)),
+    "heis1-clipped": (HEIS1, -3.0, 10, np.zeros((1, 0)),
+                      GridSpec(ebox=4.0, enodes=30, fbox=3.0, fnodes=32)),
+    "deg21-chunked": (DEG21, 1.1, 6, np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]]),
+                      GridSpec(ebox=2.5, enodes=12, fbox=3.0, fnodes=24)),
+    "zero": (ZERO, 1.5, 4, np.array([[0.7, -0.2], [0.0, 1.0]]),
+             GridSpec(ebox=3.0, enodes=16, fbox=3.0, fnodes=24)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_CASES))
+def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
+    model, lam, degree, taus, grid = RUNNER_CASES[case]
+    fb = fock_basis(spectral_data(model, np.array([lam])), degree)
+    f = off_centre_gaussian(model, grid)
+    chunks = []
+    if case == "deg21-chunked":
+        # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24
+        monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 40)
+        sample = fock.central_transform
+
+        def spy(f, z, *args):
+            chunks.append(z.shape[0] // 144)
+            return sample(f, z, *args)
+
+        monkeypatch.setattr(fock, "central_transform", spy)
+    got, warns = pi_of_f_batch(fb, f, taus=taus)
+    monkeypatch.undo()
+    want, want_warns = layer_oracle(fb, f, taus, grid)
+    assert got.shape == want.shape == (taus.shape[0], fb.size, fb.size)
+    for g, w in zip(got, want):
+        assert (np.abs(g - w) <= 1e-13 * np.abs(w).max()).all()
+    assert warns == want_warns
+    if case == "deg21-chunked":
+        assert chunks == [40, 40, 40, 24]
+    # the short x-boxes warn; so do the short zeta-boxes, except where the
+    # clip keeps the layer's grid inside the function's mass
+    assert len(warns) == {"heis1-unclipped": 0, "heis1-clipped": 1}.get(case, 2)
+
+
 def test_plancherel_gaussian_smoke():
     f = gaussian_function(HEIS1)
     cfg = PlancherelConfig(lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=15, degree=8)
@@ -353,8 +446,9 @@ def test_interp_matrix_reproduces_polynomials():
     grid = GridSpec()
     erule = grid.e_rule()
     taus = np.zeros((1, 0))
-    wide = fock._BatchLayer(spectral_data(HEIS1, np.array([0.5])), 4, grid, erule, taus)
-    narrow = fock._BatchLayer(spectral_data(HEIS1, np.array([8.0])), 4, grid, erule, taus)
+    wide = fock._BatchLayer(spectral_data(HEIS1, np.array([0.5])), 4, grid, erule, [erule], taus)
+    narrow = fock._BatchLayer(spectral_data(HEIS1, np.array([8.0])), 4, grid, erule, [erule],
+                              taus)
     assert wide.mats == [None, None]
     assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
     fhat = np.ones((1600, 3), complex)
@@ -381,7 +475,7 @@ def spectral_oracle(f, g, grid=None):
     xn, xw = tensor_rule([grid.f_rule()] * model.m)  # (X, m)
 
     lambdas = g.spectral.lambdas  # (J, m)
-    fhat = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
+    fhat, _, _ = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
     gcoeff = g.spectral.coeff
 
     def coeff(z):
@@ -628,18 +722,20 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 3 * 16 * 25 * (16 + 144))
         monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 3 * 16)
     seen, radical = [], []
-    run_batch, sample = fock._plancherel_batch, fock._central_samples
+    run_batch, sample = fock._run_layers, fock.central_transform
+    perp = grid.enodes ** (2 * (model.n - generic_dimension(model)))
 
     def spy_batch(f, sds, *args):
         seen.append(len(sds))
         return run_batch(f, sds, *args)
 
-    def spy_sample(f, zperp, zrad, *args):
-        radical.append(zrad.shape[0])
-        return sample(f, zperp, zrad, *args)
+    def spy_sample(f, z, *args):
+        # the runner samples perp x radical-chunk points at a time
+        radical.append(z.shape[0] // perp)
+        return sample(f, z, *args)
 
-    monkeypatch.setattr(fock, "_plancherel_batch", spy_batch)
-    monkeypatch.setattr(fock, "_central_samples", spy_sample)
+    monkeypatch.setattr(fock, "_run_layers", spy_batch)
+    monkeypatch.setattr(fock, "central_transform", spy_sample)
     points = []
     f = counted_gaussian(model, grid, points, width)
     rep = plancherel_residual(model, f, cfg)
@@ -668,7 +764,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         pn, pw = tensor_rule([complex_grid(erule)] * sd.kdim)
         rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
         z = (pn @ sd.eigenvectors.T)[:, None, :] + (rn @ sd.radical.T)[None, :, :]
-        fhat = central_transform(f, z.reshape(-1, model.n), lam[None, :], xn, xw)[:, 0]
+        fhat = central_transform(f, z.reshape(-1, model.n), lam[None, :], xn, xw)[0][:, 0]
         mass = float(np.outer(pw, rw).reshape(-1) @ np.abs(fhat) ** 2) / (2 * np.pi) ** model.m
         assert abs(captured - rep.constant * pf * layer / mass) <= 1e-12 * captured
     # clipped layers differ by the error of interpolating fhat onto the

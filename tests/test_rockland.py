@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadric_cr.fock import fock_basis, rep_apply
+from quadric_cr.fock import eval_basis, fock_basis, rep_apply
 from quadric_cr.model import QuadraticModel
 from quadric_cr.rockland import (
     ladder_matrices,
@@ -13,6 +13,7 @@ from quadric_cr.rockland import (
 from quadric_cr.spectral import spectral_data
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]], dtype=complex))
+ZERO = QuadraticModel(np.zeros((1, 1, 1), dtype=complex))
 DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
 PAIR22 = QuadraticModel(
     np.array(
@@ -116,3 +117,25 @@ def test_spectrum_requires_diagonal():
     fb = fock_basis(sd, 4)
     spec = rockland_spectrum(fb)
     assert (np.diff(spec.eigenvalues) >= -1e-12).all()
+
+
+@pytest.mark.parametrize("degree", [0, 4])
+def test_zero_model_layer_has_one_closed_form_eigenvalue(degree):
+    # lam = 1.5 on the zero model: no perpendicular mode (kdim 0), d = 1,
+    # and a one-element basis that no degree truncation touches
+    sd = spectral_data(ZERO, np.array([1.5]))
+    assert sd.kdim == 0 and sd.d == 1
+    fb = fock_basis(sd, degree)
+    tau = np.array([0.7, -0.2])
+    for t in (None, tau):
+        want = rockland_eigenvalue(sd, np.zeros(0, int), t)
+        assert want == (0.0 if t is None else 0.5 * float(tau @ tau)) ** 2 + 2.25
+        for keep in (False, True):
+            spec = rockland_spectrum(fb, tau=t, keep_untrusted=keep)
+            assert spec.eigenvalues.shape == (1,) and spec.alphas.shape == (1, 0)
+            assert abs(spec.eigenvalues[0] - want) <= 1e-15 * want
+    lower, raise_ = ladder_matrices(fb)
+    assert lower.shape == raise_.shape == (0, 1, 1)
+    w = np.zeros((3, 2, 0), complex)
+    vals = eval_basis(fb, w)
+    assert vals.shape == (3, 2, 1) and (vals == 1.0).all()

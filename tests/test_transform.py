@@ -19,6 +19,7 @@ from quadric_cr.transform import (
     bump_profile,
     central_spectrum,
     extend,
+    extend_by_resynthesis,
     extend_profile,
     forward_FN,
     inverse_FN,
@@ -110,10 +111,12 @@ def test_spectral_form_call_matches_einsum(zshape, xshape):
 
 
 def test_negative_cone_profile_warns():
-    prof = bump_profile(interval_body(-2.0, -1.0), nodes=8)
-    f = inverse_FN(HEIS1, prof)
-    assert "warnings" in f.meta
-    assert any("positivity cone" in w for w in f.meta["warnings"])
+    # on HEIS1, A(lam) = lam: every node of [-2, -1] lies outside the closed
+    # positivity cone, and no node of [1, 2] does
+    f = inverse_FN(HEIS1, bump_profile(interval_body(-2.0, -1.0), nodes=8))
+    assert f.meta["warnings"] == tuple(
+        f"profile node {j} lies outside the closed positivity cone" for j in range(8))
+    assert "warnings" not in inverse_FN(HEIS1, bump_profile(K12, nodes=8)).meta
 
 
 def test_round_trip_recovers_profile():
@@ -201,12 +204,30 @@ def test_central_transform_gaussian_closed_form():
     z = (rng.standard_normal((600, 1)) + 1j * rng.standard_normal((600, 1))) * 0.8
     assert -(-z.shape[0] // (CHUNK_ELEMENTS // xn.shape[0])) == 3  # the samples span 3 chunks
     lams = np.array([[-3.0], [-0.5], [0.0], [1.5], [4.0]])
-    got = central_transform(f, z, lams, xn, xw)
+    got, xtot, xtail = central_transform(f, z, lams, xn, xw)
     want = np.sqrt(np.pi) * np.exp(-np.abs(z) ** 2 - lams[:, 0] ** 2 / 4.0)
     assert got.shape == (600, 5)
     assert np.abs(got / want - 1.0).max() < 1e-12
     row = central_spectrum(f, lams, xbox=8.0, xnodes=768, z=z[417])
     assert np.abs(row / got[417] - 1.0).max() < 1e-13
+    # the x-sums of |f|: the box boundary is the two end nodes of the rule
+    absf = np.abs(f(z[:, None, :], xn[None, :, :]))  # (Z, X)
+    assert abs(xtot - float(np.sum(absf @ xw))) <= 1e-12 * xtot
+    assert abs(xtail - float(np.sum(absf[:, [0, -1]] @ xw[[0, -1]]))) <= 1e-12 * xtail
+
+
+def test_central_transform_of_a_spectral_form():
+    # a spectral form is contracted through its precontracted central phases:
+    # the same x-sums as sampling it, and no observable x-tails
+    grid = GridSpec(fbox=20.0, fnodes=96)
+    f = inverse_FN(HEIS1, bump_profile(K12, nodes=16), grid=grid)
+    xn, xw = tensor_rule([grid.f_rule()])
+    z = (np.random.default_rng(2).standard_normal((7, 1)) + 0.5j).astype(complex)
+    lams = np.array([[0.7], [1.3], [1.9]])
+    got, xtot, xtail = central_transform(f, z, lams, xn, xw)
+    want = f(z[:, None, :], xn[None, :, :]) @ (xw[:, None] * np.exp(-1j * (xn @ lams.T)))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert xtot == xtail == 0.0
 
 
 def test_leakage_outside_body():
@@ -269,12 +290,12 @@ def test_extension_routes_agree():
     z = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) * 0.6
     h = rng.uniform(0.05, 1.2, (n, 1))
     u = rng.standard_normal((n, 1)) + 1j * (HEIS1.phi(z) + h)
-    vb = extend_profile(HEIS1, prof, z, u, route="B")
-    va = extend_profile(HEIS1, prof, z, u, route="A", lam_nodes=96)
+    f = inverse_FN(HEIS1, prof)
+    vb = extend_profile(HEIS1, prof, z, u)
+    va = extend_by_resynthesis(f, K12, z, u, lam_nodes=96)
     rel = np.abs(va - vb) / np.abs(vb)
     assert rel.max() < 1e-6
     # the refined quadrature route matches the spectral-form continuation
-    f = inverse_FN(HEIS1, prof)
     ve = extend(f, z, u)
     assert (np.abs(vb - ve) / np.abs(ve)).max() < 1e-12
 
