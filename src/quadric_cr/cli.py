@@ -2,7 +2,8 @@
 
 Every verification suite is a subcommand reading one scenario file (or an
 index of scenario= lines) and writing, per scenario, a CSV table plus a
-JSON summary with one pass/fail entry per check.  All randomness comes
+JSON summary with one pass/fail entry per check (`plancherel` adds the
+report's warnings as a `warnings` list).  All randomness comes
 from one seed recorded in both outputs; reruns are byte-identical.
 
 Exit codes: 0 all checks pass, 2 parse/usage error, 3 missing referenced
@@ -175,6 +176,7 @@ def _run_plancherel(scn, seed, rng):
         "constant": rep.constant,
         "layers": rep.n_layers,
         "skipped": rep.skipped,
+        "warnings": list(rep.warnings),
     }
     checks = [_check("plancherel_residual", rep.residual, scn.flt("tol_residual"))]
     return meta, cols, rows, checks
@@ -445,6 +447,8 @@ def main(argv=None):
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        # a handler's warnings go to the summary, not the CSV header
+        warnings = meta.pop("warnings", None)
         header = {"scenario": scn.name, "subcommand": args.subcommand, "seed": seed}
         header.update(meta)
         base = os.path.join(outdir, f"{scn.name}_{args.subcommand}")
@@ -456,6 +460,8 @@ def main(argv=None):
             "checks": checks,
             "pass": all(c["pass"] for c in checks),
         }
+        if warnings is not None:
+            summary["warnings"] = warnings
         cio.write_json(base + "_summary.json", summary)
         for c in checks:
             rel = "<=" if c["kind"] == "max" else ">="

@@ -24,13 +24,15 @@ tensor grid.  The perpendicular part of the grid is clipped where the layer
 weight phi_lam exceeds `PHI_CUT`.
 
 One runner computes every pi(f).  It takes a batch of layers sharing a frame
-(the same eigenvectors and radical) and per-mode source rules, samples f on
-the source grid a radical chunk at a time with one `central_transform` for
-all the batch's frequencies, and each layer interpolates that fhat onto its
+(the same eigenvectors and radical) and per-mode source rules, and takes fhat
+on the source grid a radical chunk at a time through one `central_transform`
+for all the batch's frequencies, built once per batch: a spectral form in
+closed form on the central box, any other f sampled on the grid's central
+rule (fnodes matters only there).  Each layer interpolates that fhat onto its
 own clipped Gauss-Legendre nodes (tensor-product barycentric Lagrange, only
 on axes whose nodes differ from the source's) before the one layer
-contraction.  `pi_of_f_batch` is one batch of one layer whose source rules
-are its own clipped rules, so nothing is interpolated.
+contraction.  `pi_of_f_batch` is one batch of one layer whose source grid
+is its own clipped grid, built once, so nothing is interpolated.
 `plancherel_residual` passes the frame's unclipped rules and cuts each frame
 into batches whose cross-chunk state fits `functions.BATCH_STATE_BYTES`, so f
 is sampled once per batch rather than once per layer.  Each of its layers
@@ -175,14 +177,27 @@ def _shift_matrices(fb, wz):
     """Shift-operator matrices for points wz (P, K), shape (P, B, B).
 
     The kernel factorizes across modes, so the full matrix is the entrywise
-    product of the per-mode blocks on the degree-truncated index set.
+    product of the per-mode blocks on the degree-truncated index set.  The
+    result is filled in place a chunk of points at a time: the first mode's
+    block is gathered straight into it and the others multiply it, so the
+    per-mode blocks and their gathers onto the basis stay chunk-sized.
     """
     mu = np.abs(fb.sd.eigenvalues)
-    al = fb.alphas
-    out = np.ones((wz.shape[0], 1, 1), complex)
-    for k in range(fb.sd.kdim):
-        out = out * _mode_blocks(mu[k], wz[:, k], fb.degree)[:, al[:, k][:, None], al[None, :, k]]
-    return out
+    al, side = fb.alphas, fb.degree + 1
+    # each mode's entry [alpha_k, beta_k] in its flattened (D+1, D+1) block
+    gather = [(al[:, k][:, None] * side + al[None, :, k]).reshape(-1) for k in range(fb.sd.kdim)]
+    out = np.ones((wz.shape[0], fb.size**2), complex)
+    step = max(1, CHUNK_ELEMENTS // fb.size**2)
+    for lo in range(0, wz.shape[0], step):
+        chunk = out[lo : lo + step]
+        for k in range(fb.sd.kdim):
+            block = _mode_blocks(mu[k], wz[lo : lo + step, k], fb.degree)
+            block = block.reshape(chunk.shape[0], -1)
+            if k == 0:
+                np.take(block, gather[k], axis=1, out=chunk, mode="clip")
+            else:
+                chunk *= block[:, gather[k]]
+    return out.reshape(-1, fb.size, fb.size)
 
 
 def _tau_dot(tau, r):
@@ -288,7 +303,8 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     one batch of one layer for `_run_layers`, the runner `plancherel_residual`
     uses, with the layer's own clipped rules as the source rules: f is
     sampled on that grid, so nothing is interpolated, and the zeta- and
-    x-tail warnings are this layer's own.
+    x-tail warnings are this layer's own.  Each clipped rule and the e-rule
+    are built once; a central rule only when f is sampled.
     """
     sd = fb.sd
     grid = grid or f.grid
@@ -298,10 +314,7 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     if taus.ndim == 1:
         taus = taus[None, :]
     taus = taus.reshape(taus.shape[0], 2 * sd.d)
-    erule = grid.e_rule()
-    xrule = tensor_rule([grid.f_rule()] * sd.lam.size)
-    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid, erule,
-                                        _clipped_rules(sd, grid, erule), xrule, taus)
+    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid, grid.e_rule(), taus)
     warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
                 + _tail_warning(xtail, xtot, _X_TAIL))
     return layer.share.reshape(-1, fb.size, fb.size), warnings
@@ -361,12 +374,11 @@ def group_convolve(f, g, grid=None):
     N, axes = t.size, 2 * model.n
     enodes, eweights = tensor_rule([(t, tw)] * axes)
     zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
-    xn, xw = tensor_rule([grid.f_rule()] * model.m)  # (X, m)
     lambdas, amp = g.spectral.lambdas, g.spectral.amp  # (J, m), (J,)
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
     guard(qexp)
-    fhat, _, _ = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
+    fhat, _, _ = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
     step = max(1, CHUNK_ELEMENTS // (J * N ** (axes - 1)))
@@ -479,9 +491,8 @@ def _interpolate(fhat, mats):
 class _BatchLayer:
     """One layer of a batch: its clipped grid and what it accumulates."""
 
-    def __init__(self, sd, degree, grid, erule, src_rules, taus):
+    def __init__(self, sd, degree, rules, src_rules, taus):
         self.fb = fock_basis(sd, degree)
-        rules = _clipped_rules(sd, grid, erule)
         self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules)
         # one matrix per real axis, (Re, Im) of each mode; None where the
         # layer's nodes are the source's
@@ -513,26 +524,31 @@ class _BatchLayer:
         self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
 
 
-def _run_layers(f, sds, degree, grid, erule, src_rules, xrule, taus):
+def _run_layers(f, sds, degree, grid, erule, taus, src_rules=None):
     """Run a batch of layers that share a frame; returns its layers and x-tail sums.
 
     f is sampled once on the source grid, the tensor grid of the per-mode
     src_rules, a radical chunk at a time, with one central transform for
-    all the batch's frequencies; each layer interpolates the chunk onto its
-    own clipped grid where that differs from the source.
+    all the batch's frequencies, built once for the batch; each layer
+    interpolates the chunk onto its own clipped grid where that differs
+    from the source.  Without src_rules a batch of one layer runs on its
+    own clipped grid, built once.
     """
-    sd0 = sds[0]
-    layers = [_BatchLayer(sd, degree, grid, erule, src_rules, taus) for sd in sds]
-    zperp, src_w, _, _ = _perp_grid(sd0, src_rules)
-    zrad, rn, rw, rmask = _radical_grid(sd0, erule)
-    lambdas = np.array([sd.lam for sd in sds])
+    rules = [_clipped_rules(sd, grid, erule) for sd in sds]
+    layers = [_BatchLayer(sd, degree, r, src_rules or r, taus) for sd, r in zip(sds, rules)]
+    if src_rules is None:
+        zperp, src_w = layers[0].zperp, layers[0].pw
+    else:
+        zperp, src_w, _, _ = _perp_grid(sds[0], src_rules)
+    zrad, rn, rw, rmask = _radical_grid(sds[0], erule)
+    transform = central_transform(f, np.array([sd.lam for sd in sds]), grid.fbox, grid.fnodes)
     P = zperp.shape[0]
     step = max(1, CHUNK_ELEMENTS // (P * len(sds)))
     xtot = xtail = 0.0
     for lo in range(0, zrad.shape[0], step):
         sl = slice(lo, lo + step)
         z = (zperp[:, None, :] + zrad[None, sl, :]).reshape(-1, zperp.shape[1])
-        fhat, tot, tail = central_transform(f, z, lambdas, *xrule)
+        fhat, tot, tail = transform(z)
         xtot += tot
         xtail += tail
         fhat = fhat.T.reshape(len(sds), P, -1)
@@ -593,7 +609,6 @@ def plancherel_residual(model, f, cfg):
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
                               * (2 * gen_d))
     erule = grid.e_rule()
-    xrule = tensor_rule([grid.f_rule()] * model.m)
     frames = []  # [(sd, node index)] per frame
     skipped = 0
     for j in range(lam_nodes.shape[0]):
@@ -621,8 +636,8 @@ def plancherel_residual(model, f, cfg):
         for batch in np.array_split(np.arange(len(frame)), -(-len(frame) // size)):
             items = [frame[i] for i in batch]
             sds = [sd for sd, _ in items]
-            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid, erule,
-                                              [erule] * sds[0].kdim, xrule, taus)
+            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid, erule, taus,
+                                              [erule] * sds[0].kdim)
             warnings.update(_tail_warning(xtail, xtot, _X_TAIL))
             for (sd, j), lay in zip(items, layers):
                 warnings.update(_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL))

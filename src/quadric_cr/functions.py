@@ -12,10 +12,15 @@ it to reorganize their quadrature sums without changing what is summed.  A
 `SpectralForm` is itself the function's evaluator.
 
 `central_transform` computes the Fourier transform in the central variable
-at fixed frequencies, fhat(z, lam) = sum_x w_x f(z, x) exp(-i <lam, x>), and
-is the only such x-sum in the package: the layer operators pi(f), the
-Plancherel layers, the convolution, the extension and the support scans all
-call it.  It also returns the x-sums of |f| that the tail diagnostics read.
+over a box at fixed frequencies, fhat(z, lam) = int f(z, x) exp(-i <lam, x>),
+and is the only such transform in the package: the layer operators pi(f),
+the Plancherel layers, the convolution, the extension and the support scans
+all call it.  It is built once per set of frequencies and applied to chunks
+of z.  For a spectral form the box integral of each exponential has a
+closed form, a product of 2 sin(kappa xbox)/kappa, so no central rule is
+built; any other function is sampled on a tensor Gauss-Legendre rule, and
+the box's node count matters only there.  The sampled path also returns
+the x-sums of |f| that the tail diagnostics read.
 """
 
 import inspect
@@ -52,7 +57,8 @@ class GridSpec:
     ebox    : half-width of the box per real coordinate of E = C^n
     enodes  : Gauss-Legendre nodes per real E coordinate
     fbox    : half-width per central coordinate
-    fnodes  : Gauss-Legendre nodes per central coordinate
+    fnodes  : Gauss-Legendre nodes per central coordinate, read only where
+              f is sampled (a spectral form's central transform is closed)
     """
 
     ebox: float = 4.0
@@ -183,41 +189,62 @@ def l2_norm(f, grid=None):
     return np.sqrt(total)
 
 
-def central_transform(f, z, lambdas, xn, xw):
-    """Central Fourier transform sum_x w_x f(z, x) exp(-i <lam, x>), shape (Z, J).
+def central_transform(f, lambdas, xbox, xnodes):
+    """Central Fourier transform on the box [-xbox, xbox]^m, as a function of z.
 
-    z is (Z, n), lambdas (J, m), and (xn, xw) the central rule.  Returns fhat
-    and the x-sums of |f| over the whole box and over its boundary nodes
-    (`boundary_mask`), the two sides of an x-tail diagnostic.  f is sampled
-    on chunks of z points, and each chunk's x-sum is one matrix product for
-    all J frequencies: a real GEMM against (Re, Im) of the phases when the
-    samples are real, a complex one otherwise; the |f| sums are one more
-    real GEMM.  A spectral form is contracted through its precontracted
-    central phases instead, the same x-sums reorganized, on chunks of
-    coefficients; its x-tails are not observable and both sums read 0.
+    lambdas is (J, m).  Returns transform(z) -> (fhat (Z, J), xtot, xtail)
+    for z (Z, n), with fhat(z, lam) = integral of f(z, x) e^(-i <lam, x>)
+    over the box, and the x-sums of |f| over the whole box and over its
+    boundary nodes (`boundary_mask`), the two sides of an x-tail diagnostic.
+    Everything that depends only on the frequencies is built once, here,
+    and the returned function applies it to chunks of z.
+
+    A spectral form sum_j c_j(z) e^(i <lam_j, x>) has the closed form
+
+        fhat(z, lam) = sum_j c_j(z) prod_k 2 sin(kappa_k xbox) / kappa_k,
+
+    kappa = lam_j - lam (2 xbox where kappa_k = 0), so its coefficients are
+    contracted with that real (J_f, J) matrix and no x-rule is built; its
+    x-tails are not observable and both sums read 0.  Any other f is
+    sampled on chunks of z against the tensor Gauss-Legendre rule of
+    xnodes nodes per coordinate, and each chunk's x-sum is one matrix
+    product for all J frequencies: a real GEMM against (Re, Im) of the
+    phases when the samples are real, a complex one otherwise; the |f| sums
+    are one more real GEMM.  xnodes matters only for sampled functions.
     """
-    phases = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
-    J = phases.shape[1]
-    out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
+    J = lambdas.shape[0]
     spectral = getattr(f, "spectral", None)
     if spectral is not None:
-        glft = np.exp(1j * (xn @ spectral.lambdas.T)).T @ phases  # (Jf, J)
-        step = max(1, CHUNK_ELEMENTS // glft.shape[0])
-        for lo in range(0, z.shape[0], step):
-            out[lo : lo + step] = spectral.coeff(z[lo : lo + step]) @ glft
-        return out, 0.0, 0.0
+        kappa = spectral.lambdas[:, None, :] - lambdas[None, :, :]  # (Jf, J, m)
+        box = np.prod(2.0 * xbox * np.sinc(kappa * (xbox / np.pi)), axis=-1)  # (Jf, J)
+        step = max(1, CHUNK_ELEMENTS // box.shape[0])
+
+        def transform(z):
+            out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
+            for lo in range(0, z.shape[0], step):
+                out[lo : lo + step] = spectral.coeff(z[lo : lo + step]) @ box
+            return out, 0.0, 0.0
+
+        return transform
+    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * lambdas.shape[1])
+    phases = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
     phase_ri = np.concatenate([phases.real, phases.imag], axis=1)  # (X, 2J)
     xabs = np.stack([np.abs(xw), np.abs(xw) * boundary_mask(xn)], axis=1)  # (X, 2)
-    xtot = xtail = 0.0
     step = max(1, CHUNK_ELEMENTS // xn.shape[0])
-    for lo in range(0, z.shape[0], step):
-        samples = f(z[lo : lo + step, None, :], xn[None, :, :])  # (c, X)
-        if np.isrealobj(samples):
-            ri = samples @ phase_ri
-            out[lo : lo + step] = ri[:, :J] + 1j * ri[:, J:]
-        else:
-            out[lo : lo + step] = samples @ phases
-        tot, tail = np.sum(np.abs(samples) @ xabs, axis=0)
-        xtot += float(tot)
-        xtail += float(tail)
-    return out, xtot, xtail
+
+    def transform(z):
+        out = np.empty((J, z.shape[0]), complex).T
+        xtot = xtail = 0.0
+        for lo in range(0, z.shape[0], step):
+            samples = f(z[lo : lo + step, None, :], xn[None, :, :])  # (c, X)
+            if np.isrealobj(samples):
+                ri = samples @ phase_ri
+                out[lo : lo + step] = ri[:, :J] + 1j * ri[:, J:]
+            else:
+                out[lo : lo + step] = samples @ phases
+            tot, tail = np.sum(np.abs(samples) @ xabs, axis=0)
+            xtot += float(tot)
+            xtail += float(tail)
+        return out, xtot, xtail
+
+    return transform

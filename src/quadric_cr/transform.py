@@ -21,10 +21,11 @@ The ambient extension continues f0 holomorphically in the central variable.
 Route A (`extend_by_resynthesis`) resynthesizes from the boundary function:
 a Euclidean transform of f0(zeta, .) followed by a complex-frequency
 quadrature.  Route B (`extend_profile`) evaluates the rank-one trace display
-directly from the profile.  Route A's x-sum may be reorganized through f0's
-spectral form, but the two routes share no intermediate value past f0
-itself, which is what makes their agreement a meaningful check.  Both grow
-like exp(H_K(rho)) with rho = Im u - Phi(z).
+directly from the profile.  Route A's x-integral over the long central box
+is taken in closed form through f0's spectral form, but the two routes
+share no intermediate value past f0 itself, which is what makes their
+agreement a meaningful check.  Both grow like exp(H_K(rho)) with
+rho = Im u - Phi(z).
 
 Spectral windows are clipped-mollifier convolutions tau = chi_{K_{e/2}} *
 psi_{e/4}, evaluated exactly for interval and box bodies through the
@@ -175,12 +176,16 @@ def inverse_FN(model, profile, grid=None):
 
 
 def central_spectrum(f, lambdas, xbox=160.0, xnodes=768, z=None):
-    """Raw Euclidean fiber transform fhat(z, lam) over a long central box."""
+    """Raw Euclidean fiber transform fhat(z, lam) over a long central box.
+
+    A function with a spectral form is transformed in closed form on the
+    box; xnodes, the central rule's nodes, matters only for sampled f.
+    """
     lambdas = np.atleast_2d(np.asarray(lambdas, float))
     if z is None:
         z = np.zeros(f.model.n, complex)
-    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * f.model.m)
-    return central_transform(f, np.asarray(z, complex)[None, :], lambdas, xn, xw)[0][0]
+    transform = central_transform(f, lambdas, xbox, xnodes)
+    return transform(np.asarray(z, complex)[None, :])[0][0]
 
 
 def forward_FN(f, lambdas, degree=8, grid=None):
@@ -189,7 +194,9 @@ def forward_FN(f, lambdas, degree=8, grid=None):
     Returns (values, warnings).  Exceptional frequencies are skipped with a
     warning and a nan entry.  The grid defaults to the function's own
     perpendicular box but a long central box, which band-limited data needs;
-    accuracy warnings from the operator quadrature are passed through.
+    its node count (fnodes) matters only for a sampled f, since a spectral
+    form is transformed in closed form on the box.  Accuracy warnings from
+    the operator quadrature are passed through.
     """
     from .fock import fock_basis, pi_of_f
     from .spectral import generic_dimension
@@ -290,15 +297,15 @@ def extend_by_resynthesis(f, body, z, u, xbox=160.0, xnodes=768, lam_nodes=64):
     Takes the Euclidean fiber transform of f along the center at each
     requested z, over a long central box, and resynthesizes with the
     complex-frequency kernel on a Gauss grid over the frequency body's box;
-    it touches the data only through f.
+    it touches the data only through f.  The fiber transform of a spectral
+    form is its closed form on the box, so xnodes matters only for sampled f.
     """
     model = f.model
     z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
-    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
     lo, hi = _body_box(body)
     lams, lw = tensor_rule([gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)])
-    fhat, _, _ = central_transform(f, z, lams, xn, xw)  # (P, J)
+    fhat, _, _ = central_transform(f, lams, xbox, xnodes)(z)  # (P, J)
     # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
     # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
     resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
@@ -453,6 +460,8 @@ def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
     Returns a dict with the grid, the pointwise maximum of |fhat| over the
     stencil, and (when a body is given) the fraction of that mass sitting
     outside the body.  The grid is treated as uniform for the mass ratio.
+    fhat is taken over the central box [-xbox, xbox]^m, in closed form for a
+    spectral form; xnodes matters only for sampled f.
     """
     model = f.model
     lam_grid = np.atleast_2d(np.asarray(lam_grid, float))
@@ -467,8 +476,7 @@ def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
                        + 1j * rng.standard_normal((2, model.n))),
             ]
         )
-    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
-    fhat, _, _ = central_transform(f, np.asarray(zs, complex), lam_grid, xn, xw)
+    fhat, _, _ = central_transform(f, lam_grid, xbox, xnodes)(np.asarray(zs, complex))
     mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:

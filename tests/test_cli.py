@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from quadric_cr.cli import EXIT_MISSING, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
+from quadric_cr.fock import PlancherelConfig, plancherel_residual
+from quadric_cr.functions import GridSpec, gaussian_function
+from quadric_cr.model import QuadraticModel
 
 HEIS1_MODEL = "n = 1\nm = 1\nA_1 = 1,0\n"
 
@@ -44,6 +49,28 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (
         a / "demo_spectral_summary.json"
     ).read_bytes() == (b / "demo_spectral_summary.json").read_bytes()
+
+
+def test_plancherel_summary_carries_the_warnings(tmp_path):
+    # degree 24 on 24 zeta nodes does not resolve pi(f): both layers warn
+    (tmp_path / "m.model").write_text(HEIS1_MODEL)
+    scn = tmp_path / "p.scenario"
+    scn.write_text(
+        "name = coarse\nmodel = m.model\nfunction = gaussian\nseed = 0\ndegree = 24\n"
+        "enodes = 24\nlam_lo = 0.2\nlam_hi = 4\nlam_count = 2\ntol_residual = 10\n"
+    )
+    heis1 = QuadraticModel(np.array([[[1.0]]], complex))
+    grid = GridSpec(enodes=24)
+    cfg = PlancherelConfig(lam_lo=[0.2], lam_hi=[4.0], lam_nodes=2, degree=24, grid=grid)
+    rep = plancherel_residual(heis1, gaussian_function(heis1, grid), cfg)
+    assert sum("captures" in w for w in rep.warnings) == 2
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["plancherel", "--scenario", str(scn), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((a / "coarse_plancherel_summary.json").read_text())
+    assert summary["warnings"] == list(rep.warnings)
+    for name in ("coarse_plancherel.csv", "coarse_plancherel_summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):

@@ -9,7 +9,7 @@ from numpy.polynomial import laguerre, legendre
 
 from quadric_cr import fock
 from quadric_cr.functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
-                                  central_transform, gaussian_function, l2_norm)
+                                  gaussian_function, l2_norm)
 from quadric_cr.fock import (
     PlancherelConfig,
     eval_basis,
@@ -30,6 +30,10 @@ from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, sp
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]], dtype=complex))
 DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
+# n = 2, m = 2, two decoupled copies of HEIS1: the eigenvalue order, and
+# with it the frame, flips across the diagonal lam_1 = lam_2
+DECOUPLED22 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                                      complex))
 
 
 def coherent_diag(lam, alpha):
@@ -327,31 +331,47 @@ def test_small_box_warns():
     assert any("boundary" in w for w in warns)
 
 
+def edge_nodes(num, dims):
+    """Mask of the points of a C-ordered tensor grid of num nodes per axis
+    that sit at an axis's first or last node, read off the node indices."""
+    idx = np.indices((num,) * dims).reshape(dims, num**dims)
+    return ((idx == 0) | (idx == num - 1)).any(axis=0)
+
+
+def sampled_fhat(f, z, lambdas, grid):
+    """fhat (Z, J) = sum_x w_x f(z, x) e^(-i <lam, x>), with f sampled on the
+    grid's central tensor rule whatever form it carries, and the x-sums of
+    |f| over the whole rule and over its boundary nodes."""
+    xn, xw = tensor_rule([grid.f_rule()] * lambdas.shape[1])
+    samples = f(z[:, None, :], xn[None, :, :])  # (Z, X)
+    fhat = samples @ (xw[:, None] * np.exp(-1j * (xn @ lambdas.T)))
+    absf = np.abs(samples)
+    edge = edge_nodes(grid.fnodes, lambdas.shape[1])
+    return fhat, float(np.sum(absf @ np.abs(xw))), float(np.sum(absf[:, edge] @ np.abs(xw[edge])))
+
+
 def layer_oracle(fb, f, taus, grid):
     """pi_(lam,tau)(f) (T, B, B) and its warnings, the unchunked per-layer way.
 
     The former body of `pi_of_f_batch`, kept as an oracle for the runner:
-    f is sampled on the layer's whole clipped grid through one
-    `central_transform` call, and one multi_dot contracts the tau phases,
-    fhat and the weighted shift matrices.  The grid boundaries are read off
-    the node indices.
+    f is sampled on the layer's whole clipped grid at once, and one
+    multi_dot contracts the tau phases, fhat and the weighted shift
+    matrices.  The grid boundaries are read off the node indices.
     """
     sd = fb.sd
     erule = grid.e_rule()
     pn, pw = tensor_rule([complex_grid(r) for r in fock._clipped_rules(sd, grid, erule)])
     rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
     zperp, zrad = pn @ sd.eigenvectors.T, rn @ sd.radical.T
-    xn, xw = tensor_rule([grid.f_rule()] * sd.lam.size)
     z = (zperp[:, None, :] + zrad[None, :, :]).reshape(-1, zperp.shape[1])
-    fhat, xtot, xtail = central_transform(f, z, sd.lam[None, :], xn, xw)
+    fhat, xtot, xtail = sampled_fhat(f, z, sd.lam[None, :], grid)
     fhat = fhat[:, 0].reshape(zperp.shape[0], zrad.shape[0])
     tphase = rw[:, None] * np.exp(-1j * fock._tau_dot(taus[None, :, :], rn[:, None, :]))
     wshift = fock._weighted_shifts(fb, zperp, pw)
     share = np.linalg.multi_dot([tphase.T, fhat.T, wshift])
 
     def edge(dims):
-        idx = np.indices((grid.enodes,) * dims).reshape(dims, grid.enodes**dims)
-        return ((idx == 0) | (idx == grid.enodes - 1)).any(axis=0)
+        return edge_nodes(grid.enodes, dims)
 
     damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
     pmask, rmask, rabs = edge(2 * sd.kdim), edge(2 * sd.d), np.abs(rw)
@@ -399,11 +419,16 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
     if case == "deg21-chunked":
         # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24
         monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 40)
-        sample = fock.central_transform
+        build = fock.central_transform
 
-        def spy(f, z, *args):
-            chunks.append(z.shape[0] // 144)
-            return sample(f, z, *args)
+        def spy(*args):
+            transform = build(*args)
+
+            def counted(z):
+                chunks.append(z.shape[0] // 144)
+                return transform(z)
+
+            return counted
 
         monkeypatch.setattr(fock, "central_transform", spy)
     got, warns = pi_of_f_batch(fb, f, taus=taus)
@@ -418,6 +443,29 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
     # the short x-boxes warn; so do the short zeta-boxes, except where the
     # clip keeps the layer's grid inside the function's mass
     assert len(warns) == {"heis1-unclipped": 0, "heis1-clipped": 1}.get(case, 2)
+
+
+def test_pi_of_f_batch_builds_each_rule_once(monkeypatch):
+    # both modes clip at lam = (3, 4) on DECOUPLED22 (half-widths 2.58 and
+    # 2.24 inside ebox 4): one rule per clipped mode, the e-rule, and an
+    # x-rule only for the sampled function
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(num):
+        built.append(int(num))
+        return leggauss(num)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    grid = GridSpec(ebox=4.0, enodes=8, fbox=3.0, fnodes=12)
+    fb = fock_basis(spectral_data(DECOUPLED22, np.array([3.0, 4.0])), 2)
+    pi_of_f_batch(fb, gaussian_function(DECOUPLED22, grid))
+    assert sorted(built) == [8, 8, 8, 12]
+    form = SpectralForm.ground(DECOUPLED22, np.array([[3.0, 4.0], [2.5, 3.5]]),
+                               np.array([1.0, 0.5]))
+    built.clear()
+    pi_of_f_batch(fb, SampledFunction(DECOUPLED22, form, grid, spectral=form))
+    assert built == [8, 8, 8]
 
 
 def test_plancherel_gaussian_smoke():
@@ -446,9 +494,11 @@ def test_interp_matrix_reproduces_polynomials():
     grid = GridSpec()
     erule = grid.e_rule()
     taus = np.zeros((1, 0))
-    wide = fock._BatchLayer(spectral_data(HEIS1, np.array([0.5])), 4, grid, erule, [erule], taus)
-    narrow = fock._BatchLayer(spectral_data(HEIS1, np.array([8.0])), 4, grid, erule, [erule],
-                              taus)
+    layers = []
+    for lam in (0.5, 8.0):
+        sd = spectral_data(HEIS1, np.array([lam]))
+        layers.append(fock._BatchLayer(sd, 4, fock._clipped_rules(sd, grid, erule), [erule], taus))
+    wide, narrow = layers
     assert wide.mats == [None, None]
     assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
     fhat = np.ones((1600, 3), complex)
@@ -472,10 +522,9 @@ def spectral_oracle(f, g, grid=None):
     erule = grid.e_rule()
     enodes, eweights = tensor_rule([erule] * (2 * model.n))
     zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
-    xn, xw = tensor_rule([grid.f_rule()] * model.m)  # (X, m)
 
     lambdas = g.spectral.lambdas  # (J, m)
-    fhat, _, _ = central_transform(f, zq, lambdas, xn, xw)  # (Q, J)
+    fhat, _, _ = sampled_fhat(f, zq, lambdas, grid)  # (Q, J)
     gcoeff = g.spectral.coeff
 
     def coeff(z):
@@ -675,11 +724,6 @@ def test_bandlimit_projection_stays_ground():
     assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0)).all()
 
 
-# n = 2, m = 2, two decoupled copies of HEIS1: the eigenvalue order, and
-# with it the frame, flips across the diagonal lam_1 = lam_2
-DECOUPLED22 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
-                                      complex))
-
 def counted_gaussian(model, grid, points, width=None):
     """exp(-|z|^2 - |x|^2) as complex samples, or exp(-|z|^2/width^2 - |x|^2)
     as real ones; each call appends its sample count to points."""
@@ -722,17 +766,22 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 3 * 16 * 25 * (16 + 144))
         monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 3 * 16)
     seen, radical = [], []
-    run_batch, sample = fock._run_layers, fock.central_transform
+    run_batch, build = fock._run_layers, fock.central_transform
     perp = grid.enodes ** (2 * (model.n - generic_dimension(model)))
 
     def spy_batch(f, sds, *args):
         seen.append(len(sds))
         return run_batch(f, sds, *args)
 
-    def spy_sample(f, z, *args):
-        # the runner samples perp x radical-chunk points at a time
-        radical.append(z.shape[0] // perp)
-        return sample(f, z, *args)
+    def spy_sample(*args):
+        transform = build(*args)
+
+        def counted(z):
+            # the runner samples perp x radical-chunk points at a time
+            radical.append(z.shape[0] // perp)
+            return transform(z)
+
+        return counted
 
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
     monkeypatch.setattr(fock, "central_transform", spy_sample)
@@ -747,7 +796,6 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         assert sorted(seen) == [2, 2, 3] and len(radical) == 9 + 6 + 6 and max(radical) == 24
 
     erule = grid.e_rule()
-    xn, xw = tensor_rule([grid.f_rule()] * model.m)
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
                               * (2 * rep.generic_d))
     clipped = []
@@ -764,7 +812,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         pn, pw = tensor_rule([complex_grid(erule)] * sd.kdim)
         rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
         z = (pn @ sd.eigenvectors.T)[:, None, :] + (rn @ sd.radical.T)[None, :, :]
-        fhat = central_transform(f, z.reshape(-1, model.n), lam[None, :], xn, xw)[0][:, 0]
+        fhat = sampled_fhat(f, z.reshape(-1, model.n), lam[None, :], grid)[0][:, 0]
         mass = float(np.outer(pw, rw).reshape(-1) @ np.abs(fhat) ** 2) / (2 * np.pi) ** model.m
         assert abs(captured - rep.constant * pf * layer / mass) <= 1e-12 * captured
     # clipped layers differ by the error of interpolating fhat onto the

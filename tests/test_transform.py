@@ -26,6 +26,7 @@ from quadric_cr.transform import (
     profile_from_callable,
     pw_margin,
     smooth_bump,
+    spectrum_support,
 )
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]], complex))
@@ -204,7 +205,7 @@ def test_central_transform_gaussian_closed_form():
     z = (rng.standard_normal((600, 1)) + 1j * rng.standard_normal((600, 1))) * 0.8
     assert -(-z.shape[0] // (CHUNK_ELEMENTS // xn.shape[0])) == 3  # the samples span 3 chunks
     lams = np.array([[-3.0], [-0.5], [0.0], [1.5], [4.0]])
-    got, xtot, xtail = central_transform(f, z, lams, xn, xw)
+    got, xtot, xtail = central_transform(f, lams, 8.0, 768)(z)
     want = np.sqrt(np.pi) * np.exp(-np.abs(z) ** 2 - lams[:, 0] ** 2 / 4.0)
     assert got.shape == (600, 5)
     assert np.abs(got / want - 1.0).max() < 1e-12
@@ -217,17 +218,94 @@ def test_central_transform_gaussian_closed_form():
 
 
 def test_central_transform_of_a_spectral_form():
-    # a spectral form is contracted through its precontracted central phases:
-    # the same x-sums as sampling it, and no observable x-tails
+    # a spectral form is transformed in closed form on the box: what
+    # sampling it on a resolving rule sums, and no observable x-tails
     grid = GridSpec(fbox=20.0, fnodes=96)
     f = inverse_FN(HEIS1, bump_profile(K12, nodes=16), grid=grid)
     xn, xw = tensor_rule([grid.f_rule()])
     z = (np.random.default_rng(2).standard_normal((7, 1)) + 0.5j).astype(complex)
     lams = np.array([[0.7], [1.3], [1.9]])
-    got, xtot, xtail = central_transform(f, z, lams, xn, xw)
+    got, xtot, xtail = central_transform(f, lams, grid.fbox, grid.fnodes)(z)
     want = f(z[:, None, :], xn[None, :, :]) @ (xw[:, None] * np.exp(-1j * (xn @ lams.T)))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert xtot == xtail == 0.0
+
+
+# n = 2, m = 2, two decoupled copies of HEIS1
+DECOUPLED22 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+                                      complex))
+CLOSED_FORM_CASES = {
+    # model, form frequencies, probes (the first one is a form frequency, so
+    # kappa = 0 there; |kappa| stays <= 6.5)
+    "heis1": (HEIS1, np.linspace(1.0, 2.0, 9)[:, None],
+              np.array([[1.25], [0.0], [1.5 + 1e-9], [-2.5], [4.0], [7.5]])),
+    "decoupled22": (DECOUPLED22, np.array([[1.0, 1.5], [2.0, -0.5], [-1.0, 0.25], [0.5, 0.5]]),
+                    np.array([[2.0, -0.5], [0.0, 0.0], [1.0, 1.5 + 1e-9], [-3.0, 4.0],
+                              [4.5, -2.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_central_transform_closed_form_matches_sampled_rule(case):
+    # the closed form against f sampled on the 768-node rule of [-160, 160]
+    # per central coordinate, entry by entry
+    model, lambdas, probes = CLOSED_FORM_CASES[case]
+    xbox, xnodes = 160.0, 768
+    rng = np.random.default_rng(7)
+    J = lambdas.shape[0]
+    amp = rng.uniform(0.5, 1.5, J) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, J))
+    form = SpectralForm.ground(model, lambdas, amp)
+    f = SampledFunction(model, form, GridSpec(fbox=xbox, fnodes=xnodes), spectral=form)
+    z = 0.6 * (rng.standard_normal((3, model.n)) + 1j * rng.standard_normal((3, model.n)))
+    got, xtot, xtail = central_transform(f, probes, xbox, xnodes)(z)
+    assert xtot == xtail == 0.0
+    # the sampled x-sum, a chunk of x nodes at a time (768^2 nodes on DECOUPLED22)
+    xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
+    want = np.zeros((z.shape[0], probes.shape[0]), complex)
+    for lo in range(0, xn.shape[0], 2**16):
+        x = xn[lo : lo + 2**16]
+        want += form(z[:, None, :], x[None, :, :]) @ (
+            xw[lo : lo + 2**16, None] * np.exp(-1j * (x @ probes.T)))
+    assert (lambdas == probes[0]).all(axis=1).any()
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want).max()).all()
+
+
+def test_spectral_callers_build_no_central_rule(monkeypatch):
+    # a spectral form's central transform is closed: no caller builds the
+    # 768-node x-rule for it, and nothing samples the form
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(num):
+        built.append(int(num))
+        return leggauss(num)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    f1 = inverse_FN(HEIS1, bump_profile(K12, nodes=16), grid=GridSpec(enodes=12, fbox=160.0,
+                                                                      fnodes=768))
+    f2 = inverse_FN(HEIS1, bump_profile(K12, nodes=12), grid=f1.grid)
+
+    def no_samples(z, x):
+        raise AssertionError("the spectral form was sampled")
+
+    f1.evaluate = no_samples
+    probes = np.array([[1.3], [1.7]])
+    calls = {
+        "forward_FN": lambda: forward_FN(f1, probes, degree=4),
+        "group_convolve": lambda: group_convolve(f1, f2),
+        "central_spectrum": lambda: central_spectrum(f1, probes),
+        "extend_by_resynthesis": lambda: extend_by_resynthesis(
+            f1, K12, np.array([[0.2 + 0.1j]]), np.array([[0.3 + 0.5j]]), lam_nodes=24),
+        "spectrum_support": lambda: spectrum_support(f1, np.linspace(0.0, 3.0, 7)),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert 768 not in built, name
+    # a sampled function still gets its rule, built once
+    built.clear()
+    central_spectrum(gaussian_function(HEIS1), probes)
+    assert built == [768]
 
 
 def test_leakage_outside_body():
