@@ -481,11 +481,12 @@ def _interpolate(fhat, mats):
         return fhat
     num = next(m for m in mats if m is not None).shape[0]
     # the real and imaginary parts side by side, so every step is a real GEMM
-    out = np.ascontiguousarray(fhat).view(float).reshape((num,) * len(mats) + (-1,))
+    # on a C-ordered view that leaves the axes in place
+    out = np.ascontiguousarray(fhat).view(float)
     for ax, m in enumerate(mats):
         if m is not None:
-            out = np.moveaxis(np.tensordot(m, out, axes=([1], [ax])), 0, ax)
-    return np.ascontiguousarray(out).reshape(fhat.shape[0], -1).view(complex)
+            out = m @ out.reshape(num**ax, num, -1)
+    return out.reshape(fhat.shape[0], -1).view(complex)
 
 
 class _BatchLayer:

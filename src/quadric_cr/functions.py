@@ -20,7 +20,9 @@ of z.  For a spectral form the box integral of each exponential has a
 closed form, a product of 2 sin(kappa xbox)/kappa, so no central rule is
 built; any other function is sampled on a tensor Gauss-Legendre rule, and
 the box's node count matters only there.  The sampled path also returns
-the x-sums of |f| that the tail diagnostics read.
+the x-sums of |f| that the tail diagnostics read.  `l2_norm` closes its
+x-integral the same way: a spectral form's is a Gram form of the same box
+integrals, and only a sampled function is evaluated on the central rule.
 """
 
 import inspect
@@ -58,7 +60,8 @@ class GridSpec:
     enodes  : Gauss-Legendre nodes per real E coordinate
     fbox    : half-width per central coordinate
     fnodes  : Gauss-Legendre nodes per central coordinate, read only where
-              f is sampled (a spectral form's central transform is closed)
+              f is sampled (a spectral form's central transform and L^2
+              norm are closed)
     """
 
     ebox: float = 4.0
@@ -158,13 +161,29 @@ def gaussian_function(model, grid=None):
     return SampledFunction(model, ev, grid or GridSpec())
 
 
+def _box_kernel(kappa, xbox):
+    """prod_k 2 sin(kappa_k xbox) / kappa_k over the last axis of kappa.
+
+    The integral of e^(i <kappa, x>) over the box [-xbox, xbox]^m, 2 xbox
+    per coordinate where kappa_k = 0.
+    """
+    return np.prod(2.0 * xbox * np.sinc(kappa * (xbox / np.pi)), axis=-1)
+
+
 def l2_norm(f, grid=None):
     """L^2 norm of a boundary function over its grid box.
 
-    Plain tensor Gauss-Legendre rule in the 2n real E coordinates and the m
-    central coordinates; the box must capture the function's mass, which is
-    the caller's responsibility (checked where it matters by the transforms'
-    tail diagnostics).
+    Plain tensor Gauss-Legendre rule in the 2n real E coordinates; the box
+    must capture the function's mass, which is the caller's responsibility
+    (checked where it matters by the transforms' tail diagnostics).
+
+    The x-integral over the central box is closed for a spectral form
+    sum_j c_j(z) e^(i <lam_j, x>): it is c^H G c with the real Gram matrix
+    G_jl = prod_k 2 sin(kappa_k fbox) / kappa_k, kappa = lam_j - lam_l (the
+    box kernel of `central_transform`), so no central rule is built and the
+    form is never evaluated.  Any other f is sampled against the tensor
+    Gauss-Legendre rule of fnodes nodes per central coordinate, which
+    matters only there.
 
     The E grid is built one chunk at a time from the C-ordered index range,
     node for node and weight for weight what `tensor_rule` gives, so the
@@ -173,19 +192,33 @@ def l2_norm(f, grid=None):
     model = f.model
     g = grid or f.grid
     t, tw = g.e_rule()
-    xnodes, xweights = tensor_rule([g.f_rule()] * model.m)
+    spectral = getattr(f, "spectral", None)
+    if spectral is not None:
+        lams = spectral.lambdas
+        gram = _box_kernel(lams[:, None, :] - lams[None, :, :], g.fbox)  # (J, J)
+        step = max(1, CHUNK_ELEMENTS // lams.shape[0])
+
+        def x_integral(zc):
+            c = spectral.coeff(zc)  # (c, J)
+            # Re(c^H G c) = Re c . G Re c + Im c . G Im c, one real GEMM a part
+            parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
+            return sum(np.einsum("ij,ij->i", p, p @ gram) for p in parts)
+    else:
+        xnodes, xweights = tensor_rule([g.f_rule()] * model.m)
+        step = max(1, CHUNK_ELEMENTS // xnodes.shape[0])
+
+        def x_integral(zc):
+            return np.abs(f(zc[:, None, :], xnodes[None, :, :])) ** 2 @ xweights  # (c,)
     shape = (t.size,) * (2 * model.n)
     points = t.size ** (2 * model.n)
     total = 0.0
-    step = max(1, CHUNK_ELEMENTS // xnodes.shape[0])
     for lo in range(0, points, step):
         idx = np.unravel_index(np.arange(lo, min(lo + step, points)), shape)
         weights = np.ones(idx[0].size)
         for i in idx:
             weights = weights * tw[i]
         zc = np.stack([t[idx[k]] + 1j * t[idx[k + 1]] for k in range(0, len(idx), 2)], axis=-1)
-        vals = f(zc[:, None, :], xnodes[None, :, :])  # (c, X)
-        total += float(weights @ (np.abs(vals) ** 2 @ xweights))
+        total += float(weights @ x_integral(zc))
     return np.sqrt(total)
 
 
@@ -216,7 +249,7 @@ def central_transform(f, lambdas, xbox, xnodes):
     spectral = getattr(f, "spectral", None)
     if spectral is not None:
         kappa = spectral.lambdas[:, None, :] - lambdas[None, :, :]  # (Jf, J, m)
-        box = np.prod(2.0 * xbox * np.sinc(kappa * (xbox / np.pi)), axis=-1)  # (Jf, J)
+        box = _box_kernel(kappa, xbox)  # (Jf, J)
         step = max(1, CHUNK_ELEMENTS // box.shape[0])
 
         def transform(z):

@@ -1,13 +1,17 @@
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from quadric_cr.cli import EXIT_MISSING, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
+from quadric_cr.configio import load_scenarios
 from quadric_cr.fock import PlancherelConfig, plancherel_residual
-from quadric_cr.functions import GridSpec, gaussian_function
+from quadric_cr.functions import GridSpec, SampledFunction, SpectralForm, gaussian_function, l2_norm
 from quadric_cr.model import QuadraticModel
+from quadric_cr.transform import bandlimit_project, inverse_FN, spectral_window
 
 HEIS1_MODEL = "n = 1\nm = 1\nA_1 = 1,0\n"
 
@@ -71,6 +75,33 @@ def test_plancherel_summary_carries_the_warnings(tmp_path):
     assert summary["warnings"] == list(rep.warnings)
     for name in ("coarse_plancherel.csv", "coarse_plancherel_summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_windows_l2_error_matches_the_sampled_difference(tmp_path):
+    # the CLI takes the closed-form norm of the difference form; the oracle
+    # samples f - P f on a 160-node central rule of the scenario's box
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "windows_heis1.scenario"
+    assert main(["windows", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "windows_heis1_windows.csv").read_text().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    (scn,) = load_scenarios(str(path))
+    model, body = scn.model(), scn.body()
+    f = inverse_FN(model, scn.profile(body, key="profile"))
+    grid = GridSpec(fbox=scn.flt("fbox"), fnodes=160)
+    assert [float(r["eps"]) for r in rows] == [0.8, 0.4, 0.2, 0.1]
+    for row in rows:
+        eps, got = float(row["eps"]), float(row["l2_error"])
+        proj = bandlimit_project(f, spectral_window(body, eps))
+        if eps >= 0.2:
+            diff = SampledFunction(model, lambda z, x, p=proj: f(z, x) - p(z, x), grid)
+            want, tol = l2_norm(diff, grid), 1e-12
+        else:
+            # here the two O(1) sums of the sampled route cancel to 1e-9 and
+            # it reads about 4e-10 relative off, so sample the difference form
+            form = SpectralForm.ground(model, f.spectral.lambdas,
+                                       f.spectral.amp - proj.spectral.amp)
+            want, tol = l2_norm(SampledFunction(model, form, grid), grid), 1e-13
+        assert abs(got - want) <= tol * want, (eps, got, want)
 
 
 def test_seed_flag_overrides_scenario_seed(tmp_path):

@@ -873,3 +873,52 @@ def test_l2_norm_chunks_match_the_materialised_rule():
         vals = f(z[lo : lo + step, None, :], xn[None, :, :])
         total += float(eweights[lo : lo + step] @ (np.abs(vals) ** 2 @ xw))
     assert l2_norm(f) == np.sqrt(total)
+
+
+def convolved_form(grid):
+    # a spectral form that is not a ground form: a gaussian convolved with a
+    # ground kernel
+    lambdas = np.linspace(0.4, 2.0, 9)[:, None]
+    amp = np.exp(1j * np.linspace(0.0, 3.0, 9))
+    return group_convolve(gaussian_function(HEIS1, grid), ground_kernel(HEIS1, lambdas, amp, grid))
+
+
+# model, grid (fnodes unused by the closed form), spectral function, and
+# the x-nodes per coordinate that resolve |f|^2 on the sampled copy
+L2_CASES = {
+    "heis1-ground": (HEIS1, GridSpec(ebox=4.0, enodes=24, fbox=8.0, fnodes=37),
+                     lambda g: inverse_FN(HEIS1, bump_profile(interval_body(1.2, 1.8), nodes=32),
+                                          grid=g), 64),
+    "heis1-convolved": (HEIS1, GridSpec(ebox=3.5, enodes=16, fbox=5.0, fnodes=37),
+                        convolved_form, 64),
+    "decoupled22": (DECOUPLED22, GridSpec(ebox=3.0, enodes=8, fbox=4.0, fnodes=37),
+                    lambda g: ground_kernel(DECOUPLED22, [[1.0, 1.5], [0.6, 3.5], [3.0, 0.8]],
+                                            [1.0, 0.5 - 0.5j, -0.7j], g), 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(L2_CASES))
+def test_l2_norm_of_a_spectral_form_is_closed(case, monkeypatch):
+    model, grid, build, xnodes = L2_CASES[case]
+    f = build(grid)
+    assert f.spectral is not None
+    # the same form with its spectral form stripped is sampled on x-rules
+    # that resolve |f|^2
+    plain = SampledFunction(model, f.spectral, dataclasses.replace(grid, fnodes=xnodes))
+    want = l2_norm(plain)
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(num):
+        built.append(int(num))
+        return leggauss(num)
+
+    def raises(z, x):
+        raise AssertionError("the closed form evaluates the function")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    got = l2_norm(SampledFunction(model, raises, grid, spectral=f.spectral))
+    monkeypatch.undo()
+    assert built == [grid.enodes]  # the E rule, and no central rule
+    assert abs(got - want) <= 1e-12 * want
+    assert l2_norm(f) == got
