@@ -126,7 +126,7 @@ def _run_spectral(scn, seed, rng):
         _check("basis_orthonormality", worst, scn.flt("tol_basis", 1e-10)),
         _check("pfaffian_positive", minpf, 0.0, kind="min"),
     ]
-    meta = {"generic_radical_dim": generic_dimension(model), "layers": len(rows)}
+    meta = {"generic_radical_dim": gen_d, "layers": len(rows)}
     return meta, cols, rows, checks
 
 
@@ -302,8 +302,8 @@ def _run_windows(scn, seed, rng):
         inner = erode(body, eps)
         outer = erode(body, eps / 4.0)
         vals = w(lams)
-        chi_in = np.array([float(contains(inner, l)) for l in lams])
-        chi_out = np.array([float(contains(outer, l)) for l in lams])
+        chi_in = contains(inner, lams).astype(float)
+        chi_out = contains(outer, lams).astype(float)
         viol = float(np.maximum(chi_in - vals, 0.0).max())
         viol = max(viol, float(np.maximum(vals - chi_out, 0.0).max()))
         proj = bandlimit_project(f, w)
@@ -393,9 +393,7 @@ def _run_convex(scn, seed, rng):
         nb = scn.integer("bipolar_samples", 1000)
         pts = rng.standard_normal((nb, cone.m)) * 2.0
         double = polar_cone(polar_cone(cone))
-        mism = sum(
-            1 for p in pts if contains(cone, p) != contains(double, p)
-        )
+        mism = int(np.count_nonzero(contains(cone, pts) != contains(double, pts)))
         frac = mism / nb
         rows.append(("bipolar_mismatch", frac))
         checks.append(_check("bipolar_agreement", frac, scn.flt("tol_bipolar", 1e-12)))

@@ -14,6 +14,7 @@ arithmetic and for full-dimensional pointed cones in three dimensions by
 facet normals; this covers every body the transforms ship with.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,22 +128,95 @@ def support(body, v):
 
 
 def contains(body, lam, tol=1e-9):
-    """Membership test by nonnegative least squares on the generators."""
+    """Membership of one point (m,), a bool, or of a stack (P, m), a (P,) array.
+
+    A point is inside when its measured distance is at most tol * scale,
+    scale = max(1, max |vertex or generator entry|, max |lam entry|), point
+    by point.  The measure depends on the body:
+
+    - polytope, m = 1: the distance to the interval;
+    - full-dimensional polytope: the largest violation of Qhull's facet
+      halfspaces, one matmul for the stack;
+    - cone with linearly independent generators (none, or the one of a
+      half-line, included): the distance to the cone, from its own
+      generators (`_cone_distance`), never from halfspaces of its polar;
+    - anything else (a lower-dimensional polytope, a cone with dependent
+      generators): the residual of a nonnegative least-squares fit on the
+      generators, one nnls per point (`_nnls_residual`).
+
+    The nnls rule is the reference.  On a cone it measures the same distance,
+    so the two agree up to rounding.  On a polytope it measures the distance
+    from (lam, 1) to the cone over the lifted vertices (v, 1), which lies
+    between d / sqrt(1 + R^2) and d, where d is the distance to the body and
+    R the largest vertex norm; the facet violation lies between d / c and d,
+    where c >= 1 grows as the corners sharpen: 1 on an interval, sqrt(m) on
+    an m-dimensional box.  The rules
+    therefore agree at every point with d <= tol * scale (inside) and with
+    d > max(c, sqrt(1 + R^2)) tol * scale (outside), and may differ only in
+    the band between.
+    """
     lam = np.asarray(lam, float)
+    pts = np.atleast_2d(lam)
+    if pts.ndim != 2 or pts.shape[1] != body.m:
+        raise ValueError(f"expected points of shape (m,) or (P, m) with m = {body.m}")
     if body.kind == "empty":
-        return False
-    scale = max(1.0, float(np.abs(body.points).max()), float(np.abs(lam).max()))
+        inside = np.zeros(pts.shape[0], bool)
+    else:
+        scale = np.maximum(
+            max(1.0, float(np.abs(body.points).max(initial=0.0))),
+            np.abs(pts).max(axis=1),
+        )
+        inside = _measure(body, pts) <= tol * scale
+    return bool(inside[0]) if lam.ndim == 1 else inside
+
+
+def _measure(body, pts):
+    """The distance-like quantity `contains` compares with tol * scale."""
+    if body.kind == "polytope" and body.m == 1:
+        lo, hi = body.points.min(), body.points.max()
+        return np.maximum(lo - pts[:, 0], pts[:, 0] - hi)
+    if body.kind == "polytope" and _affine_dim(body.points) == body.m:
+        eqs = _hull_halfspaces(body.points)
+        return np.max(pts @ eqs[:, :-1].T + eqs[:, -1], axis=1)
+    if body.kind == "cone" and np.linalg.matrix_rank(body.points) == body.points.shape[0]:
+        return _cone_distance(body.points, pts)
+    return np.array([_nnls_residual(body, p) for p in pts])
+
+
+def _cone_distance(gens, pts):
+    """Distance from each point (P, m) to the cone of independent generators.
+
+    The nearest point of the cone is the least-squares fit on the one face
+    whose coefficients all come out nonnegative, so the distance is the least
+    residual over such faces, the apex (|lam|) included.  Each face is one
+    solve for all points; on a half-line this is max(-<lam, g>, 0) for unit g.
+    """
+    best = np.linalg.norm(pts, axis=1)
+    k = gens.shape[0]
+    for size in range(1, k + 1):
+        for face in itertools.combinations(range(k), size):
+            g = gens[list(face)].T
+            x = np.linalg.lstsq(g, pts.T, rcond=None)[0]
+            res = np.linalg.norm(g @ x - pts.T, axis=0)
+            best = np.where(np.all(x >= 0, axis=0), np.minimum(best, res), best)
+    return best
+
+
+def _nnls_residual(body, lam):
+    """Residual of the nonnegative least-squares fit of one point.
+
+    A cone fits lam by its generators, which gives the distance to the cone.
+    A polytope fits (lam, 1) by its lifted vertices (v, 1).  The reference
+    rule of `contains`; the body needs at least one vertex or generator.
+    """
+    a, b = body.points.T, np.asarray(lam, float)
+    if body.kind == "polytope":
+        a = np.vstack([a, np.ones(a.shape[1])])
+        b = np.append(b, 1.0)
+    x, _ = nnls(a, b)
     # recompute the residual ourselves: scipy 1.15's nnls can report a
     # zero rnorm for systems it did not actually fit
-    if body.kind == "polytope":
-        a = np.vstack([body.points.T, np.ones(body.points.shape[0])])
-        b = np.concatenate([lam, [1.0]])
-        x, _ = nnls(a, b)
-        return float(np.linalg.norm(a @ x - b)) <= tol * scale
-    if body.points.shape[0] == 0:
-        return bool(np.linalg.norm(lam) <= tol * scale)
-    x, _ = nnls(body.points.T, lam)
-    return float(np.linalg.norm(body.points.T @ x - lam)) <= tol * scale
+    return float(np.linalg.norm(a @ x - b))
 
 
 def _rays(body):

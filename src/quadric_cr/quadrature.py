@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre",
-    "gauss_hermite",
     "panel_gauss",
     "tensor_rule",
     "complex_grid",
@@ -24,11 +23,6 @@ def gauss_legendre(num, lo, hi):
     x, w = np.polynomial.legendre.leggauss(int(num))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
-
-
-def gauss_hermite(num):
-    """Gauss-Hermite nodes and weights for the weight exp(-t^2) on the line."""
-    return np.polynomial.hermite.hermgauss(int(num))
 
 
 def panel_gauss(num, lo, hi, cuts=()):

@@ -28,6 +28,7 @@ from .model import QuadraticModel
 __all__ = [
     "SpectralData",
     "spectral_data",
+    "layer_invariants",
     "generic_dimension",
     "is_exceptional",
     "positivity_cone_contains",
@@ -65,13 +66,10 @@ class SpectralData:
     """Linear data of one frequency layer.
 
     lam          : (m,) frequency
-    a_lam        : (n, n) Hermitian matrix A(lam)
     radical      : (n, d) orthonormal kernel basis
     d            : complex dimension of the radical
     eigenvalues  : (K,) nonzero eigenvalues mu_k of A(lam), ascending
     eigenvectors : (n, K) matching orthonormal eigenvectors u_k
-    j_mat        : J = s i A(lam), the untwisted structure
-    abs_j        : |J| = (J^H J)^(1/2)
     j_prime      : J' = s i sign(A(lam)), vanishing on the radical
     e_plus       : (n, K+) basis of the positive eigenspace
     e_minus      : (n, K-) basis of the negative eigenspace
@@ -79,13 +77,10 @@ class SpectralData:
     """
 
     lam: np.ndarray
-    a_lam: np.ndarray
     radical: np.ndarray
     d: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    j_mat: np.ndarray
-    abs_j: np.ndarray
     j_prime: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
@@ -153,16 +148,12 @@ def spectral_data(model, lam, rtol=1e-10):
     mus = vals[keep]
     us = vecs[:, keep]
     sign_part = (us * np.sign(mus)) @ np.conj(us.T)
-    abs_part = (us * np.abs(mus)) @ np.conj(us.T)
     sd = SpectralData(
         lam=lam,
-        a_lam=alam,
         radical=radical,
         d=int(zero.sum()),
         eigenvalues=mus,
         eigenvectors=us,
-        j_mat=s * 1j * alam,
-        abs_j=abs_part,
         j_prime=s * 1j * sign_part,
         e_plus=us[:, mus > 0],
         e_minus=us[:, mus < 0],
@@ -172,6 +163,22 @@ def spectral_data(model, lam, rtol=1e-10):
     return sd
 
 
+def layer_invariants(model, lams, rtol=1e-10):
+    """|Pf|, negative-eigenvalue count and radical dimension of many layers.
+
+    One eigvalsh on the (J, n, n) stack of A(lam_j), under spectral_data's
+    zero rule: |mu| <= rtol max|mu| is zero, and every eigenvalue is when
+    A(lam_j) vanishes.  Returns (pfaffian (J,), n_negative (J,), d (J,)),
+    matching spectral_data's pfaffian, e_minus.shape[1] and d node by node.
+    """
+    lams = np.asarray(lams, dtype=float).reshape(-1, model.m)
+    vals = np.linalg.eigvalsh(np.tensordot(lams, model.A, axes=1))  # (J, n)
+    mags = np.abs(vals)
+    zero = mags <= rtol * mags.max(axis=1, initial=0.0, keepdims=True)
+    pfaffian = np.prod(np.where(zero, 1.0, mags), axis=1)
+    return pfaffian, np.sum(~zero & (vals < 0), axis=1), np.sum(zero, axis=1)
+
+
 def generic_dimension(model, seed=0, samples=64, box=1.0, rtol=1e-10):
     """Generic radical dimension, the minimum of d over sampled frequencies.
 
@@ -179,18 +186,9 @@ def generic_dimension(model, seed=0, samples=64, box=1.0, rtol=1e-10):
     the exceptional set where d jumps has measure zero, so the minimum over
     a modest sample is the generic value.
     """
-    rng = np.random.default_rng(seed)
-    best = model.n
-    for _ in range(samples):
-        lam = rng.uniform(-box, box, model.m)
-        alam = model.a_matrix(lam)
-        vals = np.linalg.eigvalsh(alam)
-        scale = np.max(np.abs(vals)) if vals.size else 0.0
-        d = model.n if scale == 0.0 else int(np.sum(np.abs(vals) <= rtol * scale))
-        best = min(best, d)
-        if best == 0:
-            break
-    return best
+    lams = np.random.default_rng(seed).uniform(-box, box, (samples, model.m))
+    _, _, d = layer_invariants(model, lams, rtol)
+    return int(d.min(initial=model.n))
 
 
 def is_exceptional(sd, generic_d):

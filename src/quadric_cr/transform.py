@@ -45,7 +45,7 @@ import numpy as np
 from .convex import ConvexBody, contains, empty_body, erode, support
 from .functions import GridSpec, SampledFunction, SpectralForm, central_transform
 from .quadrature import gauss_legendre, tensor_rule
-from .spectral import is_exceptional, spectral_data
+from .spectral import is_exceptional, layer_invariants, spectral_data
 
 __all__ = [
     "smooth_bump",
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 _EXP_CLAMP = 40.0
-_NODE_CAP = 16384
+_POINT_CAP = 16384
 
 
 def _pw_const(model):
@@ -143,10 +143,6 @@ def bump_profile(body, nodes=96, steepness=4.0):
     return profile_from_callable(body, fn, nodes=nodes)
 
 
-def _pfaffians(model, lams):
-    return np.array([spectral_data(model, lam).pfaffian for lam in lams])
-
-
 def inverse_FN(model, profile, grid=None):
     """Band-limited synthesis from a spectral profile.
 
@@ -158,15 +154,11 @@ def inverse_FN(model, profile, grid=None):
     """
     grid = grid or GridSpec()
     lams = profile.lambdas
-    warnings = []
-    pf = np.empty(lams.shape[0])
-    for j in range(lams.shape[0]):
-        sd = spectral_data(model, lams[j])
-        pf[j] = sd.pfaffian
-        if sd.e_minus.shape[1]:
-            warnings.append(
-                f"profile node {j} lies outside the closed positivity cone"
-            )
+    pf, n_negative, _ = layer_invariants(model, lams)
+    warnings = [
+        f"profile node {j} lies outside the closed positivity cone"
+        for j in np.flatnonzero(n_negative)
+    ]
     amp = _pw_const(model) * profile.weights * profile.values * pf  # (J,)
     meta = {"profile": profile}
     if warnings:
@@ -243,25 +235,34 @@ def extend(f, z, u):
     return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
 
 
-def _gl_refine(body, integrand, start=64, cap=_NODE_CAP, rtol=1e-8):
-    """Tensor Gauss value with node doubling until stable or capped.
+def _gl_refine(body, integrand, start=64, rtol=1e-8):
+    """Tensor Gauss value with node doubling until stable.
 
     integrand maps (J, m) nodes to (..., J) values; the weighted sum over
-    the last axis is the integral.
+    the last axis is the integral.  The rule may grow to _POINT_CAP points
+    in all, nodes per axis to the power m; a RuntimeError stating the last
+    relative change is raised when no two successive values agree to rtol
+    by then.
     """
     lo, hi = _body_box(body)
     m = lo.size
     nodes = start
     prev = None
-    while True:
+    change = np.inf
+    while nodes**m <= _POINT_CAP:
         lams, w = tensor_rule([gauss_legendre(nodes, lo[k], hi[k]) for k in range(m)])
         val = integrand(lams) @ w
         if prev is not None:
-            scale = np.max(np.abs(val)) + 1e-300
-            if np.max(np.abs(val - prev)) < rtol * scale or nodes * 2 > cap:
+            diff, scale = np.max(np.abs(val - prev)), np.max(np.abs(val)) + 1e-300
+            if diff < rtol * scale:
                 return val
+            change = diff / scale
         prev = val
         nodes *= 2
+    raise RuntimeError(
+        f"frequency quadrature did not settle within {_POINT_CAP} points: "
+        f"last relative change {change:.3e}, rtol {rtol:.1e}"
+    )
 
 
 def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
@@ -282,7 +283,7 @@ def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
     ph = model.phi(z)  # (P, m)
 
     def integrand(lams):
-        pf = _pfaffians(model, lams)
+        pf, _, _ = layer_invariants(model, lams)
         vals = np.asarray(profile.psi(lams), float)
         trace_factor = -(ph @ lams.T)  # <pi(z,0) e0, e0> on the positive side
         kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
@@ -480,7 +481,7 @@ def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
     mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:
-        inside = np.array([bool(contains(body, lam)) for lam in lam_grid])
+        inside = contains(body, lam_grid)
         total = mass.sum()
         out["outside_fraction"] = float(mass[~inside].sum() / total) if total > 0 else 0.0
     return out

@@ -1,8 +1,13 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadric_cr.configio import load_body
 from quadric_cr.convex import (
+    _nnls_residual,
     box_body,
     boundary_distance,
     cone_body,
@@ -46,6 +51,11 @@ def test_contains_polytope():
     seg = segment_body([0.0, 0.0], [1.0, 1.0])
     assert contains(seg, [0.25, 0.25])
     assert not contains(seg, [0.25, 0.3])
+    got = contains(box, [[0.5, 0.5], [1.1, 0.5]])
+    assert got.dtype == bool and got.tolist() == [True, False]
+    assert contains(box, [0.5, 0.5]) is True
+    with pytest.raises(ValueError):
+        contains(box, [0.5, 0.5, 0.5])
 
 
 def test_contains_cone():
@@ -79,7 +89,9 @@ def test_polar_cone_2d_single_ray_is_halfplane():
 
 def test_polar_cone_2d_wide_is_trivial():
     wide = cone_body([[1.0, 0.1], [-1.0, 0.1], [0.0, -1.0]])
-    assert polar_cone(wide).points.shape[0] == 0
+    trivial = polar_cone(wide)
+    assert trivial.points.shape[0] == 0
+    assert contains(trivial, [0.0, 0.0]) and not contains(trivial, [0.1, 0.0])
 
 
 def test_polar_cone_3d_octant():
@@ -156,3 +168,67 @@ def test_support_subadditive(seed):
     v, w = rng.uniform(-1, 1, size=(2, 2))
     assert support(body, v + w) <= support(body, v) + support(body, w) + 1e-12
     assert contains(body, verts.mean(axis=0))
+
+
+BODIES = Path(__file__).resolve().parents[1] / "scenarios" / "bodies"
+
+
+def _shipped(name):
+    return load_body(str(BODIES / f"{name}.body"))
+
+
+MEMBERSHIP_CASES = {
+    "interval": lambda: _shipped("k12"),
+    "box2": lambda: _shipped("box2"),
+    "seg": lambda: _shipped("seg"),
+    "halfline": lambda: _shipped("halfline"),
+    "quadrant": lambda: _shipped("quadrant"),
+    "quadrant-double-polar": lambda: polar_cone(polar_cone(_shipped("quadrant"))),
+    "octant-polar": lambda: polar_cone(cone_body(np.eye(3))),
+}
+
+
+def _probe_points(body, tol, rng):
+    """Random points, and points tol/2, tol scale/2 and 10 tol scale off every
+    vertex or generator and every edge midpoint, along the axes and the
+    diagonals: off the band where the two rules may differ."""
+    m = body.m
+    anchors = [body.points, np.zeros((1, m)) if body.kind == "cone" else body.points[:0]]
+    if body.kind == "cone":
+        anchors.append(3.0 * body.points)
+    for a, b in itertools.combinations(body.points, 2):
+        anchors.append(((a + b) / 2.0)[None, :])
+    anchors = np.concatenate(anchors)
+    dirs = np.concatenate([np.eye(m), -np.eye(m)])
+    if m > 1:
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        dirs = np.concatenate([dirs, signs / np.sqrt(m)])
+    pts = [rng.standard_normal((300, m)) * 2.0 + body.points.mean(axis=0)]
+    for a in anchors:
+        scale = max(1.0, np.abs(body.points).max(), np.abs(a).max())
+        for step in (tol / 2.0, tol * scale / 2.0, 10.0 * tol * scale):
+            pts.append(a + step * dirs)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
+def test_batched_contains_matches_nnls_point_by_point(case):
+    body = MEMBERSHIP_CASES[case]()
+    tol = 1e-9
+    pts = _probe_points(body, tol, np.random.default_rng(17))
+    got = contains(body, pts, tol=tol)
+    assert got.shape == (pts.shape[0],) and got.dtype == bool
+    for p, g in zip(pts, got):
+        scale = max(1.0, np.abs(body.points).max(), np.abs(p).max())
+        want = _nnls_residual(body, p) <= tol * scale
+        assert g == want, f"{case}: {p!r}"
+        assert contains(body, p, tol=tol) is bool(g)
+    # the probes sit on both sides of the boundary
+    assert got.any() and not got.all()
+
+
+def test_contains_on_the_empty_body():
+    body = empty_body(2)
+    assert contains(body, [0.0, 0.0]) is False
+    got = contains(body, np.zeros((5, 2)))
+    assert got.shape == (5,) and not got.any()

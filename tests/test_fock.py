@@ -23,7 +23,7 @@ from quadric_cr.fock import (
     rep_apply,
 )
 from quadric_cr.model import QuadraticModel, inverse, multiply
-from quadric_cr.quadrature import complex_grid, gauss_hermite, gauss_legendre, tensor_rule
+from quadric_cr.quadrature import complex_grid, gauss_legendre, tensor_rule
 from quadric_cr.spectral import generic_dimension, spectral_data
 from quadric_cr.convex import interval_body
 from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
@@ -49,6 +49,11 @@ def test_multi_indices_graded_lex():
     assert [tuple(r) for r in idx] == expected
     assert multi_indices(0, 5).shape == (1, 0)
     assert multi_indices(1, 3).shape == (4, 1)
+
+
+def gauss_hermite(num):
+    """Gauss-Hermite nodes and weights for the weight exp(-t^2) on the line."""
+    return np.polynomial.hermite.hermgauss(int(num))
 
 
 def test_basis_gram_orthonormal():

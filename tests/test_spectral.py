@@ -1,12 +1,18 @@
 """Frequency-layer diagonalization checks."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from quadric_cr.configio import load_body, load_model
 from quadric_cr.model import QuadraticModel
+from quadric_cr.transform import bump_profile
 from quadric_cr.spectral import (
     spectral_data,
+    layer_invariants,
     generic_dimension,
     is_exceptional,
     positivity_cone_contains,
@@ -26,6 +32,9 @@ PAIR22 = QuadraticModel(
     name="pair22",
 )
 ZERO11 = QuadraticModel(np.array([[[0.0]]]), name="flat")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# the shipped pair22 model: two decoupled copies of HEIS1, radical jumps on the axes
+DECOUPLED22 = load_model(str(SCENARIOS / "models" / "pair22.model"))
 
 coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -87,10 +96,10 @@ def test_jprime_squares_to_minus_identity_off_radical():
     proj = sd.eigenvectors @ np.conj(sd.eigenvectors.T)
     assert_allclose(sd.j_prime @ sd.j_prime, -proj, atol=1e-12)
     assert_allclose(sd.j_prime @ sd.radical, 0.0, atol=1e-12)
-    # |J| has the |mu_k| spectrum
-    assert_allclose(
-        np.sort(np.linalg.eigvalsh(sd.abs_j)), np.sort(np.abs(sd.eigenvalues)), atol=1e-12
-    )
+    # |Pf| is the product of A(lam)'s singular values above the rtol cut
+    sv = np.linalg.svd(PAIR22.a_matrix([0.3, -1.1]), compute_uv=False)
+    pf, _, _ = layer_invariants(PAIR22, [[0.3, -1.1]])
+    assert_allclose(pf, [np.prod(sv[sv > 1e-10 * sv.max()])], rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -153,3 +162,40 @@ def test_positivity_cone_membership():
     assert not lambda_plus_contains(HEIS1, [0.0], generic_d=0)
     assert not lambda_plus_contains(HEIS1, [-1.0], generic_d=0)
     assert lambda_plus_contains(DEG21, [0.7], generic_d=1)
+
+
+def _grid22(axis):
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, 2)
+
+
+# 32 nodes from -1.5 in steps of 0.125: each axis hits 0 exactly
+AXIS32 = np.linspace(-1.5, 2.375, 32)
+INVARIANT_CASES = {
+    "heis1": (HEIS1, np.linspace(-3.0, 3.0, 25)[:, None]),
+    "heis1-kneg": (HEIS1, bump_profile(load_body(str(SCENARIOS / "bodies" / "kneg.body")),
+                                       nodes=8).lambdas),
+    "deg21": (DEG21, np.linspace(-2.0, 2.0, 9)[:, None]),
+    "pair22-32x32": (DECOUPLED22, _grid22(AXIS32)),
+    "coupled22": (PAIR22, _grid22(np.linspace(-1.0, 1.0, 9))),
+    "flat": (ZERO11, np.array([[0.0], [1.5]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_layer_invariants_match_spectral_data(case):
+    model, lams = INVARIANT_CASES[case]
+    pf, n_negative, d = layer_invariants(model, lams)
+    assert pf.shape == n_negative.shape == d.shape == (lams.shape[0],)
+    for j, lam in enumerate(lams):
+        sd = spectral_data(model, lam)
+        assert_allclose(pf[j], sd.pfaffian, rtol=1e-13, err_msg=f"node {j}")
+        assert n_negative[j] == sd.e_minus.shape[1], f"node {j}"
+        assert d[j] == sd.d, f"node {j}"
+    # the cases reach every branch of the zero rule
+    if case == "deg21":
+        assert set(d) == {1, 2}  # the radical jumps at lam = 0
+    if case in ("heis1-kneg", "coupled22"):
+        assert n_negative.max() == 1
+    if case == "pair22-32x32":
+        assert set(d) == {0, 1, 2}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from quadric_cr import spectral, transform
 from quadric_cr.model import QuadraticModel
-from quadric_cr.convex import boundary_distance, interval_body, support
+from quadric_cr.convex import box_body, boundary_distance, interval_body, support
 from quadric_cr.fock import fock_basis, group_convolve, pi_of_f
 from quadric_cr.functions import (
     CHUNK_ELEMENTS,
@@ -118,6 +119,14 @@ def test_negative_cone_profile_warns():
     assert f.meta["warnings"] == tuple(
         f"profile node {j} lies outside the closed positivity cone" for j in range(8))
     assert "warnings" not in inverse_FN(HEIS1, bump_profile(K12, nodes=8)).meta
+    # a profile across lam = 0 warns on exactly the nodes spectral_data puts
+    # outside the cone
+    mixed = bump_profile(interval_body(-1.0, 1.0), nodes=9)
+    outside = [j for j, lam in enumerate(mixed.lambdas)
+               if spectral_data(HEIS1, lam).e_minus.shape[1]]
+    assert outside == [0, 1, 2, 3]
+    assert inverse_FN(HEIS1, mixed).meta["warnings"] == tuple(
+        f"profile node {j} lies outside the closed positivity cone" for j in outside)
 
 
 def test_round_trip_recovers_profile():
@@ -376,6 +385,43 @@ def test_extension_routes_agree():
     # the refined quadrature route matches the spectral-form continuation
     ve = extend(f, z, u)
     assert (np.abs(vb - ve) / np.abs(ve)).max() < 1e-12
+
+
+def test_profile_callers_take_no_per_node_spectral_data(monkeypatch):
+    def per_node(*args, **kwargs):
+        raise AssertionError("spectral_data called per profile node")
+
+    monkeypatch.setattr(spectral, "spectral_data", per_node)
+    monkeypatch.setattr(transform, "spectral_data", per_node)
+    prof = bump_profile(box_body([1.0, 3.0], [2.0, 5.0]), nodes=32)
+    assert prof.lambdas.shape == (1024, 2)
+    f = inverse_FN(DECOUPLED22, prof)
+    z = np.array([[0.1 + 0.2j, -0.3j]])
+    u = np.array([[0.2 + 0.5j, -0.1 + 0.4j]])
+    vb = extend_profile(DECOUPLED22, prof, z, u)
+    ve = extend(f, z, u)
+    assert np.abs(vb - ve).max() < 1e-6 * np.abs(ve).max()
+
+
+@pytest.mark.parametrize("body,seen_want,change", [
+    (K12, [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384], "5.000e-01"),
+    (box_body([1.0, 3.0], [2.0, 5.0]), [64**2, 128**2], "7.500e-01"),
+])
+def test_frequency_refinement_raises_when_it_never_settles(monkeypatch, body, seen_want, change):
+    # a cheap stand-in rule: leggauss at 16384 nodes takes minutes, and only
+    # the node counts matter here
+    monkeypatch.setattr(transform, "gauss_legendre",
+                        lambda num, lo, hi: (np.linspace(lo, hi, num), np.full(num, 1.0 / num)))
+    seen = []
+
+    def drifting(lams):  # the value grows with the number of points
+        seen.append(lams.shape[0])
+        return np.full(lams.shape[0], float(lams.shape[0]))
+
+    with pytest.raises(RuntimeError, match=rf"last relative change {change}, rtol 1\.0e-08"):
+        transform._gl_refine(body, drifting)
+    # the bound is on the points of the whole rule, not the nodes per axis
+    assert seen == seen_want
 
 
 def test_sharper_boundary_damping_shrinks_weighted_sup():
