@@ -167,8 +167,8 @@ def layer_invariants(model, lams, rtol=1e-10):
     """|Pf|, negative-eigenvalue count and radical dimension of many layers.
 
     One eigvalsh on the (J, n, n) stack of A(lam_j), under spectral_data's
-    zero rule: |mu| <= rtol max|mu| is zero, and every eigenvalue is when
-    A(lam_j) vanishes.  Returns (pfaffian (J,), n_negative (J,), d (J,)),
+    zero rule: an eigenvalue with |mu| <= rtol max|mu| counts as zero, so
+    all of them do when A(lam_j) = 0.  Returns (pfaffian (J,), n_negative (J,), d (J,)),
     matching spectral_data's pfaffian, e_minus.shape[1] and d node by node.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1, model.m)
