@@ -135,25 +135,20 @@ def contains(body, lam, tol=1e-9):
     by point.  The measure depends on the body:
 
     - polytope, m = 1: the distance to the interval;
-    - full-dimensional polytope: the largest violation of Qhull's facet
-      halfspaces, one matmul for the stack;
     - cone with linearly independent generators (none, or the one of a
       half-line, included): the distance to the cone, from its own
       generators (`_cone_distance`), never from halfspaces of its polar;
-    - anything else (a lower-dimensional polytope, a cone with dependent
+    - anything else (a polytope with m >= 2, a cone with dependent
       generators): the residual of a nonnegative least-squares fit on the
       generators, one nnls per point (`_nnls_residual`).
 
     The nnls rule is the reference.  On a cone it measures the same distance,
-    so the two agree up to rounding.  On a polytope it measures the distance
+    so the two agree up to rounding.  On an interval it measures the distance
     from (lam, 1) to the cone over the lifted vertices (v, 1), which lies
-    between d / sqrt(1 + R^2) and d, where d is the distance to the body and
-    R the largest vertex norm; the facet violation lies between d / c and d,
-    where c >= 1 grows as the corners sharpen: 1 on an interval, sqrt(m) on
-    an m-dimensional box.  The rules
-    therefore agree at every point with d <= tol * scale (inside) and with
-    d > max(c, sqrt(1 + R^2)) tol * scale (outside), and may differ only in
-    the band between.
+    between d / sqrt(1 + R^2) and d, where d is the distance to the interval
+    and R its largest endpoint norm.  The rules therefore agree at every point
+    with d <= tol * scale (inside) and with d > sqrt(1 + R^2) tol * scale
+    (outside), and may differ only in the band between.
     """
     lam = np.asarray(lam, float)
     pts = np.atleast_2d(lam)
@@ -175,9 +170,6 @@ def _measure(body, pts):
     if body.kind == "polytope" and body.m == 1:
         lo, hi = body.points.min(), body.points.max()
         return np.maximum(lo - pts[:, 0], pts[:, 0] - hi)
-    if body.kind == "polytope" and _affine_dim(body.points) == body.m:
-        eqs = _hull_halfspaces(body.points)
-        return np.max(pts @ eqs[:, :-1].T + eqs[:, -1], axis=1)
     if body.kind == "cone" and np.linalg.matrix_rank(body.points) == body.points.shape[0]:
         return _cone_distance(body.points, pts)
     return np.array([_nnls_residual(body, p) for p in pts])

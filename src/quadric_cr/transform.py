@@ -242,10 +242,17 @@ def _gl_refine(body, integrand, start=64, rtol=1e-8):
     the last axis is the integral.  The rule may grow to _POINT_CAP points
     in all, nodes per axis to the power m; a RuntimeError stating the last
     relative change is raised when no two successive values agree to rtol
-    by then.
+    by then.  A start whose first two rules do not fit in _POINT_CAP points
+    raises a ValueError before anything is evaluated.
     """
     lo, hi = _body_box(body)
     m = lo.size
+    if (2 * start) ** m > _POINT_CAP:
+        raise ValueError(
+            f"frequency quadrature from {start} nodes per axis on an m = {m} body "
+            f"needs {(2 * start) ** m} points for its first two rules, more than "
+            f"the {_POINT_CAP} allowed; start from fewer nodes"
+        )
     nodes = start
     prev = None
     change = np.inf
@@ -272,8 +279,11 @@ def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
 
         c_N int_K psi |Pf| e^{-<lam, Phi(z)>} e^{<lam, iu + Phi(z)>} dlam
 
-    with node doubling on the frequency body.  `extend_by_resynthesis` is
-    the independent route A.
+    with node doubling on the frequency body.  The rule holds at most 16384
+    points in all, and the first two rules, lam_nodes and 2 lam_nodes per
+    axis, must fit: lam_nodes <= 64 on m = 2 and <= 12 on m = 3; a larger
+    lam_nodes raises a ValueError.  `extend_by_resynthesis` is the
+    independent route A.
     """
     if profile.psi is None:
         raise ValueError("route B refinement needs the profile's evaluator")

@@ -424,6 +424,21 @@ def test_frequency_refinement_raises_when_it_never_settles(monkeypatch, body, se
     assert seen == seen_want
 
 
+@pytest.mark.parametrize("body,start,points", [
+    (K12, 16384, 32768),
+    (box_body([1.0, 3.0], [2.0, 5.0]), 128, 65536),
+    (box_body([1.0, 3.0, 0.0], [2.0, 5.0, 1.0]), 64, 2097152),
+])
+def test_frequency_refinement_refuses_a_start_it_cannot_refine(body, start, points):
+    def never(lams):
+        raise AssertionError("evaluated a rule it could never compare")
+
+    m = body.m
+    with pytest.raises(ValueError, match=rf"from {start} nodes per axis on an m = {m} body "
+                                         rf"needs {points} points .* the 16384 allowed"):
+        transform._gl_refine(body, never, start=start)
+
+
 def test_sharper_boundary_damping_shrinks_weighted_sup():
     # damping the profile like d(lam, bd K)^p trades frequency-edge mass
     # for decay of the extension; the polynomially weighted sup over a
