@@ -23,7 +23,7 @@ from .model import (
     central_slice,
 )
 from .spectral import spectral_data, generic_dimension, is_exceptional
-from .fock import fock_basis, rep_apply, pi_of_f, group_convolve, plancherel_residual
+from .fock import fock_basis, rep_apply, pi_of_f_batch, group_convolve, plancherel_residual
 from .transform import (
     bump_profile,
     inverse_FN,

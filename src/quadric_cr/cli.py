@@ -218,7 +218,6 @@ def _run_extend(scn, seed, rng):
     f = inverse_FN(model, prof)
     vb = extend_profile(model, prof, z, u, lam_nodes=scn.integer("lam_nodes", 64))
     va = extend_by_resynthesis(f, body, z, u, xbox=scn.flt("xbox", 160.0),
-                               xnodes=scn.integer("xnodes", 768),
                                lam_nodes=scn.integer("lam_nodes", 64))
     rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
     xb = rng.standard_normal((count, model.m)) * 2.0

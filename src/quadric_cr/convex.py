@@ -426,11 +426,12 @@ def cone_inequality_constant(body, directions=181, h_directions=181):
     hs = hs[keep]
     if hs.shape[0] == 0:
         raise ValueError("the polar cone contains no scan directions")
-    best = np.inf
-    for lam in lam_dirs:
-        dist = boundary_distance(body, lam)
-        if dist <= 1e-14:
-            continue
-        pairings = hs @ lam
-        best = min(best, float(np.min(pairings)) / dist)
-    return best
+    # the cone's facets have the polar's generators as unit normals, so
+    # every direction's boundary distance comes from the one polar
+    dual = polar_cone(body).points
+    if dual.shape[0] == 0:
+        return np.inf
+    dist = np.maximum(np.min(lam_dirs @ dual.T, axis=1), 0.0)
+    pairings = np.min(lam_dirs @ hs.T, axis=1)
+    keep = dist > 1e-14
+    return float(np.min(pairings[keep] / dist[keep], initial=np.inf))

@@ -19,8 +19,8 @@ is a displacement operator whose matrix elements have a closed form in
 generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 (1969)); no quadrature is involved.
 
-`pi_of_f` integrates these matrices against a boundary function over a
-tensor grid.  The perpendicular part of the grid is clipped where the layer
+`pi_of_f_batch` integrates these matrices against a boundary function over
+a tensor grid.  The perpendicular part of the grid is clipped where the layer
 weight phi_lam exceeds `PHI_CUT`.
 
 One runner computes every pi(f).  It takes a batch of layers sharing a frame
@@ -57,8 +57,6 @@ __all__ = [
     "multi_indices",
     "eval_basis",
     "rep_apply",
-    "OperatorMatrix",
-    "pi_of_f",
     "pi_of_f_batch",
     "group_convolve",
     "PlancherelConfig",
@@ -227,17 +225,6 @@ def rep_apply(fb, point, tau=None):
     return phase * _shift_matrices(fb, wz[None, :])[0]
 
 
-@dataclass
-class OperatorMatrix:
-    """pi_(lam,tau)(f) on the truncated basis, with quadrature diagnostics."""
-
-    lam: np.ndarray
-    tau: np.ndarray
-    degree: int
-    matrix: np.ndarray
-    warnings: tuple = ()
-
-
 def hs_norm(mat):
     """Hilbert-Schmidt norm of a matrix (or batch, last two axes)."""
     return np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1)))
@@ -293,11 +280,12 @@ def _tail_warning(part, whole, text):
 
 
 def pi_of_f_batch(fb, f, taus=None, grid=None):
-    """Integrated representation pi_(lam,tau)(f) for a batch of tau.
+    """Integrated representation pi_(lam,tau)(f) for a batch of tau, the one pi(f).
 
-    Returns (matrices (T, B, B), warnings).  The integral over the group is
-    a tensor-grid quadrature: central directions first (a Fourier phase at
-    the layer frequency), then radical directions against the tau phases,
+    taus is (T, 2d), by default the single tau = 0.  Returns (matrices
+    (T, B, B), warnings).  The integral over the group is a tensor-grid
+    quadrature: central directions first (a Fourier phase at the layer
+    frequency), then radical directions against the tau phases,
     then the perpendicular directions against the shift matrices.  The
     factored order changes nothing about which terms are summed.  This is
     one batch of one layer for `_run_layers`, the runner `plancherel_residual`
@@ -310,24 +298,11 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     grid = grid or f.grid
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
-    taus = np.asarray(taus, float)
-    if taus.ndim == 1:
-        taus = taus[None, :]
-    taus = taus.reshape(taus.shape[0], 2 * sd.d)
+    taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
     (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid, grid.e_rule(), taus)
     warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
                 + _tail_warning(xtail, xtot, _X_TAIL))
     return layer.share.reshape(-1, fb.size, fb.size), warnings
-
-
-def pi_of_f(fb, f, tau=None, grid=None):
-    """Integrated representation at a single tau, as an OperatorMatrix."""
-    sd = fb.sd
-    if tau is None:
-        tau = np.zeros(2 * sd.d)
-    tau = np.asarray(tau, float).reshape(2 * sd.d)
-    mats, warns = pi_of_f_batch(fb, f, taus=tau[None, :], grid=grid)
-    return OperatorMatrix(lam=sd.lam, tau=tau, degree=fb.degree, matrix=mats[0], warnings=warns)
 
 
 def group_convolve(f, g, grid=None):
@@ -419,7 +394,7 @@ def group_convolve(f, g, grid=None):
         return out.reshape(z.shape[:-1] + (J,))
 
     form = SpectralForm(lambdas, coeff)
-    return SampledFunction(model, form, grid, spectral=form, meta={"convolved": True})
+    return SampledFunction(model, form, grid, spectral=form)
 
 
 @dataclass

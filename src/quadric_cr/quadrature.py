@@ -78,11 +78,9 @@ def tensor_rule(rules):
     return nodes, weights
 
 
-def complex_grid(rule_re, rule_im=None):
+def complex_grid(rule):
     """Product rule on the complex plane, nodes s + i t with weight w_s * w_t."""
-    if rule_im is None:
-        rule_im = rule_re
-    nodes, weights = tensor_rule([rule_re, rule_im])
+    nodes, weights = tensor_rule([rule, rule])
     return nodes[:, 0] + 1j * nodes[:, 1], weights
 
 

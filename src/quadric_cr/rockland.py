@@ -92,7 +92,6 @@ class RocklandSpectrum:
 
     eigenvalues: np.ndarray
     alphas: np.ndarray
-    tau: np.ndarray
 
 
 def rockland_spectrum(fb, tau=None, keep_untrusted=False):
@@ -103,10 +102,6 @@ def rockland_spectrum(fb, tau=None, keep_untrusted=False):
     lose their raising contribution to the truncation and are deflated;
     they are dropped unless `keep_untrusted` is set.
     """
-    sd = fb.sd
-    if tau is None:
-        tau = np.zeros(2 * sd.d)
-    tau = np.asarray(tau, float).reshape(2 * sd.d)
     mat = rockland_matrix(fb, tau)
     off = mat - np.diag(np.diag(mat))
     if np.abs(off).max() > 1e-9 * max(1.0, np.abs(np.diag(mat)).max()):
@@ -116,4 +111,4 @@ def rockland_spectrum(fb, tau=None, keep_untrusted=False):
     keep = np.ones(fb.size, bool) if keep_untrusted else (degrees < max(fb.degree, 1))
     diag, alphas = diag[keep], fb.alphas[keep]
     order = np.argsort(diag, kind="stable")
-    return RocklandSpectrum(eigenvalues=diag[order], alphas=alphas[order], tau=tau)
+    return RocklandSpectrum(eigenvalues=diag[order], alphas=alphas[order])

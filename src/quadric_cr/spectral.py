@@ -179,14 +179,14 @@ def layer_invariants(model, lams, rtol=1e-10):
     return pfaffian, np.sum(~zero & (vals < 0), axis=1), np.sum(zero, axis=1)
 
 
-def generic_dimension(model, seed=0, samples=64, box=1.0, rtol=1e-10):
+def generic_dimension(model, rtol=1e-10):
     """Generic radical dimension, the minimum of d over sampled frequencies.
 
-    Frequencies are drawn uniformly from [-box, box]^m with the given seed;
-    the exceptional set where d jumps has measure zero, so the minimum over
-    a modest sample is the generic value.
+    64 frequencies are drawn uniformly from [-1, 1]^m with seed 0; the
+    exceptional set where d jumps has measure zero, so the minimum over a
+    modest sample is the generic value.
     """
-    lams = np.random.default_rng(seed).uniform(-box, box, (samples, model.m))
+    lams = np.random.default_rng(0).uniform(-1.0, 1.0, (64, model.m))
     _, _, d = layer_invariants(model, lams, rtol)
     return int(d.min(initial=model.n))
 

@@ -138,13 +138,7 @@ def embed_flat(sp, f2):
             return base(np.asarray(z, complex) @ e2c)
 
         spectral = SpectralForm(lams, coeff)
-    return SampledFunction(
-        sp.model, ev, f2.grid, spectral=spectral, meta={"embedded": True}
-    )
-
-
-def _phi_pair(model, a, b):
-    return model.phi_pair(a, b)
+    return SampledFunction(sp.model, ev, f2.grid, spectral=spectral)
 
 
 def split_invariants(sp, samples=32, seed=0):
@@ -180,8 +174,8 @@ def split_invariants(sp, samples=32, seed=0):
         cp = rng.standard_normal((samples, n2)) + 1j * rng.standard_normal((samples, n2))
         z = c @ sp.e2_basis.T
         zp = cp @ sp.e2_basis.T
-        full = _phi_pair(model, z, zp)  # (S, m)
-        red = _phi_pair(sp.phi2, c, cp)  # (S, r)
+        full = model.phi_pair(z, zp)  # (S, m)
+        red = sp.phi2.phi_pair(c, cp)  # (S, r)
         out["phi_restricts_to_phi2"] = float(
             np.abs(full @ sp.f2_basis - red).max()
         )
@@ -192,8 +186,8 @@ def split_invariants(sp, samples=32, seed=0):
         coords = zfull @ sp.e2_basis.conj()
         lam2 = rng.uniform(-1.0, 1.0, (samples, sp.f2_basis.shape[1]))
         lam = lam2 @ sp.f2_basis.T
-        lhs = np.einsum("sm,sm->s", lam, _phi_pair(model, zfull, zfull).real)
-        rhs = np.einsum("sr,sr->s", lam2, _phi_pair(sp.phi2, coords, coords).real)
+        lhs = np.einsum("sm,sm->s", lam, model.phi_pair(zfull, zfull).real)
+        rhs = np.einsum("sr,sr->s", lam2, sp.phi2.phi_pair(coords, coords).real)
         out["pairing_factors_through_phi2"] = float(np.abs(lhs - rhs).max())
     # commutators of the flat factor with the whole group stay flat: their
     # central part has no component along span K
@@ -204,7 +198,7 @@ def split_invariants(sp, samples=32, seed=0):
         zany = rng.standard_normal((samples, model.n)) + 1j * rng.standard_normal(
             (samples, model.n)
         )
-        comm = 4.0 * np.imag(_phi_pair(model, z1, zany))  # (S, m)
+        comm = 4.0 * np.imag(model.phi_pair(z1, zany))  # (S, m)
         out["flat_factor_is_normal"] = float(np.abs(comm @ sp.f2_basis).max())
     return out
 

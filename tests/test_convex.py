@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quadric_cr.configio import load_body
 from quadric_cr.convex import (
+    _body_directions,
     _nnls_residual,
+    _sphere_directions,
     box_body,
     boundary_distance,
     cone_body,
@@ -157,6 +159,41 @@ def test_cone_constant_halfline():
 def test_cone_constant_quadrant():
     c = cone_inequality_constant(cone_body([[1.0, 0.0], [0.0, 1.0]]))
     assert 0.99 <= c <= 1.05
+
+
+def _cone_constant_direction_by_direction(body, count):
+    """The scan of `cone_inequality_constant` with one `boundary_distance`
+    call, and so one polar cone, per lam direction."""
+    lam_dirs = _body_directions(body, count)
+    hs = _sphere_directions(body.m, count)
+    hs = hs[np.array([float(np.min(body.points @ h)) >= -1e-12 for h in hs])]
+    best = np.inf
+    for lam in lam_dirs:
+        dist = boundary_distance(body, lam)
+        if dist > 1e-14:
+            best = min(best, float(np.min(hs @ lam)) / dist)
+    return best
+
+
+CONE_SCANS = {
+    "halfline": ([[1.0]], (12, 40, 100)),
+    "quadrant": ([[1.0, 0.0], [0.0, 1.0]], (12, 40, 100)),
+    "wedge": ([[1.0, 0.2], [0.3, 1.0]], (12, 40, 100)),
+    # a square pyramid: mixtures of opposite generators cross its interior
+    "pyramid3d": ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]],
+                  (12, 40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_SCANS))
+def test_cone_constant_matches_the_per_direction_scan(name):
+    gens, counts = CONE_SCANS[name]
+    body = cone_body(gens)
+    for count in counts:
+        want = _cone_constant_direction_by_direction(body, count)
+        assert np.isfinite(want)
+        got = cone_inequality_constant(body, directions=count, h_directions=count)
+        assert got == pytest.approx(want, rel=1e-12), count
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)

@@ -17,7 +17,6 @@ from quadric_cr.fock import (
     group_convolve,
     hs_norm,
     multi_indices,
-    pi_of_f,
     pi_of_f_batch,
     plancherel_residual,
     rep_apply,
@@ -258,10 +257,10 @@ def test_rep_inverse_is_adjoint(lam, beta, theta, x):
 def test_gaussian_coherent_diagonal(lam):
     sd = spectral_data(HEIS1, np.array([lam]))
     fb = fock_basis(sd, 10)
-    op = pi_of_f(fb, gaussian_function(HEIS1))
+    (mat,), _ = pi_of_f_batch(fb, gaussian_function(HEIS1))
     pred = coherent_diag(lam, np.arange(11))
-    assert np.abs(np.real(np.diag(op.matrix)) - pred).max() < 1e-5
-    assert np.abs(op.matrix - np.diag(np.diag(op.matrix))).max() < 1e-5
+    assert np.abs(np.real(np.diag(mat)) - pred).max() < 1e-5
+    assert np.abs(mat - np.diag(np.diag(mat))).max() < 1e-5
 
 
 def test_gaussian_trace_formula():
@@ -272,10 +271,10 @@ def test_gaussian_trace_formula():
     for lam in (0.6, -1.2):
         sd = spectral_data(HEIS1, np.array([lam]))
         fb = fock_basis(sd, 16)
-        op = pi_of_f(fb, gaussian_function(HEIS1), grid=grid)
+        (mat,), _ = pi_of_f_batch(fb, gaussian_function(HEIS1), grid=grid)
         ghat = np.sqrt(np.pi) * np.exp(-(lam**2) / 4.0)
         pred = (np.pi / 2.0) * ghat / abs(lam)
-        assert abs(np.trace(op.matrix) - pred) < 1e-6
+        assert abs(np.trace(mat) - pred) < 1e-6
 
 
 def test_degenerate_tau_batch():
@@ -548,7 +547,7 @@ def spectral_oracle(f, g, grid=None):
         return out.reshape(z.shape[:-1] + (lambdas.shape[0],))
 
     form = SpectralForm(lambdas, coeff)
-    return SampledFunction(model, form, grid, spectral=form, meta={"convolved": True})
+    return SampledFunction(model, form, grid, spectral=form)
 
 
 def direct_oracle(f, g, grid=None):
@@ -579,7 +578,7 @@ def direct_oracle(f, g, grid=None):
             out[i] = np.sum(eweights[:, None] * xw[None, :] * fq * vals)
         return out.reshape(zb.shape[:-1])
 
-    return SampledFunction(model, ev, grid, meta={"convolved": True})
+    return SampledFunction(model, ev, grid)
 
 
 def test_convolution_oracles_agree():

@@ -4,7 +4,7 @@ import pytest
 from quadric_cr import spectral, transform
 from quadric_cr.model import QuadraticModel
 from quadric_cr.convex import box_body, boundary_distance, interval_body, support
-from quadric_cr.fock import fock_basis, group_convolve, pi_of_f
+from quadric_cr.fock import fock_basis, group_convolve, pi_of_f_batch
 from quadric_cr.functions import (
     CHUNK_ELEMENTS,
     GridSpec,
@@ -18,7 +18,6 @@ from quadric_cr.spectral import spectral_data
 from quadric_cr.transform import (
     SpectralProfile,
     bump_profile,
-    central_spectrum,
     extend,
     extend_by_resynthesis,
     extend_profile,
@@ -37,6 +36,8 @@ K12 = interval_body(1.0, 2.0)
 CONST1 = 1.0 / np.pi**2
 # band-limited data needs a long central quadrature box
 LONG = GridSpec(ebox=4.0, enodes=40, fbox=160.0, fnodes=768)
+# the point z = 0 of E, where the fiber transforms below are read
+ZERO = np.zeros((1, 1), complex)
 
 
 def test_smooth_bump_shape():
@@ -153,8 +154,7 @@ def test_trace_is_rank_one_on_band_limited_data():
     # whole matrix, not just the trace, collapses onto the ground state
     f = inverse_FN(HEIS1, bump_profile(K12, nodes=64), grid=LONG)
     sd = spectral_data(HEIS1, np.array([1.4]))
-    op = pi_of_f(fock_basis(sd, 6), f, grid=LONG)
-    mat = op.matrix
+    (mat,), _ = pi_of_f_batch(fock_basis(sd, 6), f, grid=LONG)
     psi = smooth_bump((1.4 - 1.5) / 0.5)
     assert abs(mat[0, 0] - psi) < 1e-6
     assert np.abs(np.diag(mat)[1:]).max() < 1e-6
@@ -218,7 +218,7 @@ def test_central_transform_gaussian_closed_form():
     want = np.sqrt(np.pi) * np.exp(-np.abs(z) ** 2 - lams[:, 0] ** 2 / 4.0)
     assert got.shape == (600, 5)
     assert np.abs(got / want - 1.0).max() < 1e-12
-    row = central_spectrum(f, lams, xbox=8.0, xnodes=768, z=z[417])
+    row = central_transform(f, lams, 8.0, 768)(z[417:418])[0][0]
     assert np.abs(row / got[417] - 1.0).max() < 1e-13
     # the x-sums of |f|: the box boundary is the two end nodes of the rule
     absf = np.abs(f(z[:, None, :], xn[None, :, :]))  # (Z, X)
@@ -302,9 +302,9 @@ def test_spectral_callers_build_no_central_rule(monkeypatch):
     calls = {
         "forward_FN": lambda: forward_FN(f1, probes, degree=4),
         "group_convolve": lambda: group_convolve(f1, f2),
-        "central_spectrum": lambda: central_spectrum(f1, probes),
+        "central_transform": lambda: central_transform(f1, probes, 160.0, 768)(ZERO),
         "extend_by_resynthesis": lambda: extend_by_resynthesis(
-            f1, K12, np.array([[0.2 + 0.1j]]), np.array([[0.3 + 0.5j]]), lam_nodes=24),
+            f1, K12, np.array([[0.2 + 0.1j]]), np.array([[0.3 + 0.5j]]), lam_nodes=48),
         "spectrum_support": lambda: spectrum_support(f1, np.linspace(0.0, 3.0, 7)),
     }
     for name, call in calls.items():
@@ -313,15 +313,15 @@ def test_spectral_callers_build_no_central_rule(monkeypatch):
         assert 768 not in built, name
     # a sampled function still gets its rule, built once
     built.clear()
-    central_spectrum(gaussian_function(HEIS1), probes)
+    central_transform(gaussian_function(HEIS1), probes, 160.0, 768)(ZERO)
     assert built == [768]
 
 
 def test_leakage_outside_body():
     f = inverse_FN(HEIS1, bump_profile(K12, nodes=64))
     outside = np.array([[0.5], [0.8], [2.2], [3.0], [-1.0]])
-    leak = np.abs(central_spectrum(f, outside, xbox=160.0, xnodes=768))
-    ref = np.abs(central_spectrum(f, np.array([[1.5]]), xbox=160.0, xnodes=768))
+    leak = np.abs(central_transform(f, outside, 160.0, 768)(ZERO)[0][0])
+    ref = np.abs(central_transform(f, np.array([[1.5]]), 160.0, 768)(ZERO)[0][0])
     assert (leak / ref).max() < 1e-7
 
 
@@ -385,6 +385,26 @@ def test_extension_routes_agree():
     # the refined quadrature route matches the spectral-form continuation
     ve = extend(f, z, u)
     assert (np.abs(vb - ve) / np.abs(ve)).max() < 1e-12
+
+
+def test_route_a_refuses_a_frequency_rule_too_coarse_for_its_box_kernel():
+    # on box2 = [1, 2] x [3, 5] the xbox = 160 kernel turns through 160
+    # radians across the second axis, so route A needs 2 lam_nodes - 1 >= 160;
+    # its default 64 nodes read a relative error near 2 against route B
+    box2 = box_body([1.0, 3.0], [2.0, 5.0])
+    prof = bump_profile(box2, nodes=32)
+    f = inverse_FN(DECOUPLED22, prof)
+    rng = np.random.default_rng(4)
+    z = 0.4 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    u = rng.standard_normal((6, 2)) + 1j * (DECOUPLED22.phi(z) + rng.uniform(0.05, 0.5, (6, 2)))
+    with pytest.raises(ValueError, match="lam_nodes >= 81"):
+        extend_by_resynthesis(f, box2, z, u)
+    with pytest.raises(ValueError, match="lam_nodes >= 41"):
+        extend_by_resynthesis(f, box2, z, u, xbox=80.0, lam_nodes=32)
+    # resolved, the routes agree (8.0e-4 measured at 96 nodes)
+    vb = extend_profile(DECOUPLED22, prof, z, u)
+    va = extend_by_resynthesis(f, box2, z, u, lam_nodes=96)
+    assert (np.abs(va - vb) / np.abs(vb)).max() < 2e-3
 
 
 def test_profile_callers_take_no_per_node_spectral_data(monkeypatch):
