@@ -17,7 +17,6 @@ from .model import (
     ambient_inverse,
     rho,
     dilate,
-    radical_basis,
     apply_cr_field,
     apply_ambient_cr_field,
     central_slice,

@@ -19,7 +19,6 @@ import numpy as np
 from . import configio as cio
 from .configio import ConfigError, MissingReferenceError
 from .convex import (
-    boundary_distance,
     cone_inequality_constant,
     contains,
     erode,
@@ -32,9 +31,16 @@ from .functions import GridSpec, SampledFunction, SpectralForm, gaussian_functio
 from .model import apply_cr_field
 from .rockland import rockland_eigenvalue, rockland_matrix, rockland_spectrum
 from .spectral import generic_dimension, is_exceptional, spectral_data
-from .split import split, split_invariants, support_invariance, verify_split_growth
+from .split import (
+    embed_flat,
+    split,
+    split_invariants,
+    support_invariance,
+    verify_split_growth,
+)
 from .transform import (
     bandlimit_project,
+    bump_profile,
     extend,
     extend_by_resynthesis,
     extend_profile,
@@ -109,7 +115,7 @@ def _run_spectral(scn, seed, rng):
     for lam in grid:
         sd = spectral_data(model, lam)
         exc = is_exceptional(sd, gen_d)
-        basis = np.concatenate([sd.e_plus, sd.e_minus, sd.radical], axis=1)
+        basis = np.concatenate([sd.eigenvectors, sd.radical], axis=1)
         resid = float(np.abs(basis.conj().T @ basis - np.eye(model.n)).max())
         mu_min = float(sd.eigenvalues.min()) if sd.eigenvalues.size else 0.0
         mu_max = float(sd.eigenvalues.max()) if sd.eigenvalues.size else 0.0
@@ -340,19 +346,10 @@ def _run_split(scn, seed, rng):
         "active_layer_dim": sp.e2_basis.shape[1],
     }
     if sp.phi2 is not None:
-        from .transform import bump_profile
-
-        f = None
-        try:
-            f = inverse_FN(sp.phi2, bump_profile(sp.body2, nodes=32))
-        except NotImplementedError:
-            pass
-        if f is not None:
-            from .split import embed_flat
-
-            rep = verify_split_growth(embed_flat(sp, f), sp)
-            for k, v in sorted(rep.items()):
-                rows.append((f"growth_{k}", v))
+        f = inverse_FN(sp.phi2, bump_profile(sp.body2, nodes=32))
+        rep = verify_split_growth(embed_flat(sp, f), sp)
+        for k, v in sorted(rep.items()):
+            rows.append((f"growth_{k}", v))
     cols = ["quantity", "value"]
     checks = [
         _check("split_invariants", max(res.values()), scn.flt("tol_invariants", 1e-12)),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .convex import box_body, cone_body, interval_body, polytope_body, segment_body
 from .model import QuadraticModel
-from .transform import profile_from_callable, smooth_bump
+from .transform import bump_profile, profile_from_callable
 
 __all__ = [
     "ConfigError",
@@ -157,19 +157,8 @@ def load_profile(path, body):
     scale = float(kv.get("scale", "1.0"))
     if shape != "bump":
         raise ParseError(f"{path}: unknown profile shape {shape!r}")
-    from .transform import _body_box
-
-    lo, hi = _body_box(body)
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-
-    def fn(lams):
-        t = (np.asarray(lams, float) - mid) / half
-        out = np.ones(t.shape[0])
-        for k in range(t.shape[1]):
-            out = out * smooth_bump(t[:, k], steepness=steep)
-        return scale * out
-
-    return profile_from_callable(body, fn, nodes=nodes)
+    bump = bump_profile(body, nodes=nodes, steepness=steep)
+    return profile_from_callable(body, lambda lams: scale * bump.psi(lams), nodes=nodes)
 
 
 class Scenario:

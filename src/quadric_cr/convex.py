@@ -383,29 +383,34 @@ def _sphere_directions(m, count):
 
 
 def _body_directions(body, count):
-    """Deterministic directions inside the cone: simplex mixes of generators."""
+    """Deterministic unit directions inside the cone, mixes of its generators.
+
+    Every pair of generators is mixed along the segment between them.  With
+    three or more generators those mixes may all lie on faces (they do on a
+    simplicial cone), so strictly positive weights on a simplex lattice of
+    at least count points are added to reach the interior.
+    """
     rays = _rays(body)
-    if rays.shape[0] == 0:
+    k = rays.shape[0]
+    if k <= 1:
         return rays
-    if rays.shape[0] == 1:
-        return rays
+    steps = max(2, count // (k - 1))
+    mixes = [(1 - t) * rays[i] + t * rays[j]
+             for i, j in itertools.combinations(range(k), 2)
+             for t in np.linspace(0.0, 1.0, steps)]
+    if k > 2:
+        s = k
+        while math.comb(s - 1, k - 1) < count:
+            s += 1
+        # the k - 1 bars of a stars-and-bars split of s give weights >= 1/s
+        for bars in itertools.combinations(range(1, s), k - 1):
+            mixes.append(np.diff((0,) + bars + (s,)) / s @ rays)
     out = []
-    steps = max(2, count // max(1, rays.shape[0] - 1))
-    if rays.shape[0] == 2:
-        for t in np.linspace(0.0, 1.0, steps):
-            v = (1 - t) * rays[0] + t * rays[1]
-            n = np.linalg.norm(v)
-            if n > _TOL:
-                out.append(v / n)
-        return np.array(out)
-    for i in range(rays.shape[0]):
-        for j in range(i + 1, rays.shape[0]):
-            for t in np.linspace(0.0, 1.0, steps):
-                v = (1 - t) * rays[i] + t * rays[j]
-                n = np.linalg.norm(v)
-                if n > _TOL:
-                    out.append(v / n)
-    return _dedupe(np.array(out))
+    for v in mixes:
+        n = np.linalg.norm(v)
+        if n > _TOL:
+            out.append(v / n)
+    return np.array(out)
 
 
 def cone_inequality_constant(body, directions=181, h_directions=181):
@@ -433,5 +438,7 @@ def cone_inequality_constant(body, directions=181, h_directions=181):
         return np.inf
     dist = np.maximum(np.min(lam_dirs @ dual.T, axis=1), 0.0)
     pairings = np.min(lam_dirs @ hs.T, axis=1)
-    keep = dist > 1e-14
+    # a direction on a face reads a rounding residue of the 3-d polar's
+    # joggled hull, up to ~5e-11, not 0: skip it
+    keep = dist > 1e-9
     return float(np.min(pairings[keep] / dist[keep], initial=np.inf))

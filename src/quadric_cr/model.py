@@ -36,7 +36,6 @@ __all__ = [
     "ambient_inverse",
     "rho",
     "dilate",
-    "radical_basis",
     "apply_cr_field",
     "apply_ambient_cr_field",
     "central_slice",
@@ -145,21 +144,6 @@ def dilate(model, t, p):
     if t <= 0:
         raise ValueError("dilation parameter must be positive")
     return np.sqrt(t) * np.asarray(z, complex), t * np.asarray(x, float)
-
-
-def radical_basis(model, lam, rtol=1e-10):
-    """Orthonormal basis of the kernel of A(lam), shape (n, d).
-
-    Eigenvalues of magnitude below rtol times the largest magnitude count
-    as zero.  A frequency where every eigenvalue vanishes returns the
-    identity-sized basis (the whole of E is radical there).
-    """
-    alam = model.a_matrix(lam)
-    vals, vecs = np.linalg.eigh(alam)
-    scale = np.max(np.abs(vals)) if vals.size else 0.0
-    if scale == 0.0:
-        return np.eye(model.n, dtype=complex)
-    return vecs[:, np.abs(vals) <= rtol * scale]
 
 
 def apply_cr_field(model, v, f, z, x, conjugate=False, step=1e-4):

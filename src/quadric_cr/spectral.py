@@ -13,6 +13,13 @@ conjugated on the negative eigenspace.  phi_lam(z) = phi_lam(z, z) is the
 Gaussian weight of the frequency's Fock space, and it coincides with
 <lam, Phi(z)> exactly when lam lies in the positivity cone.
 
+Which eigenvalues count as zero is decided in one place, `_zero`: |mu| <=
+ZERO_RTOL max|mu| on the layer, so all of them do when A(lam) = 0.  The
+radical, d, |Pf| (the product of the nonzero |mu|, empty product 1) and the
+negative-eigenvalue count all follow from it, for one layer
+(`spectral_data`) or a stack (`layer_invariants`).  The closed positivity
+cone is where that count is 0.
+
 The sign in J = s i A(lam) is a global orientation choice; +1 is pinned at
 import time by checking positivity of phi_lam on a reference model, and the
 dual formula above is re-checked against the eigenvector form in the tests.
@@ -31,9 +38,9 @@ __all__ = [
     "layer_invariants",
     "generic_dimension",
     "is_exceptional",
-    "positivity_cone_contains",
-    "lambda_plus_contains",
 ]
+
+ZERO_RTOL = 1e-10
 
 
 @functools.lru_cache(maxsize=1)
@@ -61,6 +68,16 @@ def _orientation_sign():
     return good[0]
 
 
+def _zero(vals):
+    """Which eigenvalues of A(lam) count as zero, shape (..., n) like vals.
+
+    The package's one eigenvalue rule: |mu| <= ZERO_RTOL max|mu| over the
+    layer (the last axis), so every eigenvalue counts when A(lam) = 0.
+    """
+    mags = np.abs(vals)
+    return mags <= ZERO_RTOL * mags.max(axis=-1, initial=0.0, keepdims=True)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Linear data of one frequency layer.
@@ -70,9 +87,6 @@ class SpectralData:
     d            : complex dimension of the radical
     eigenvalues  : (K,) nonzero eigenvalues mu_k of A(lam), ascending
     eigenvectors : (n, K) matching orthonormal eigenvectors u_k
-    j_prime      : J' = s i sign(A(lam)), vanishing on the radical
-    e_plus       : (n, K+) basis of the positive eigenspace
-    e_minus      : (n, K-) basis of the negative eigenspace
     pfaffian     : |Pf| = product of |mu_k| (empty product 1)
     """
 
@@ -81,15 +95,18 @@ class SpectralData:
     d: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    j_prime: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
     pfaffian: float
 
     @property
     def kdim(self):
         """Complex dimension n - d of the nondegenerate part."""
         return self.eigenvalues.size
+
+    @property
+    def j_prime(self):
+        """J' = s i sign(A(lam)), vanishing on the radical."""
+        us = self.eigenvectors
+        return _orientation_sign() * 1j * ((us * np.sign(self.eigenvalues)) @ np.conj(us.T))
 
     def w_coords(self, z):
         """lam-holomorphic coordinates of z, shape (..., K).
@@ -106,15 +123,15 @@ class SpectralData:
         wb = self.w_coords(b)
         return np.einsum("k,...k,...k->...", np.abs(self.eigenvalues), wa, np.conj(wb))
 
-    def phi_lam_pair_twisted(self, a, b):
-        """Same pairing through the twisted-structure formula.
+    def phi_lam_pair_twisted(self, model, a, b):
+        """Same pairing through the twisted-structure formula on the layer's model.
 
         <lam, Im Phi(J'a, b)> + i <lam, Im Phi(a, b)>, kept as an independent
         route so the two expressions can be checked against each other.
         """
         ja = np.einsum("ij,...j->...i", self.j_prime, np.asarray(a, complex))
-        first = np.einsum("k,...k->...", self.lam, np.imag(self._phi_pair(ja, b)))
-        second = np.einsum("k,...k->...", self.lam, np.imag(self._phi_pair(a, b)))
+        first = np.einsum("k,...k->...", self.lam, np.imag(model.phi_pair(ja, b)))
+        second = np.einsum("k,...k->...", self.lam, np.imag(model.phi_pair(a, b)))
         return first + 1j * second
 
     def phi_lam(self, z):
@@ -127,59 +144,42 @@ class SpectralData:
         return np.asarray(z, complex) @ np.conj(self.radical)
 
 
-def spectral_data(model, lam, rtol=1e-10):
+def spectral_data(model, lam):
     """Diagonalize one frequency layer of the model.
 
-    Eigenvalues of A(lam) with magnitude at most rtol times the largest are
-    treated as zero and span the radical.  The orientation sign is the
-    import-time pinned one.
+    The eigenvalues `_zero` counts as zero span the radical; the orientation
+    sign of J' is the pinned one.
     """
-    s = _orientation_sign()
     lam = np.asarray(lam, dtype=float).reshape(model.m)
-    alam = model.a_matrix(lam)
-    vals, vecs = np.linalg.eigh(alam)
-    scale = np.max(np.abs(vals)) if vals.size else 0.0
-    if scale == 0.0:
-        zero = np.zeros_like(vals, dtype=bool) | True
-    else:
-        zero = np.abs(vals) <= rtol * scale
-    radical = vecs[:, zero]
-    keep = ~zero
-    mus = vals[keep]
-    us = vecs[:, keep]
-    sign_part = (us * np.sign(mus)) @ np.conj(us.T)
-    sd = SpectralData(
+    vals, vecs = np.linalg.eigh(model.a_matrix(lam))
+    zero = _zero(vals)
+    mus = vals[~zero]
+    return SpectralData(
         lam=lam,
-        radical=radical,
+        radical=vecs[:, zero],
         d=int(zero.sum()),
         eigenvalues=mus,
-        eigenvectors=us,
-        j_prime=s * 1j * sign_part,
-        e_plus=us[:, mus > 0],
-        e_minus=us[:, mus < 0],
-        pfaffian=float(np.prod(np.abs(mus))) if mus.size else 1.0,
+        eigenvectors=vecs[:, ~zero],
+        pfaffian=float(np.prod(np.abs(mus))),
     )
-    object.__setattr__(sd, "_phi_pair", model.phi_pair)
-    return sd
 
 
-def layer_invariants(model, lams, rtol=1e-10):
+def layer_invariants(model, lams):
     """|Pf|, negative-eigenvalue count and radical dimension of many layers.
 
-    One eigvalsh on the (J, n, n) stack of A(lam_j), under spectral_data's
-    zero rule: an eigenvalue with |mu| <= rtol max|mu| counts as zero, so
-    all of them do when A(lam_j) = 0.  Returns (pfaffian (J,), n_negative (J,), d (J,)),
-    matching spectral_data's pfaffian, e_minus.shape[1] and d node by node.
+    One eigvalsh on the (J, n, n) stack of A(lam_j), under the `_zero` rule.
+    Returns (pfaffian (J,), n_negative (J,), d (J,)), matching spectral_data's
+    pfaffian, number of negative eigenvalues and d node by node; a layer is in
+    the closed positivity cone exactly when its n_negative is 0.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1, model.m)
     vals = np.linalg.eigvalsh(np.tensordot(lams, model.A, axes=1))  # (J, n)
-    mags = np.abs(vals)
-    zero = mags <= rtol * mags.max(axis=1, initial=0.0, keepdims=True)
-    pfaffian = np.prod(np.where(zero, 1.0, mags), axis=1)
+    zero = _zero(vals)
+    pfaffian = np.prod(np.where(zero, 1.0, np.abs(vals)), axis=1)
     return pfaffian, np.sum(~zero & (vals < 0), axis=1), np.sum(zero, axis=1)
 
 
-def generic_dimension(model, rtol=1e-10):
+def generic_dimension(model):
     """Generic radical dimension, the minimum of d over sampled frequencies.
 
     64 frequencies are drawn uniformly from [-1, 1]^m with seed 0; the
@@ -187,36 +187,10 @@ def generic_dimension(model, rtol=1e-10):
     modest sample is the generic value.
     """
     lams = np.random.default_rng(0).uniform(-1.0, 1.0, (64, model.m))
-    _, _, d = layer_invariants(model, lams, rtol)
+    _, _, d = layer_invariants(model, lams)
     return int(d.min(initial=model.n))
 
 
 def is_exceptional(sd, generic_d):
     """Whether a layer's radical is larger than the generic one."""
     return sd.d > generic_d
-
-
-def positivity_cone_contains(model, lam, tol=1e-10):
-    """Membership in the closed positivity cone, A(lam) positive semidefinite."""
-    vals = np.linalg.eigvalsh(model.a_matrix(lam))
-    scale = max(1.0, np.max(np.abs(vals)) if vals.size else 0.0)
-    return bool(np.min(vals) >= -tol * scale) if vals.size else True
-
-
-def lambda_plus_contains(model, lam, generic_d=None, tol=1e-10, rtol=1e-10):
-    """Membership in the open positive stratum.
-
-    A(lam) must be positive semidefinite with radical of exactly the
-    generic dimension; these are the frequencies whose Fock weight
-    phi_lam(z) agrees with <lam, Phi(z)>.
-    """
-    if generic_d is None:
-        generic_d = generic_dimension(model)
-    vals = np.linalg.eigvalsh(model.a_matrix(lam))
-    scale = np.max(np.abs(vals)) if vals.size else 0.0
-    if scale == 0.0:
-        return generic_d == model.n
-    if np.min(vals) < -tol * scale:
-        return False
-    d = int(np.sum(np.abs(vals) <= rtol * scale))
-    return d == generic_d

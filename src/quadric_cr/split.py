@@ -26,7 +26,7 @@ import numpy as np
 from .convex import ConvexBody, polytope_body, support
 from .functions import SampledFunction, SpectralForm
 from .model import QuadraticModel
-from .spectral import positivity_cone_contains
+from .spectral import layer_invariants
 
 __all__ = [
     "SplitData",
@@ -71,11 +71,8 @@ def split(model, body):
     if body.kind != "polytope":
         raise ValueError("splitting needs a polytope frequency body")
     pts = body.points
-    for v in pts:
-        if not positivity_cone_contains(model, v):
-            raise ValueError(
-                "the frequency body must lie in the closed positivity cone"
-            )
+    if layer_invariants(model, pts)[1].any():
+        raise ValueError("the frequency body must lie in the closed positivity cone")
     u, s, vt = np.linalg.svd(pts.T, full_matrices=True)
     r = int(np.sum(s > _RTOL * max(s[0] if s.size else 0.0, 1e-300)))
     f2 = _sign_fix(u[:, :r])
@@ -203,7 +200,7 @@ def split_invariants(sp, samples=32, seed=0):
     return out
 
 
-def support_invariance(sp, samples=64, seed=0, scale=1.5):
+def support_invariance(sp, samples=64, seed=0):
     """Max gap of H_K(rho(z1+z2, u1+u2)) against the reduced H on rho2.
 
     Flat components move freely; the supporting function of K only sees
@@ -215,6 +212,7 @@ def support_invariance(sp, samples=64, seed=0, scale=1.5):
     rng = np.random.default_rng(seed)
     n1, n2 = sp.e1_basis.shape[1], sp.e2_basis.shape[1]
     m1, r = sp.f1_basis.shape[1], sp.f2_basis.shape[1]
+    scale = 1.5  # every sampled coordinate is a complex normal of this size
     worst = 0.0
     for _ in range(samples):
         c1 = (rng.standard_normal(n1) + 1j * rng.standard_normal(n1)) * scale
@@ -230,17 +228,16 @@ def support_invariance(sp, samples=64, seed=0, scale=1.5):
     return worst
 
 
-def verify_split_growth(f, sp, ts=None):
+def verify_split_growth(f, sp):
     """Probe constancy along flat directions and decay along active ones.
 
     Returns a dict with the relative variation of |f| along the first flat
     first-layer and central directions (exactly zero for split-banded
     functions) and the log-log slope of -log|f| along an active first-layer
-    direction (two for the Gaussian layer weight).
+    direction (two for the Gaussian layer weight), all probed at distances
+    0.75, 1, 1.5, 2 and 3.
     """
-    if ts is None:
-        ts = np.array([0.75, 1.0, 1.5, 2.0, 3.0])
-    ts = np.asarray(ts, float)
+    ts = np.array([0.75, 1.0, 1.5, 2.0, 3.0])
     m, n = sp.model.m, sp.model.n
     x0 = np.zeros((1, m))
     base = np.abs(f(np.zeros((1, n), complex), x0))[0]

@@ -66,6 +66,7 @@ __all__ = [
 
 _EXP_CLAMP = 40.0
 _POINT_CAP = 16384
+_REFINE_RTOL = 1e-8
 
 
 def _pw_const(model):
@@ -222,15 +223,15 @@ def extend(f, z, u):
     return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
 
 
-def _gl_refine(body, integrand, start=64, rtol=1e-8):
+def _gl_refine(body, integrand, start=64):
     """Tensor Gauss value with node doubling until stable.
 
     integrand maps (J, m) nodes to (..., J) values; the weighted sum over
     the last axis is the integral.  The rule may grow to _POINT_CAP points
     in all, nodes per axis to the power m; a RuntimeError stating the last
-    relative change is raised when no two successive values agree to rtol
-    by then.  A start whose first two rules do not fit in _POINT_CAP points
-    raises a ValueError before anything is evaluated.
+    relative change is raised when no two successive values agree to
+    _REFINE_RTOL by then.  A start whose first two rules do not fit in
+    _POINT_CAP points raises a ValueError before anything is evaluated.
     """
     lo, hi = _body_box(body)
     m = lo.size
@@ -248,18 +249,18 @@ def _gl_refine(body, integrand, start=64, rtol=1e-8):
         val = integrand(lams) @ w
         if prev is not None:
             diff, scale = np.max(np.abs(val - prev)), np.max(np.abs(val)) + 1e-300
-            if diff < rtol * scale:
+            if diff < _REFINE_RTOL * scale:
                 return val
             change = diff / scale
         prev = val
         nodes *= 2
     raise RuntimeError(
         f"frequency quadrature did not settle within {_POINT_CAP} points: "
-        f"last relative change {change:.3e}, rtol {rtol:.1e}"
+        f"last relative change {change:.3e}, rtol {_REFINE_RTOL:.1e}"
     )
 
 
-def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
+def extend_profile(model, profile, z, u, lam_nodes=64):
     """Ambient extension straight from a profile (route B).
 
     Quadratures the rank-one trace display
@@ -286,7 +287,7 @@ def extend_profile(model, profile, z, u, lam_nodes=64, rtol=1e-8):
         kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
         return const * vals * pf * np.exp(trace_factor + kernel)
 
-    return _gl_refine(profile.body, integrand, start=lam_nodes, rtol=rtol)
+    return _gl_refine(profile.body, integrand, start=lam_nodes)
 
 
 def extend_by_resynthesis(f, body, z, u, xbox=160.0, xnodes=768, lam_nodes=64):

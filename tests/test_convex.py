@@ -170,7 +170,7 @@ def _cone_constant_direction_by_direction(body, count):
     best = np.inf
     for lam in lam_dirs:
         dist = boundary_distance(body, lam)
-        if dist > 1e-14:
+        if dist > 1e-9:
             best = min(best, float(np.min(hs @ lam)) / dist)
     return best
 
@@ -182,6 +182,9 @@ CONE_SCANS = {
     # a square pyramid: mixtures of opposite generators cross its interior
     "pyramid3d": ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]],
                   (12, 40)),
+    # simplicial: every mixture of two generators lies on a face
+    "octant": (np.eye(3).tolist(), (12, 40)),
+    "simplicial3d": ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]], (12, 40)),
 }
 
 
@@ -194,6 +197,20 @@ def test_cone_constant_matches_the_per_direction_scan(name):
         assert np.isfinite(want)
         got = cone_inequality_constant(body, directions=count, h_directions=count)
         assert got == pytest.approx(want, rel=1e-12), count
+
+
+def test_cone_constant_on_simplicial_3d_cones():
+    """Pair mixtures of three generators lie on faces, where the joggled polar
+    leaves a ~5e-11 distance; the interior lattice carries the scan.  The
+    octant's sharp constant is 1 (dist = min lam_k, <lam, h> >= min lam_k
+    sum h_k); before the lattice the octant read 0 and the second cone 4e8."""
+    octant = cone_body(np.eye(3))
+    simplicial = cone_body([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+    for count in (20, 100, 181):
+        c = cone_inequality_constant(octant, directions=count, h_directions=count)
+        assert c == pytest.approx(1.0, abs=1e-8), count
+        c = cone_inequality_constant(simplicial, directions=count, h_directions=count)
+        assert 0.5 < c < 2.0, count
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)

@@ -14,11 +14,11 @@ from quadric_cr.model import (
     ambient_inverse,
     rho,
     dilate,
-    radical_basis,
     apply_cr_field,
     apply_ambient_cr_field,
     central_slice,
 )
+from quadric_cr.spectral import spectral_data
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]]), name="heis1")
 DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]]), name="deg21")
@@ -148,13 +148,13 @@ def test_dilation_is_automorphism():
 
 
 def test_radical_of_degenerate_model():
-    rad = radical_basis(DEG21, np.array([1.0]))
+    rad = spectral_data(DEG21, np.array([1.0])).radical
     assert rad.shape == (2, 1)
     # kernel of diag(1, 0) is the second coordinate axis
     assert_allclose(np.abs(rad[:, 0]), np.array([0.0, 1.0]), atol=1e-12)
     # at lam = 0 everything is radical
-    assert radical_basis(DEG21, np.array([0.0])).shape == (2, 2)
-    assert radical_basis(HEIS1, np.array([2.0])).shape == (1, 0)
+    assert spectral_data(DEG21, np.array([0.0])).radical.shape == (2, 2)
+    assert spectral_data(HEIS1, np.array([2.0])).radical.shape == (1, 0)
 
 
 def cr_witness(z, x):

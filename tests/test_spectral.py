@@ -15,8 +15,7 @@ from quadric_cr.spectral import (
     layer_invariants,
     generic_dimension,
     is_exceptional,
-    positivity_cone_contains,
-    lambda_plus_contains,
+    ZERO_RTOL,
     _orientation_sign,
 )
 
@@ -48,8 +47,8 @@ def test_heis1_positive_layer():
     assert sd.d == 0
     assert sd.pfaffian == 2.0
     assert_allclose(sd.eigenvalues, [2.0])
-    assert sd.e_plus.shape == (1, 1)
-    assert sd.e_minus.shape == (1, 0)
+    assert sd.eigenvectors.shape == (1, 1)
+    assert not (sd.eigenvalues < 0).any()
     one = np.array([1.0 + 0j])
     assert_allclose(sd.phi_lam(one), 2.0, atol=1e-14)
     # on the positive cone the Fock weight equals <lam, Phi(z)>
@@ -69,8 +68,8 @@ def test_heis1_negative_layer():
     sd = spectral_data(HEIS1, [-1.0])
     assert sd.d == 0
     assert sd.pfaffian == 1.0
-    assert sd.e_plus.shape == (1, 0)
-    assert sd.e_minus.shape == (1, 1)
+    assert sd.eigenvectors.shape == (1, 1)
+    assert (sd.eigenvalues < 0).all()
     z = np.array([1.0 + 2.0j])
     # the weight is positive even though <lam, Phi(z)> is negative here
     assert_allclose(sd.phi_lam(z), np.abs(z[0]) ** 2, atol=1e-13)
@@ -111,7 +110,7 @@ def test_pairing_two_routes_agree(lam, reals):
     sd = spectral_data(PAIR22, lam)
     a = np.array([reals[0] + 1j * reals[1], reals[2] + 1j * reals[3]])
     b = np.array([reals[4] + 1j * reals[5], reals[6] + 1j * reals[7]])
-    assert_allclose(sd.phi_lam_pair(a, b), sd.phi_lam_pair_twisted(a, b), atol=1e-10)
+    assert_allclose(sd.phi_lam_pair(a, b), sd.phi_lam_pair_twisted(PAIR22, a, b), atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -153,15 +152,45 @@ def test_generic_dimension_and_exceptional():
 
 
 def test_positivity_cone_membership():
-    assert positivity_cone_contains(HEIS1, [2.0])
-    assert positivity_cone_contains(HEIS1, [0.0])
-    assert not positivity_cone_contains(HEIS1, [-0.5])
-    assert positivity_cone_contains(DEG21, [1.0])
-    assert not positivity_cone_contains(PAIR22, [1.0, 0.0])
-    assert lambda_plus_contains(HEIS1, [1.5], generic_d=0)
-    assert not lambda_plus_contains(HEIS1, [0.0], generic_d=0)
-    assert not lambda_plus_contains(HEIS1, [-1.0], generic_d=0)
-    assert lambda_plus_contains(DEG21, [0.7], generic_d=1)
+    # the closed positivity cone: no eigenvalue of A(lam) counts as negative
+    def in_cone(model, lam):
+        return layer_invariants(model, [lam])[1][0] == 0
+
+    assert in_cone(HEIS1, [2.0])
+    assert in_cone(HEIS1, [0.0])
+    assert not in_cone(HEIS1, [-0.5])
+    assert in_cone(DEG21, [1.0])
+    assert not in_cone(PAIR22, [1.0, 0.0])
+
+    # the open positive stratum: in the closed cone with the generic radical
+    def in_stratum(model, lam, generic_d):
+        _, n_negative, d = layer_invariants(model, [lam])
+        return n_negative[0] == 0 and d[0] == generic_d
+
+    assert in_stratum(HEIS1, [1.5], 0)
+    assert not in_stratum(HEIS1, [0.0], 0)
+    assert not in_stratum(HEIS1, [-1.0], 0)
+    assert in_stratum(DEG21, [0.7], 1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_zero_rule_threshold(sign):
+    """An eigenvalue at ZERO_RTOL max|mu| is zero, one just above is not,
+    in spectral_data and layer_invariants alike; A(lam) = 0 is all radical."""
+    for small, zero in ((ZERO_RTOL, True), (1.001 * ZERO_RTOL, False)):
+        model = QuadraticModel(np.array([[[1.0, 0.0], [0.0, sign * small]]]))
+        sd = spectral_data(model, [1.0])
+        pf, n_negative, d = layer_invariants(model, [[1.0]])
+        assert sd.d == d[0] == (1 if zero else 0)
+        assert sd.pfaffian == pf[0] == (1.0 if zero else small)
+        assert n_negative[0] == np.sum(sd.eigenvalues < 0) == (sign < 0 and not zero)
+        # A(0) = 0: every eigenvalue counts as zero
+        sd0 = spectral_data(model, [0.0])
+        pf0, n_negative0, d0 = layer_invariants(model, [[0.0]])
+        assert sd0.d == d0[0] == 2
+        assert sd0.radical.shape == (2, 2)
+        assert sd0.pfaffian == pf0[0] == 1.0
+        assert sd0.kdim == n_negative0[0] == 0
 
 
 def _grid22(axis):
@@ -190,7 +219,7 @@ def test_layer_invariants_match_spectral_data(case):
     for j, lam in enumerate(lams):
         sd = spectral_data(model, lam)
         assert_allclose(pf[j], sd.pfaffian, rtol=1e-13, err_msg=f"node {j}")
-        assert n_negative[j] == sd.e_minus.shape[1], f"node {j}"
+        assert n_negative[j] == np.sum(sd.eigenvalues < 0), f"node {j}"
         assert d[j] == sd.d, f"node {j}"
     # the cases reach every branch of the zero rule
     if case == "deg21":

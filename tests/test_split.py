@@ -3,7 +3,7 @@ import pytest
 
 from quadric_cr.model import QuadraticModel
 from quadric_cr.convex import interval_body, polytope_body
-from quadric_cr.transform import bump_profile, extend, forward_FN, inverse_FN
+from quadric_cr.transform import SpectralProfile, bump_profile, extend, forward_FN, inverse_FN
 from quadric_cr.split import (
     embed_flat,
     split,
@@ -82,6 +82,18 @@ def test_split_of_origin_body_is_all_flat():
 def test_split_requires_body_inside_positivity_cone():
     with pytest.raises(ValueError):
         split(HEIS1, polytope_body(np.array([[-2.0], [-1.0]])))
+
+
+def test_split_and_inverse_fn_share_the_closed_cone():
+    # at lam = -1e-12, A(lam) = -1e-12 is the layer's largest eigenvalue, so
+    # it is negative, not zero: inverse_FN warns on that node and split
+    # refuses the body that has it as a vertex
+    body = polytope_body(np.array([[-1e-12], [1.0]]))
+    node = SpectralProfile(body, np.array([[-1e-12]]), np.ones(1), np.ones(1))
+    assert inverse_FN(HEIS1, node).meta["warnings"] == (
+        "profile node 0 lies outside the closed positivity cone",)
+    with pytest.raises(ValueError, match="closed positivity cone"):
+        split(HEIS1, body)
 
 
 def test_split_invariants_are_tight():
