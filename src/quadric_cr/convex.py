@@ -61,14 +61,22 @@ class ConvexBody:
 
 
 def _dedupe(pts):
+    """The points in order, each dropped that is close to an earlier kept one.
+
+    Close is `np.allclose`'s rule against the kept point q,
+    |p - q| <= 1e-12 + 1e-5 |q| in every coordinate, read off one pairwise
+    matrix; a dropped point drops nothing after it.
+    """
     pts = np.atleast_2d(np.asarray(pts, float))
     if pts.shape[0] < 2:
         return pts
-    out = []
-    for p in pts:
-        if not any(np.allclose(p, q, atol=1e-12) for q in out):
-            out.append(p)
-    return np.array(out)
+    # close[i, k]: point i lies within the rule of point k
+    close = np.isclose(pts[:, None, :], pts[None, :, :], rtol=1e-5, atol=1e-12).all(axis=-1)
+    keep = np.ones(pts.shape[0], bool)
+    for k in range(pts.shape[0]):
+        if keep[k]:
+            keep[k + 1 :] &= ~close[k + 1 :, k]
+    return pts[keep]
 
 
 def polytope_body(vertices):

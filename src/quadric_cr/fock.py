@@ -39,6 +39,12 @@ is sampled once per batch rather than once per layer.  Each of its layers
 reports `captured`, its Hilbert-Schmidt mass over its fhat mass on the
 unclipped grid, which cannot exceed 1 but through quadrature error; layers
 past 1 + `CAPTURED_TOL` are warned about.
+
+`group_convolve` takes a ground-form kernel.  When f is a ground form too
+and every sum of their frequencies is nondegenerate and inside the
+positivity cone, the q-integral is Gaussian and the result is a ground form
+in closed form, the integral over all of C^n; any other f is summed over
+the tensor q-grid of its e-box in 2n one-axis contractions.
 """
 
 import math
@@ -47,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
-                        SpectralForm, central_transform)
+                        SpectralForm, _box_kernel, central_transform)
 from .quadrature import boundary_mask, complex_grid, gauss_legendre, panel_gauss, tensor_rule
-from .spectral import is_exceptional, spectral_data, generic_dimension
+from .spectral import is_exceptional, layer_invariants, spectral_data, generic_dimension
 
 __all__ = [
     "FockBasis",
@@ -332,9 +338,36 @@ def group_convolve(f, g, grid=None):
     e^(ebox |s_i|), so output points with ebox |s_i| < 600 are served (on
     HEIS1, 2 |lam| ebox |z| < 600); kernel frequencies outside the pairing
     cone are refused once e^(-<lam_j, Phi(q)>) passes e^600 on the box.
+
+    When f carries a ground form too, c_i(z) = a_i e^(-<mu_i, Phi(z)>), the
+    q-integral is Gaussian and closes.  With fhat(q, lam_j) = sum_i a_i
+    box(mu_i - lam_j) e^(-<mu_i, Phi(q)>) (box as in `central_transform`),
+
+        q-term = a_i box(mu_i - lam_j) e^(-q^H A(mu_i + lam_j) q) e^(2 q^H A(lam_j) z),
+        the last factor is antiholomorphic in q, so by the mean-value property
+        integral over C^n = a_i box(mu_i - lam_j) pi^n / det A(mu_i + lam_j)
+
+    whenever every sum mu_i + lam_j is nondegenerate (d = 0) and inside the
+    positivity cone (no negative eigenvalue of A), and det A = |Pf| there.
+    The result is then the ground form with amplitudes amp_j pi^n
+    sum_i a_i box(mu_i - lam_j) / |Pf(mu_i + lam_j)|: the integral over all
+    of C^n, so the e-box and enodes no longer enter, no q-rule is built and
+    no coefficient is evaluated.  Every other f, or a pair with a sum that
+    is degenerate or outside the cone, takes the q-sum above.
     """
     if getattr(g, "spectral", None) is None or g.spectral.amp is None:
         raise ValueError("the convolution kernel needs a ground form")
+    model = f.model
+    grid = grid or f.grid
+    lambdas, amp = g.spectral.lambdas, g.spectral.amp  # (J, m), (J,)
+    if getattr(f, "spectral", None) is not None and f.spectral.amp is not None:
+        mus = f.spectral.lambdas  # (I, m)
+        pf, negative, d = layer_invariants(model, mus[:, None, :] + lambdas[None, :, :])
+        if not (negative.any() or d.any()):
+            box = _box_kernel(mus[:, None, :] - lambdas[None, :, :], grid.fbox)  # (I, J)
+            sums = (f.spectral.amp[:, None] * box / pf.reshape(box.shape)).sum(axis=0)
+            form = SpectralForm.ground(model, lambdas, amp * np.pi ** model.n * sums)
+            return SampledFunction(model, form, grid, spectral=form)
 
     def guard(exponent):
         top = float(np.max(exponent))
@@ -343,13 +376,10 @@ def group_convolve(f, g, grid=None):
                              "frequencies or output points lie too far outside the pairing "
                              "cone for the box")
 
-    model = f.model
-    grid = grid or f.grid
     t, tw = grid.e_rule()
     N, axes = t.size, 2 * model.n
     enodes, eweights = tensor_rule([(t, tw)] * axes)
     zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
-    lambdas, amp = g.spectral.lambdas, g.spectral.amp  # (J, m), (J,)
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
     guard(qexp)

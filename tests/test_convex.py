@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadric_cr import convex
 from quadric_cr.configio import load_body
 from quadric_cr.convex import (
     _body_directions,
@@ -150,6 +151,39 @@ def test_project_body():
     proj = project_body(box, np.array([[1.0], [0.0]]))
     assert proj.kind == "polytope"
     assert sorted(proj.points[:, 0]) == [0.0, 1.0]
+
+
+def _dedupe_point_by_point(pts):
+    """The former `_dedupe`: one `np.allclose` per point and kept point."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    if pts.shape[0] < 2:
+        return pts
+    out = []
+    for p in pts:
+        if not any(np.allclose(p, q, atol=1e-12) for q in out):
+            out.append(p)
+    return np.array(out)
+
+
+def test_dedupe_matches_the_point_by_point_rule(monkeypatch):
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3):
+        base = rng.standard_normal((40, m))
+        # planted near-duplicates: inside the rule, at its edge and past it,
+        # and chains where a dropped point sits close to a later one
+        near = base[rng.integers(0, 40, 60)]
+        near = near + rng.choice([0.0, 1e-13, 5e-6, 2e-5, 1e-3], (60, 1)) * np.abs(near)
+        chain = base[:1] + np.arange(8)[:, None] * 6e-6 * np.abs(base[:1])
+        pts = rng.permutation(np.concatenate([base, near, chain, base[:3]]))
+        got, want = convex._dedupe(pts), _dedupe_point_by_point(pts)
+        assert np.array_equal(got, want)
+        assert 40 <= got.shape[0] < pts.shape[0]
+    for count in (20, 100, 181):
+        got = _sphere_directions(3, count)
+        monkeypatch.setattr(convex, "_dedupe", _dedupe_point_by_point)
+        want = _sphere_directions(3, count)
+        monkeypatch.undo()
+        assert np.array_equal(got, want), count
 
 
 def test_cone_constant_halfline():

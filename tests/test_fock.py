@@ -710,6 +710,109 @@ def test_group_convolve_serves_large_factors():
     assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
 
+def random_amp(rng, count):
+    return rng.uniform(0.5, 1.5, count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+def stripped(f):
+    """f with its ground form stripped: the same coefficients as a plain form."""
+    plain = SpectralForm(f.spectral.lambdas, lambda z: f.spectral.coeff(z))
+    return SampledFunction(f.model, plain, f.grid, spectral=plain)
+
+
+def closed_form_gap(model, mus, lambdas, grid, z):
+    """Largest gap between the closed form and the q-sum of the same pair,
+    entry by entry, relative to each frequency's largest coefficient."""
+    rng = np.random.default_rng(17)
+    f = ground_kernel(model, mus, random_amp(rng, len(mus)), grid)
+    g = ground_kernel(model, lambdas, random_amp(rng, len(lambdas)), grid)
+    h = group_convolve(f, g)
+    assert h.spectral.amp is not None
+    got = h.spectral.coeff(z)
+    want = group_convolve(stripped(f), g).spectral.coeff(z)
+    return float((np.abs(got - want) / np.abs(want).max(axis=0)).max())
+
+
+def test_group_convolve_closes_ground_pairs_heis1():
+    # the q-sum converges on the closed form as its nodes grow
+    z = box_points(np.random.default_rng(4), 200, 1, 1.0)
+    gaps = [closed_form_gap(HEIS1, np.linspace(1.0, 2.0, 9)[:, None],
+                            np.linspace(1.0, 2.0, 7)[:, None],
+                            GridSpec(ebox=4.0, enodes=nodes, fbox=5.0, fnodes=20), z)
+            for nodes in (32, 48, 64)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] <= 1e-11
+
+
+def test_group_convolve_closes_ground_pairs_pair22():
+    # the kernel has a frequency with a negative component; every sum with
+    # f's frequencies still lies inside the positivity cone
+    z = box_points(np.random.default_rng(4), 20, 2, 1.0)
+    mus = np.array([[1.2, 0.3], [0.5, 0.8], [1.0, 1.0]])
+    lambdas = np.array([[1.2, -0.3], [0.5, 0.8], [1.0, 1.0]])
+    gaps = [closed_form_gap(PAIR22, mus, lambdas,
+                            GridSpec(ebox=3.5, enodes=nodes, fbox=4.0, fnodes=10), z)
+            for nodes in (12, 16, 20, 24, 32)]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-5
+
+
+def test_group_convolve_of_ground_pair_builds_nothing(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(num):
+        built.append(int(num))
+        return leggauss(num)
+
+    def refusing(form):
+        @functools.wraps(form.coeff)
+        def coeff(z):
+            raise AssertionError("a coefficient was evaluated")
+
+        return dataclasses.replace(form, coeff=coeff)
+
+    grid = GridSpec(ebox=4.0, enodes=24, fbox=5.0, fnodes=20)
+    rng = np.random.default_rng(8)
+    f = ground_kernel(HEIS1, [[1.1], [1.6]], random_amp(rng, 2), grid)
+    g = ground_kernel(HEIS1, [[1.3], [1.9], [1.5]], random_amp(rng, 3), grid)
+    f.spectral, g.spectral = refusing(f.spectral), refusing(g.spectral)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    h = group_convolve(f, g)
+    assert built == []
+    monkeypatch.undo()
+    # the result is a ground form on g's frequencies, so it is a kernel again
+    assert np.array_equal(h.spectral.lambdas, g.spectral.lambdas)
+    assert h.spectral.amp is not None
+    again = group_convolve(gaussian_function(HEIS1, grid), h)
+    assert np.isfinite(again.spectral.coeff(np.array([[0.3 + 0.2j]]))).all()
+
+
+def test_group_convolve_falls_back_to_the_q_sum():
+    grid = GridSpec(ebox=3.0, enodes=12, fbox=4.0, fnodes=12)
+    rng = np.random.default_rng(9)
+    z1 = box_points(rng, 30, 1, 1.0)
+    z2 = box_points(rng, 30, 2, 1.0)
+    g1 = ground_kernel(HEIS1, [[1.2], [0.7]], random_amp(rng, 2), grid)
+    g2 = ground_kernel(DEG21, [[1.2], [0.7]], random_amp(rng, 2), grid)
+    ground = ground_kernel(HEIS1, [[1.0], [1.5]], random_amp(rng, 2), grid)
+    cases = [
+        # a sampled f and a plain spectral f
+        (gaussian_function(HEIS1, grid), g1, z1),
+        (stripped(ground), g1, z1),
+        # a ground f on a degenerate model: every sum has d = 1
+        (ground_kernel(DEG21, [[1.0], [1.5]], random_amp(rng, 2), grid), g2, z2),
+        # one sum, -0.8 + 0.7, lies outside the positivity cone
+        (ground_kernel(HEIS1, [[1.0], [-0.8]], random_amp(rng, 2), grid), g1, z1),
+    ]
+    for f, g, z in cases:
+        h = group_convolve(f, g)
+        assert h.spectral.amp is None
+        plain = stripped(f) if f.spectral is not None else SampledFunction(
+            f.model, lambda z, x: f(z, x), f.grid)
+        assert np.array_equal(h.spectral.coeff(z), group_convolve(plain, g).spectral.coeff(z))
+
+
 def test_bandlimit_projection_stays_ground():
     grid = GridSpec(ebox=3.5, enodes=16, fbox=5.0, fnodes=20)
     f = inverse_FN(HEIS1, bump_profile(interval_body(1.2, 1.8), nodes=32), grid=grid)
