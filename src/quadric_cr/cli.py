@@ -2,9 +2,11 @@
 
 Every verification suite is a subcommand reading one scenario file (or an
 index of scenario= lines) and writing, per scenario, a CSV table plus a
-JSON summary with one pass/fail entry per check (`plancherel` adds the
-report's warnings as a `warnings` list).  All randomness comes
-from one seed recorded in both outputs; reruns are byte-identical.
+JSON summary with one pass/fail entry per check, plus a `warnings` list
+when the run has any: a synthesized function's profile nodes outside the
+positivity cone, and `plancherel`'s report (which always has the key).
+All randomness comes from one seed recorded in both outputs; reruns are
+byte-identical.
 
 Exit codes: 0 all checks pass, 2 parse/usage error, 3 missing referenced
 file, 4 tolerance violation.
@@ -63,18 +65,11 @@ def _check(name, value, bound, kind="max"):
     return {"name": name, "value": value, "bound": bound, "kind": kind, "pass": bool(ok)}
 
 
-def _vec(scn, key, m, default=None):
-    raw = scn.get(key)
-    if raw is None:
-        if default is None:
-            raise cio.ParseError(f"{scn.path}: missing required key {key!r}")
-        raw = default
-    vals = [float(t) for t in str(raw).replace(",", " ").split()]
-    if len(vals) == 1:
-        vals = vals * m
-    if len(vals) != m:
-        raise cio.ParseError(f"{scn.path}: key {key!r} needs {m} numbers")
-    return np.asarray(vals)
+def _with_warnings(meta, f):
+    """meta, with f's synthesis warnings under "warnings" if it has any."""
+    if f.meta.get("warnings"):
+        meta["warnings"] = list(f.meta["warnings"])
+    return meta
 
 
 def _grid_spec(scn):
@@ -88,8 +83,8 @@ def _grid_spec(scn):
 
 
 def _lam_table(scn, m):
-    lo = _vec(scn, "lam_lo", m)
-    hi = _vec(scn, "lam_hi", m)
+    lo = scn.vec("lam_lo", m)
+    hi = scn.vec("lam_hi", m)
     count = scn.integer("lam_count", 17)
     axes = [np.linspace(lo[k], hi[k], count) for k in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -143,7 +138,7 @@ def _data_function(scn, model, grid):
     if kind == "modulated":
         # gaussian times cos(<omega, x>); pushes the fiber spectrum to
         # +-omega so truncated-degree layers near lambda = 0 stay quiet
-        omega = _vec(scn, "omega", model.m)
+        omega = scn.vec("omega", model.m)
 
         def ev(z, x):
             z = np.asarray(z, complex)
@@ -164,8 +159,8 @@ def _run_plancherel(scn, seed, rng):
     grid = _grid_spec(scn)
     f = _data_function(scn, model, grid)
     cfg = PlancherelConfig(
-        lam_lo=_vec(scn, "lam_lo", model.m),
-        lam_hi=_vec(scn, "lam_hi", model.m),
+        lam_lo=scn.vec("lam_lo", model.m),
+        lam_hi=scn.vec("lam_hi", model.m),
         lam_nodes=scn.integer("lam_count", 81),
         degree=scn.integer("degree", 12),
         tau_box=scn.flt("tau_box", 6.0),
@@ -182,7 +177,7 @@ def _run_plancherel(scn, seed, rng):
         "constant": rep.constant,
         "layers": rep.n_layers,
         "skipped": rep.skipped,
-        "warnings": list(rep.warnings),
+        "warnings": list(f.meta.get("warnings", ())) + list(rep.warnings),
     }
     checks = [_check("plancherel_residual", rep.residual, scn.flt("tol_residual"))]
     return meta, cols, rows, checks
@@ -190,7 +185,7 @@ def _run_plancherel(scn, seed, rng):
 
 def _run_rockland(scn, seed, rng):
     model = scn.model()
-    lam = _vec(scn, "lam", model.m, default="1")
+    lam = scn.vec("lam", model.m, default="1")
     degree = scn.integer("degree", 10)
     sd = spectral_data(model, lam)
     fb = fock_basis(sd, degree)
@@ -238,7 +233,7 @@ def _run_extend(scn, seed, rng):
         for i in range(count)
     ]
     cols = ["point", "routeB_re", "routeB_im", "routeA_re", "routeA_im", "rel_gap", "margin"]
-    meta = {"clamped_margins": clamped, "order": order}
+    meta = _with_warnings({"clamped_margins": clamped, "order": order}, f)
     checks = [
         _check("routes_agree", float(rel.max()), scn.flt("tol_routes", 1e-5)),
         _check("boundary_restriction", brel, scn.flt("tol_boundary", 1e-6)),
@@ -275,7 +270,7 @@ def _run_crcheck(scn, seed, rng):
     sup = spectrum_support(f, lam_grid, body=support_body)
     rows = [tuple(lam) + (m,) for lam, m in zip(sup["lambdas"], sup["mass"])]
     cols = [f"lam_{k}" for k in range(model.m)] + ["mass"]
-    meta = {"cr_residual": resid, "outside_fraction": sup["outside_fraction"]}
+    meta = _with_warnings({"cr_residual": resid, "outside_fraction": sup["outside_fraction"]}, f)
     checks = [
         _check("cr_residual", resid, scn.flt("tol_cr", 1e-5)),
         _check("outside_mass", sup["outside_fraction"], scn.flt("tol_mass", 1e-4)),
@@ -293,10 +288,10 @@ def _run_windows(scn, seed, rng):
     body = scn.body()
     prof = scn.profile(body, key="profile")
     f = inverse_FN(model, prof)
-    eps_list = [float(e) for e in scn.kv.getall("eps")] or [0.8, 0.4, 0.2, 0.1]
+    eps_list = scn.numbers("eps") or [0.8, 0.4, 0.2, 0.1]
     samples = scn.integer("samples", 400)
     lo, hi = body.points.min(0), body.points.max(0)
-    pad = max(float(e) for e in eps_list)
+    pad = max(eps_list)
     lams = rng.uniform(lo - pad, hi + pad, (samples, model.m))
     grid = GridSpec(fbox=scn.flt("fbox", 8.0))
     rows = []
@@ -322,7 +317,7 @@ def _run_windows(scn, seed, rng):
         worst_sandwich = max(worst_sandwich, viol)
         errs.append(err)
     cols = ["eps", "sandwich_violation", "l2_error", "empty"]
-    meta = {"eps_count": len(eps_list)}
+    meta = _with_warnings({"eps_count": len(eps_list)}, f)
     checks = [
         _check("window_sandwich", worst_sandwich, scn.flt("tol_sandwich", 1e-10)),
         _check("projection_error", errs[-1], scn.flt("tol_project", 1e-3)),
@@ -347,6 +342,7 @@ def _run_split(scn, seed, rng):
     }
     if sp.phi2 is not None:
         f = inverse_FN(sp.phi2, bump_profile(sp.body2, nodes=32))
+        _with_warnings(meta, f)
         rep = verify_split_growth(embed_flat(sp, f), sp)
         for k, v in sorted(rep.items()):
             rows.append((f"growth_{k}", v))
@@ -380,9 +376,8 @@ def _run_convex(scn, seed, rng):
         d = max(2, int(np.sqrt(scn.integer("samples", 10000))))
         const = cone_inequality_constant(cone, directions=d, h_directions=d)
         rows.append(("cone_constant", const))
-        expected = scn.get("expected_constant")
-        if expected is not None:
-            gap = abs(const - float(expected))
+        if scn.get("expected_constant") is not None:
+            gap = abs(const - scn.flt("expected_constant"))
             rows.append(("cone_constant_gap", gap))
             checks.append(_check("cone_constant", gap, scn.flt("tol_constant", 5e-2)))
         # bipolar: the polar of the polar gives back the membership oracle
@@ -423,52 +418,41 @@ def main(argv=None):
 
     try:
         scenarios = cio.load_scenarios(args.scenario)
+        all_pass = True
+        for scn in scenarios:
+            seed = args.seed if args.seed is not None else scn.integer("seed", 0)
+            rng = np.random.default_rng(seed)
+            outdir = args.out or scn.get("out") or os.path.join(scn.dir, "out")
+            os.makedirs(outdir, exist_ok=True)
+            meta, cols, rows, checks = _HANDLERS[args.subcommand](scn, seed, rng)
+            # a handler's warnings go to the summary, not the CSV header
+            warnings = meta.pop("warnings", None)
+            header = {"scenario": scn.name, "subcommand": args.subcommand, "seed": seed}
+            header.update(meta)
+            base = os.path.join(outdir, f"{scn.name}_{args.subcommand}")
+            cio.write_csv(base + ".csv", cols, rows, meta=header)
+            summary = {
+                "scenario": scn.name,
+                "subcommand": args.subcommand,
+                "seed": seed,
+                "checks": checks,
+                "pass": all(c["pass"] for c in checks),
+            }
+            if warnings is not None:
+                summary["warnings"] = warnings
+            cio.write_json(base + "_summary.json", summary)
+            for c in checks:
+                rel = "<=" if c["kind"] == "max" else ">="
+                state = "PASS" if c["pass"] else "FAIL"
+                print(f"{state} {scn.name}.{c['name']}: {c['value']:.6e} {rel} {c['bound']:.6e}")
+                all_pass = all_pass and c["pass"]
     except MissingReferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    all_pass = True
-    ran = 0
-    for scn in scenarios:
-        seed = args.seed if args.seed is not None else scn.integer("seed", 0)
-        rng = np.random.default_rng(seed)
-        outdir = args.out or scn.get("out") or os.path.join(scn.dir, "out")
-        os.makedirs(outdir, exist_ok=True)
-        try:
-            meta, cols, rows, checks = _HANDLERS[args.subcommand](scn, seed, rng)
-        except MissingReferenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MISSING
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        # a handler's warnings go to the summary, not the CSV header
-        warnings = meta.pop("warnings", None)
-        header = {"scenario": scn.name, "subcommand": args.subcommand, "seed": seed}
-        header.update(meta)
-        base = os.path.join(outdir, f"{scn.name}_{args.subcommand}")
-        cio.write_csv(base + ".csv", cols, rows, meta=header)
-        summary = {
-            "scenario": scn.name,
-            "subcommand": args.subcommand,
-            "seed": seed,
-            "checks": checks,
-            "pass": all(c["pass"] for c in checks),
-        }
-        if warnings is not None:
-            summary["warnings"] = warnings
-        cio.write_json(base + "_summary.json", summary)
-        for c in checks:
-            rel = "<=" if c["kind"] == "max" else ">="
-            state = "PASS" if c["pass"] else "FAIL"
-            print(f"{state} {scn.name}.{c['name']}: {c['value']:.6e} {rel} {c['bound']:.6e}")
-            if not c["pass"]:
-                all_pass = False
-        ran += 1
-    if ran == 0:
+    if not scenarios:
         print("no scenarios listed; empty report")
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 

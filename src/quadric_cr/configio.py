@@ -91,10 +91,26 @@ def parse_kv_file(path):
 
 
 def _floats(text, path, key):
+    """The one number parser: comma or space separated floats, else ParseError."""
     try:
         return [float(t) for t in text.replace(",", " ").split()]
     except ValueError:
         raise ParseError(f"{path}: key {key!r} is not a list of numbers: {text!r}")
+
+
+def _number(text, path, key):
+    """Exactly one number, read by `_floats`."""
+    vals = _floats(text, path, key)
+    if len(vals) != 1:
+        raise ParseError(f"{path}: key {key!r} is not a number: {text!r}")
+    return vals[0]
+
+
+def _integer(val, path, key):
+    """A number read for an integer key, as an int; ParseError if it is not one."""
+    if not float(val).is_integer():
+        raise ParseError(f"{path}: key {key!r} is not an integer: {val!r}")
+    return int(val)
 
 
 def load_model(path):
@@ -126,7 +142,8 @@ def load_body(path):
     kv = parse_kv_file(path)
     kind = kv.require("kind")
     if kind == "interval":
-        return interval_body(float(kv.require("lo")), float(kv.require("hi")))
+        return interval_body(_number(kv.require("lo"), path, "lo"),
+                             _number(kv.require("hi"), path, "hi"))
     if kind == "box":
         lo = _floats(kv.require("lo"), path, "lo")
         hi = _floats(kv.require("hi"), path, "hi")
@@ -152,9 +169,9 @@ def load_profile(path, body):
     """Profile file: a shaped density on the body (shape=bump for now)."""
     kv = parse_kv_file(path)
     shape = kv.get("shape", "bump")
-    nodes = int(kv.get("nodes", "96"))
-    steep = float(kv.get("steepness", "4.0"))
-    scale = float(kv.get("scale", "1.0"))
+    nodes = _integer(_number(kv.get("nodes", "96"), path, "nodes"), path, "nodes")
+    steep = _number(kv.get("steepness", "4.0"), path, "steepness")
+    scale = _number(kv.get("scale", "1.0"), path, "scale")
     if shape != "bump":
         raise ParseError(f"{path}: unknown profile shape {shape!r}")
     bump = bump_profile(body, nodes=nodes, steepness=steep)
@@ -183,13 +200,26 @@ class Scenario:
             if default is None:
                 raise ParseError(f"{self.path}: missing required key {key!r}")
             return float(default)
-        try:
-            return float(val)
-        except ValueError:
-            raise ParseError(f"{self.path}: key {key!r} is not a number: {val!r}")
+        return _number(val, self.path, key)
 
     def integer(self, key, default=None):
-        return int(self.flt(key, default))
+        return _integer(self.flt(key, default), self.path, key)
+
+    def vec(self, key, m, default=None):
+        """The key's m numbers as an array; one number stands for all m."""
+        raw = self.kv.get(key, default)
+        if raw is None:
+            raise ParseError(f"{self.path}: missing required key {key!r}")
+        vals = _floats(raw, self.path, key)
+        if len(vals) == 1:
+            vals = vals * m
+        if len(vals) != m:
+            raise ParseError(f"{self.path}: key {key!r} needs {m} numbers")
+        return np.asarray(vals)
+
+    def numbers(self, key):
+        """The number on each line of a repeated key, in order."""
+        return [_number(raw, self.path, key) for raw in self.kv.getall(key)]
 
     def resolve(self, key):
         rel = self.kv.require(key)

@@ -9,9 +9,9 @@ the sign convention
 
 so that growth estimates read exp(H_K(Im z)) directly.
 
-Exact polar cones are produced for one and two dimensions by angle
-arithmetic and for full-dimensional pointed cones in three dimensions by
-facet normals; this covers every body the transforms ship with.
+Polar cones come from one rule in every dimension: the facet normals of
+the cone over the body's rays, each the null vector of rays spanning a
+facet, plus the orthogonal complement of the rays' span.
 """
 
 import itertools
@@ -229,57 +229,30 @@ def _rays(body):
 
 
 def polar_cone(body):
-    """The cone { h : <lam, h> >= 0 for all lam in the body }."""
+    """The cone { h : <lam, h> >= 0 for all lam in the body }, in any dimension.
+
+    The polar of the cone over the body's rays is generated by the facet
+    normals of that cone (Rockafellar, Convex Analysis, 1970, section 14).
+    With r the dimension of the rays' span, its generators are +-each basis
+    vector of the span's orthogonal complement and, inside the span, each
+    unit null vector of r - 1 independent rays with which every ray pairs
+    >= -1e-9.  A span direction thinner than that pairing tolerance counts
+    as no direction, so the rank cut is the same 1e-9.
+    """
     if body.kind == "empty":
         raise ValueError("the polar of the empty body is not represented")
     rays = _rays(body)
-    m = body.m
-    if rays.shape[0] == 0:
-        # polar of {0}: the whole space
-        gens = np.vstack([np.eye(m), -np.eye(m)])
-        return ConvexBody("cone", gens)
-    if m == 1:
-        has_pos = np.any(rays[:, 0] > 0)
-        has_neg = np.any(rays[:, 0] < 0)
-        if has_pos and has_neg:
-            return ConvexBody("cone", np.zeros((0, 1)))
-        return cone_body([[1.0] if has_pos else [-1.0]])
-    if m == 2:
-        ang = np.sort(np.arctan2(rays[:, 1], rays[:, 0]))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-        widest = int(np.argmax(gaps))
-        span = 2 * np.pi - gaps[widest]
-        if span > np.pi + 1e-12:
-            return ConvexBody("cone", np.zeros((0, 2)))
-        lo = ang[(widest + 1) % ang.size]
-        hi = lo + span
-        gens = [
-            [math.cos(hi - np.pi / 2), math.sin(hi - np.pi / 2)],
-            [math.cos(lo + np.pi / 2), math.sin(lo + np.pi / 2)],
-        ]
-        if span < 1e-12:
-            # dual of a single ray is a closed halfplane: the two rotated
-            # normals only span its edge, the ray itself fills it in
-            gens.append([math.cos(lo), math.sin(lo)])
-        return cone_body(gens)
-    if m == 3:
-        hull_pts = np.vstack([np.zeros(3), rays])
-        try:
-            hull = ConvexHull(hull_pts, qhull_options="QJ")
-        except Exception as exc:  # degenerate input
-            raise ValueError("polar cone needs a full-dimensional cone in 3d") from exc
-        normals = []
-        for eq in hull.equations:
-            n, off = eq[:3], eq[3]
-            if abs(off) > 1e-9:
-                continue  # facet not through the origin
-            n = -n  # qhull normals point outward; the polar wants inward
-            if np.min(rays @ n) >= -1e-9:
-                normals.append(n / np.linalg.norm(n))
-        if not normals:
-            return ConvexBody("cone", np.zeros((0, 3)))
-        return cone_body(normals)
-    raise NotImplementedError("polar cones are implemented for m <= 3")
+    _, s, vt = np.linalg.svd(rays)
+    r = int(np.sum(s > 1e-9 * s.max(initial=0.0)))
+    span, perp = vt[:r], vt[r:]
+    gens = [perp, -perp]
+    # no subsets when r = 0: the body is {0} and its polar the whole space
+    for face in itertools.combinations(range(rays.shape[0]), r - 1) if r else ():
+        _, fs, fvt = np.linalg.svd(rays[list(face)] @ span.T)
+        if np.all(fs > 1e-9 * fs.max(initial=0.0)):
+            normal = fvt[-1] @ span
+            gens += [n[None, :] for n in (normal, -normal) if np.min(rays @ n) >= -1e-9]
+    return cone_body(np.concatenate(gens))
 
 
 def _affine_dim(pts, tol=1e-10):
@@ -446,7 +419,7 @@ def cone_inequality_constant(body, directions=181, h_directions=181):
         return np.inf
     dist = np.maximum(np.min(lam_dirs @ dual.T, axis=1), 0.0)
     pairings = np.min(lam_dirs @ hs.T, axis=1)
-    # a direction on a face reads a rounding residue of the 3-d polar's
-    # joggled hull, up to ~5e-11, not 0: skip it
+    # a direction on a face has distance 0, or a rounding residue of the
+    # facet normals near 1e-16: skip it rather than divide by it
     keep = dist > 1e-9
     return float(np.min(pairings[keep] / dist[keep], initial=np.inf))

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
-                        SpectralForm, _box_kernel, central_transform)
+                        SpectralForm, _box_kernel, central_transform, l2_norm)
 from .quadrature import boundary_mask, complex_grid, gauss_legendre, panel_gauss, tensor_rule
 from .spectral import is_exceptional, layer_invariants, spectral_data, generic_dimension
 
@@ -600,8 +600,6 @@ def plancherel_residual(model, f, cfg):
     error; every layer past 1 + `CAPTURED_TOL` is named in the warnings.
     The x-tail warning is read off each batch's shared samples.
     """
-    from .functions import l2_norm
-
     gen_d = generic_dimension(model)
     grid = cfg.grid or f.grid
     lam_lo = np.asarray(cfg.lam_lo, float).reshape(model.m)

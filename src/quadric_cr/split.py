@@ -77,19 +77,8 @@ def split(model, body):
     r = int(np.sum(s > _RTOL * max(s[0] if s.size else 0.0, 1e-300)))
     f2 = _sign_fix(u[:, :r])
     f1 = _sign_fix(u[:, r:])
-    if r == 0:
-        # K = {0}: everything is flat and there is no reduced factor
-        return SplitData(
-            model=model,
-            body=body,
-            f1_basis=f1,
-            f2_basis=f2,
-            e1_basis=np.eye(model.n, dtype=complex),
-            e2_basis=np.zeros((model.n, 0), complex),
-            phi2=None,
-            body2=None,
-        )
-
+    # K = {0} (r = 0) has no active direction: E1 is the whole space and
+    # there is no reduced factor
     b_mats = np.einsum("kl,kij->lij", f2, model.A)  # (r, n, n)
     stacked = b_mats.reshape(r * model.n, model.n)
     _, sv, wh = np.linalg.svd(stacked, full_matrices=True)
@@ -100,8 +89,8 @@ def split(model, body):
 
     a2 = np.einsum("ia,lij,jb->lab", e2.conj(), b_mats, e2)
     a2 = (a2 + np.conj(np.swapaxes(a2, 1, 2))) / 2.0
-    phi2 = QuadraticModel(a2)
-    body2 = polytope_body(pts @ f2)
+    phi2 = QuadraticModel(a2) if r else None
+    body2 = polytope_body(pts @ f2) if r else None
     return SplitData(
         model=model,
         body=body,

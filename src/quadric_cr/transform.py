@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex import ConvexBody, contains, empty_body, erode, support
+from .fock import fock_basis, group_convolve, pi_of_f_batch
 from .functions import GridSpec, SampledFunction, SpectralForm, central_transform
 from .quadrature import gauss_legendre, tensor_rule
 from .spectral import generic_dimension, is_exceptional, layer_invariants, spectral_data
@@ -180,8 +181,6 @@ def forward_FN(f, lambdas, degree=8, grid=None):
     form is transformed in closed form on the box.  Accuracy warnings from
     the operator quadrature are passed through.
     """
-    from .fock import fock_basis, pi_of_f_batch
-
     model = f.model
     lambdas = np.atleast_2d(np.asarray(lambdas, float))
     if grid is None:
@@ -437,8 +436,6 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
     synthesized and the group convolution evaluated by quadrature over the
     function's grid box.
     """
-    from .fock import group_convolve
-
     grid = grid or f.grid
     model = f.model
     if f.spectral is not None:

@@ -1,10 +1,12 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from quadric_cr.cli import EXIT_MISSING, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
 from quadric_cr.configio import load_scenarios
@@ -77,6 +79,21 @@ def test_plancherel_summary_carries_the_warnings(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_crcheck_summary_carries_the_profile_warnings(tmp_path):
+    # the shipped crcheck scenario on the negative half-line body: all 96
+    # profile nodes lie outside heis1's positivity cone
+    tree = tmp_path / "scenarios"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenarios", tree)
+    text = (tree / "crcheck_heis1.scenario").read_text()
+    assert "body = bodies/k12.body" in text
+    scn = tree / "kneg.scenario"
+    scn.write_text(text.replace("bodies/k12.body", "bodies/kneg.body"))
+    main(["crcheck", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "crcheck_heis1_crcheck_summary.json").read_text())
+    want = [f"profile node {j} lies outside the closed positivity cone" for j in range(96)]
+    assert summary["warnings"] == want
+
+
 def test_windows_l2_error_matches_the_sampled_difference(tmp_path):
     # the CLI takes the closed-form norm of the difference form; the oracle
     # samples f - P f on a 160-node central rule of the scenario's box
@@ -115,6 +132,40 @@ def test_parse_error_exit_code(tmp_path):
     scn = tmp_path / "bad.scenario"
     scn.write_text("this line has no equals sign\n")
     assert main(["spectral", "--scenario", str(scn)]) == EXIT_PARSE
+
+
+WINDOWS_FILES = {
+    "m.model": HEIS1_MODEL,
+    "k.body": "kind = interval\nlo = 1\nhi = 2\n",
+    "b.profile": "shape = bump\nnodes = 16\n",
+    "w.scenario": "name = w\nmodel = m.model\nbody = k.body\nprofile = b.profile\n"
+                  "eps = 0.4\nsamples = 20\n",
+}
+
+MALFORMED_NUMBERS = {
+    "scenario-vector": ("spectral", "s.scenario", "lam_lo = -2", "lam_lo = abc"),
+    "scenario-repeated-key": ("windows", "w.scenario", "eps = 0.4", "eps = big"),
+    "body": ("windows", "k.body", "lo = 1", "lo = one"),
+    "profile": ("windows", "b.profile", "nodes = 16", "nodes = many"),
+    "profile-fraction": ("windows", "b.profile", "nodes = 16", "nodes = 9.5"),
+    "scenario-integer": ("spectral", "s.scenario", "lam_count = 9", "lam_count = 2.5"),
+    "scenario-infinite-integer": ("spectral", "s.scenario", "lam_count = 9", "lam_count = inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_a_malformed_number_is_a_parse_error(tmp_path, capsys, case):
+    sub, name, good, bad = MALFORMED_NUMBERS[case]
+    _write_spectral(tmp_path)
+    for fname, text in WINDOWS_FILES.items():
+        (tmp_path / fname).write_text(text)
+    path = tmp_path / name
+    assert good in path.read_text()
+    path.write_text(path.read_text().replace(good, bad))
+    scn = tmp_path / ("s.scenario" if sub == "spectral" else "w.scenario")
+    assert main([sub, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and bad.split(" = ")[0] in err
 
 
 def test_missing_reference_exit_code(tmp_path):

@@ -102,8 +102,30 @@ def test_polar_cone_3d_octant():
     dual = polar_cone(oct3)
     assert contains(dual, [1.0, 1.0, 1.0])
     for e in np.eye(3):
-        assert contains(dual, e, tol=1e-6)
+        assert contains(dual, e)
     assert not contains(dual, [-0.2, 0.5, 0.5])
+
+
+def test_polar_cone_octant_generators_are_exact():
+    dual = polar_cone(cone_body(np.eye(3))).points
+    assert dual.shape == (3, 3)
+    assert np.allclose(dual[np.argsort(np.argmax(dual, axis=1))], np.eye(3), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["simplicial3d", "pyramid3d"])
+def test_polar_generators_are_facet_normals(name):
+    cone = cone_body(CONE_SCANS[name][0])
+    rays, dual = cone.points, polar_cone(cone).points
+    assert dual.shape[0] == rays.shape[0]
+    pair = dual @ rays.T  # (generators, rays)
+    assert pair.min() >= -1e-14
+    assert np.all(np.sum(np.abs(pair) <= 1e-14, axis=1) >= 2)
+
+
+def test_boundary_distance_octant_faces():
+    octant = cone_body(np.eye(3))
+    assert boundary_distance(octant, np.array([1.0, 1.0, 0.0])) == 0.0
+    assert boundary_distance(octant, np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boundary_distance_interval_and_box():
@@ -234,15 +256,15 @@ def test_cone_constant_matches_the_per_direction_scan(name):
 
 
 def test_cone_constant_on_simplicial_3d_cones():
-    """Pair mixtures of three generators lie on faces, where the joggled polar
-    leaves a ~5e-11 distance; the interior lattice carries the scan.  The
+    """Pair mixtures of three generators lie on faces, at distance 0 or a
+    rounding residue of it; the interior lattice carries the scan.  The
     octant's sharp constant is 1 (dist = min lam_k, <lam, h> >= min lam_k
     sum h_k); before the lattice the octant read 0 and the second cone 4e8."""
     octant = cone_body(np.eye(3))
     simplicial = cone_body([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
     for count in (20, 100, 181):
         c = cone_inequality_constant(octant, directions=count, h_directions=count)
-        assert c == pytest.approx(1.0, abs=1e-8), count
+        assert c == pytest.approx(1.0, abs=1e-14), count
         c = cone_inequality_constant(simplicial, directions=count, h_directions=count)
         assert 0.5 < c < 2.0, count
 
@@ -297,6 +319,30 @@ def _probe_points(body, tol, rng):
         for step in (tol / 2.0, tol * scale / 2.0, 10.0 * tol * scale):
             pts.append(a + step * dirs)
     return np.concatenate(pts)
+
+
+BIPOLAR_CASES = {
+    "halfline": [[1.0]],
+    "quadrant": [[1.0, 0.0], [0.0, 1.0]],
+    "ray2d": [[1.0, 0.0]],
+    # its polar is {0}, and the polar of that the whole plane
+    "wide2d": [[1.0, 0.1], [-1.0, 0.1], [0.0, -1.0]],
+    "octant": np.eye(3).tolist(),
+    "simplicial3d": CONE_SCANS["simplicial3d"][0],
+    "pyramid3d": CONE_SCANS["pyramid3d"][0],
+    # not full-dimensional: its polar is cone(+-e3, e1, e2)
+    "flat3d": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    # self-polar
+    "orthant4d": np.eye(4).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIPOLAR_CASES))
+def test_bipolar_gives_back_the_cone(name):
+    cone = cone_body(BIPOLAR_CASES[name])
+    double = polar_cone(polar_cone(cone))
+    pts = _probe_points(cone, 1e-9, np.random.default_rng(5))
+    assert np.array_equal(contains(cone, pts), contains(double, pts))
 
 
 @pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))

@@ -75,8 +75,8 @@ def test_split_full_rank_is_trivial():
 def test_split_of_origin_body_is_all_flat():
     sp = split(HEIS1, polytope_body(np.array([[0.0]])))
     assert sp.phi2 is None and sp.body2 is None
-    assert sp.f2_basis.shape == (1, 0)
-    assert np.allclose(sp.e1_basis, np.eye(1))
+    assert sp.f2_basis.shape == (1, 0) and sp.e2_basis.shape == (1, 0)
+    assert np.array_equal(sp.e1_basis, np.eye(1, dtype=complex))
 
 
 def test_split_requires_body_inside_positivity_cone():
