@@ -12,6 +12,12 @@ so that growth estimates read exp(H_K(Im z)) directly.
 Polar cones come from one rule in every dimension: the facet normals of
 the cone over the body's rays, each the null vector of rays spanning a
 facet, plus the orthogonal complement of the rays' span.
+
+Only three routines need scipy, and each imports it where it is called:
+polytope hulls in m >= 2 (`ConvexHull`), erosion (`linprog`,
+`HalfspaceIntersection`) and nnls membership (`nnls`).  Importing
+scipy.optimize takes longer than most of this package's computations, and
+the frequency-layer paths never build a hull.
 """
 
 import itertools
@@ -19,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 __all__ = [
     "ConvexBody",
@@ -209,6 +213,9 @@ def _nnls_residual(body, lam):
     A polytope fits (lam, 1) by its lifted vertices (v, 1).  The reference
     rule of `contains`; the body needs at least one vertex or generator.
     """
+    # local: scipy.optimize is slow to import and only nnls membership needs it
+    from scipy.optimize import nnls
+
     a, b = body.points.T, np.asarray(lam, float)
     if body.kind == "polytope":
         a = np.vstack([a, np.ones(a.shape[1])])
@@ -264,6 +271,9 @@ def _affine_dim(pts, tol=1e-10):
 
 
 def _hull_halfspaces(vertices):
+    # local: only polytope hulls with m >= 2 need scipy.spatial
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(vertices)
     # rows are [normal | offset] with normal x + offset <= 0 inside
     return hull.equations
@@ -316,6 +326,10 @@ def erode(body, eps):
         return interval_body(lo + eps, hi - eps)
     if _affine_dim(body.points) < body.m:
         return empty_body(body.m)
+    # local: only erosion needs the LP solver and the halfspace intersection
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection
+
     eqs = _hull_halfspaces(body.points)
     a, b = eqs[:, :-1], eqs[:, -1] + eps  # normals are unit: shift inward
     # Chebyshev center of the shrunk region to seed the intersection

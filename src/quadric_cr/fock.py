@@ -520,10 +520,12 @@ class _BatchLayer:
         wshift = self.wshift if self.wshift is not None else _weighted_shifts(
             self.fb, self.zperp, self.pw)
         self.wshift = None if last else wshift
-        self.mass += float(src_w @ np.abs(fhat_src) ** 2 @ rabs)
+        abs_src = np.abs(fhat_src)
+        self.mass += float(src_w @ abs_src**2 @ rabs)
         fhat = _interpolate(fhat_src, self.mats)
         self.share += np.linalg.multi_dot([tphase.T, fhat.T, wshift])
-        absf = np.abs(fhat)
+        # no axis interpolated: fhat is the source chunk itself
+        absf = abs_src if fhat is fhat_src else np.abs(fhat)
         full = absf @ rabs
         edge = absf[:, rmask] @ rabs[rmask]
         self.tail_all += float(self.damp @ full)

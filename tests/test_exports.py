@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,96 @@ def test_package_imports_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(quadric_cr, n)] == []
+
+
+def _run_fresh(code, tmp_path):
+    """Run code in a new interpreter that imports this package; returns its stdout."""
+    env = dict(os.environ)
+    src = str(Path(quadric_cr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_WORKLOAD_PATHS = """
+    import contextlib, io, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    import quadric_cr
+    import quadric_cr.cli
+    from quadric_cr import cli, convex, fock, functions, model, transform
+
+    def scipy_loaded(where):
+        names = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(where, names[:3])
+
+    scipy_loaded("import")
+    heis1 = model.QuadraticModel(np.array([[[1.0]]], complex))
+    f = functions.gaussian_function(heis1, functions.GridSpec(enodes=12))
+    fock.plancherel_residual(heis1, f, fock.PlancherelConfig(
+        lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=4, degree=2))
+    scipy_loaded("plancherel_heis1")
+    deg21 = model.QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], complex))
+    grid = functions.GridSpec(ebox=4.0, enodes=8, fbox=4.5, fnodes=16)
+    g = functions.SampledFunction(
+        deg21, lambda z, x: np.exp(-np.sum(np.abs(z) ** 2, -1) - np.sum(x**2, -1)), grid)
+    fock.plancherel_residual(deg21, g, fock.PlancherelConfig(
+        lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=4, degree=2, tau_nodes=4, grid=grid))
+    scipy_loaded("plancherel_deg21")
+    k12 = convex.interval_body(1.0, 2.0)
+    grid = functions.GridSpec(ebox=4.0, enodes=12, fbox=160.0, fnodes=64)
+    p = transform.bump_profile(k12, nodes=16)
+    f1 = transform.inverse_FN(heis1, p, grid=grid)
+    h = fock.group_convolve(f1, f1, grid=grid)
+    transform.forward_FN(h, np.array([[1.5]]), degree=2)
+    scipy_loaded("convolve")
+    scenarios = Path(SCENARIOS)
+    for sub, name in [("spectral", "spectral_heis1"), ("extend", "extend_heis1"),
+                      ("crcheck", "crcheck_heis1"), ("windows", "windows_heis1"),
+                      ("rockland", "rockland_heis1"), ("spectral", "spectral_all"),
+                      ("split", "split_flat12"), ("split", "split_pair22"),
+                      ("convex", "convex_quadrant")]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([sub, "--scenario", str(scenarios / f"{name}.scenario"),
+                             "--out", "out"])
+        assert code == 0, name
+        scipy_loaded(name)
+"""
+
+
+def test_no_workload_path_imports_scipy(tmp_path):
+    # scipy.optimize and scipy.spatial take longer to import than most runs
+    # take; only polytope hulls, erosion and nnls membership load them
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    out = _run_fresh(f"SCENARIOS = {str(scenarios)!r}\n" + textwrap.dedent(_WORKLOAD_PATHS),
+                     tmp_path)
+    lines = out.splitlines()
+    assert len(lines) == 13
+    assert [line for line in lines if not line.endswith(" []")] == []
+
+
+def test_the_polytope_routines_load_scipy_when_called(tmp_path):
+    out = _run_fresh("""
+        import sys
+
+        import numpy as np
+
+        from quadric_cr import convex
+
+        square = convex.box_body([0.0, 0.0], [2.0, 2.0])
+        print(sorted(convex.erode(square, 0.5).points.round(12).tolist()))
+        print(convex.boundary_distance(square, np.array([0.5, 1.0])))
+        print(convex.contains(square, np.array([1.0, 1.0])),
+              convex.contains(square, np.array([3.0, 1.0])))
+        print("scipy.optimize" in sys.modules, "scipy.spatial" in sys.modules)
+    """, tmp_path)
+    assert out.splitlines() == [
+        "[[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5]]",
+        "0.5",
+        "True False",
+        "True True",
+    ]
