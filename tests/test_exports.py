@@ -35,13 +35,13 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(quadric_cr, n)] == []
 
 
-def _run_fresh(code, tmp_path):
+def _run_fresh(code, tmp_path, *args):
     """Run code in a new interpreter that imports this package; returns its stdout."""
     env = dict(os.environ)
     src = str(Path(quadric_cr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -52,8 +52,6 @@ _WORKLOAD_PATHS = """
 
     import numpy as np
 
-    import quadric_cr
-    import quadric_cr.cli
     from quadric_cr import cli, convex, fock, functions, model, transform
 
     def scipy_loaded(where):
@@ -80,7 +78,7 @@ _WORKLOAD_PATHS = """
     h = fock.group_convolve(f1, f1, grid=grid)
     transform.forward_FN(h, np.array([[1.5]]), degree=2)
     scipy_loaded("convolve")
-    scenarios = Path(SCENARIOS)
+    scenarios = Path(sys.argv[1])
     for sub, name in [("spectral", "spectral_heis1"), ("extend", "extend_heis1"),
                       ("crcheck", "crcheck_heis1"), ("windows", "windows_heis1"),
                       ("rockland", "rockland_heis1"), ("spectral", "spectral_all"),
@@ -98,8 +96,7 @@ def test_no_workload_path_imports_scipy(tmp_path):
     # scipy.optimize and scipy.spatial take longer to import than most runs
     # take; only polytope hulls, erosion and nnls membership load them
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-    out = _run_fresh(f"SCENARIOS = {str(scenarios)!r}\n" + textwrap.dedent(_WORKLOAD_PATHS),
-                     tmp_path)
+    out = _run_fresh(_WORKLOAD_PATHS, tmp_path, str(scenarios))
     lines = out.splitlines()
     assert len(lines) == 13
     assert [line for line in lines if not line.endswith(" []")] == []
