@@ -167,7 +167,10 @@ def _run_plancherel(scn, seed, rng):
         tau_nodes=scn.integer("tau_nodes", 12),
         grid=grid,
     )
-    rep = plancherel_residual(model, f, cfg)
+    try:
+        rep = plancherel_residual(model, f, cfg)
+    except ValueError as exc:  # its only refusal: no lambda rule from these keys
+        raise cio.ParseError(f"{scn.path}: lam_count, lam_lo, lam_hi: {exc}") from exc
     rows = [tuple(lam) + (pf, layer, captured) for lam, pf, layer, captured in rep.rows]
     cols = [f"lam_{k}" for k in range(model.m)] + ["pfaffian", "layer_hs_sq", "captured"]
     meta = {
@@ -365,10 +368,10 @@ def _run_convex(scn, seed, rng):
         p = rng.integers(1, m + 1) if m > 1 else 1
         q, _ = np.linalg.qr(rng.standard_normal((m, p)))
         pb = project_body(body, q)
-        for _ in range(scn.integer("directions", 16)):
-            c = rng.standard_normal(p)
-            gap = abs(support(body, q @ c) - support(pb, c))
-            proj_worst = max(proj_worst, gap)
+        c = rng.standard_normal((scn.integer("directions", 16), p))
+        # equal infinite supports (a cone body) give nan gaps: they agree
+        gaps = np.abs(support(body, c @ q.T) - support(pb, c))
+        proj_worst = max(proj_worst, float(np.nanmax(gaps, initial=0.0)))
     rows.append(("projection_identity", proj_worst))
     checks.append(_check("projection_identity", proj_worst, scn.flt("tol_projection", 1e-12)))
     if scn.get("cone"):

@@ -10,12 +10,13 @@ JSON summary with one pass/fail entry per check.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from .convex import box_body, cone_body, interval_body, polytope_body, segment_body
 from .model import QuadraticModel
-from .transform import bump_profile, profile_from_callable
+from .transform import bump_profile
 
 __all__ = [
     "ConfigError",
@@ -175,7 +176,7 @@ def load_profile(path, body):
     if shape != "bump":
         raise ParseError(f"{path}: unknown profile shape {shape!r}")
     bump = bump_profile(body, nodes=nodes, steepness=steep)
-    return profile_from_callable(body, lambda lams: scale * bump.psi(lams), nodes=nodes)
+    return replace(bump, values=scale * bump.values, psi=lambda lams: scale * bump.psi(lams))
 
 
 class Scenario:

@@ -7,7 +7,10 @@ the sign convention
 
     H_K(v) = sup_{lam in K} < lam, -v >,
 
-so that growth estimates read exp(H_K(Im z)) directly.
+so that growth estimates read exp(H_K(Im z)) directly.  `contains`,
+`support` and `boundary_distance` take one point (m,) and return a scalar, or
+a stack (P, m) and return a (P,) array; the last two give a point the same
+bits in any stack.
 
 Polar cones come from one rule in every dimension: the facet normals of
 the cone over the body's rays, each the null vector of rays spanning a
@@ -128,15 +131,25 @@ def empty_body(m):
 def support(body, v):
     """H_K(v) = sup over the body of <lam, -v>."""
     v = np.asarray(v, float)
-    if body.kind == "empty":
-        return -np.inf
-    vals = -(body.points @ v)
-    if body.kind == "polytope":
-        return float(np.max(vals))
-    scale = max(1.0, float(np.linalg.norm(v)))
-    if vals.size == 0 or np.max(vals) <= _TOL * scale:
-        return 0.0
-    return np.inf
+    pts = _stack(body, v)
+    h = np.max(-_pairings(pts, body.points), axis=1, initial=-np.inf)
+    if body.kind == "cone":
+        h = np.where(h <= _TOL * np.maximum(1.0, np.linalg.norm(pts, axis=1)), 0.0, np.inf)
+    return float(h[0]) if v.ndim == 1 else h
+
+
+def _stack(body, lam):
+    """One point (m,) or a stack (P, m) as a (P, m) stack; other shapes raise."""
+    pts = np.atleast_2d(lam)
+    if pts.ndim != 2 or pts.shape[1] != body.m:
+        raise ValueError(f"expected points of shape (m,) or (P, m) with m = {body.m}")
+    return pts
+
+
+def _pairings(pts, vecs):
+    """<pts[p], vecs[k]> as (P, K): one matrix-vector product per point, so a
+    point gets the same bits alone or in any stack, unlike (P, m) @ (m, K)."""
+    return np.matmul(vecs, pts[:, :, None])[:, :, 0]
 
 
 def contains(body, lam, tol=1e-9):
@@ -163,9 +176,7 @@ def contains(body, lam, tol=1e-9):
     (outside), and may differ only in the band between.
     """
     lam = np.asarray(lam, float)
-    pts = np.atleast_2d(lam)
-    if pts.ndim != 2 or pts.shape[1] != body.m:
-        raise ValueError(f"expected points of shape (m,) or (P, m) with m = {body.m}")
+    pts = _stack(body, lam)
     if body.kind == "empty":
         inside = np.zeros(pts.shape[0], bool)
     else:
@@ -282,31 +293,25 @@ def _hull_halfspaces(vertices):
 def boundary_distance(body, lam):
     """Euclidean distance from lam to the boundary; 0 outside or on it."""
     lam = np.asarray(lam, float)
-    if body.kind == "empty":
-        return 0.0
-    if body.kind == "polytope":
-        if body.m == 1:
-            lo, hi = body.points.min(), body.points.max()
-            if lam[0] <= lo or lam[0] >= hi:
-                return 0.0
-            return float(min(lam[0] - lo, hi - lam[0]))
-        if _affine_dim(body.points) < body.m:
-            return 0.0
+    pts = _stack(body, lam)
+    normals, offsets = _facets(body)
+    slack = np.min(_pairings(pts, normals) + offsets, axis=1)
+    dist = np.where(slack > 0.0, slack, 0.0)
+    return float(dist[0]) if lam.ndim == 1 else dist
+
+
+def _facets(body):
+    """Unit inward normals (F, m) and offsets (F,) of the facets, the polar's
+    generators on a cone; one zero normal, and so distance 0, for a body with
+    no interior or a cone with a trivial polar."""
+    if body.kind == "polytope" and body.m == 1:
+        lo, hi = body.points.min(), body.points.max()
+        return np.array([[1.0], [-1.0]]), np.array([-lo, hi])
+    if body.kind == "polytope" and _affine_dim(body.points) == body.m:
         eqs = _hull_halfspaces(body.points)
-        slack = -(eqs[:, :-1] @ lam + eqs[:, -1])
-        return float(max(0.0, np.min(slack)))
-    # cone: facets pass through the origin with the polar's extreme rays as
-    # normals; a ray body in low dimension has boundary {0} along itself
-    rays = _rays(body)
-    if rays.shape[0] == 0:
-        return 0.0
-    dual = polar_cone(body)
-    if dual.points.shape[0] == 0:
-        return 0.0
-    slack = dual.points @ lam
-    if np.min(slack) < 0:
-        return 0.0
-    return float(np.min(slack))
+        return -eqs[:, :-1], -eqs[:, -1]
+    dual = polar_cone(body).points if body.kind == "cone" else np.zeros((0, body.m))
+    return (dual if dual.shape[0] else np.zeros((1, body.m))), 0.0
 
 
 def erode(body, eps):
@@ -422,18 +427,14 @@ def cone_inequality_constant(body, directions=181, h_directions=181):
     if lam_dirs.shape[0] == 0:
         raise ValueError("cannot scan the trivial cone")
     hs = _sphere_directions(body.m, h_directions)
-    keep = np.array([float(np.min(body.points @ h)) >= -1e-12 for h in hs])
-    hs = hs[keep]
+    # h lies in the polar cone exactly where the cone's support at h is 0
+    hs = hs[support(body, hs) == 0.0]
     if hs.shape[0] == 0:
         raise ValueError("the polar cone contains no scan directions")
-    # the cone's facets have the polar's generators as unit normals, so
-    # every direction's boundary distance comes from the one polar
-    dual = polar_cone(body).points
-    if dual.shape[0] == 0:
-        return np.inf
-    dist = np.maximum(np.min(lam_dirs @ dual.T, axis=1), 0.0)
+    dist = boundary_distance(body, lam_dirs)
     pairings = np.min(lam_dirs @ hs.T, axis=1)
     # a direction on a face has distance 0, or a rounding residue of the
-    # facet normals near 1e-16: skip it rather than divide by it
+    # facet normals near 1e-16: skip it rather than divide by it; a trivial
+    # polar leaves every distance 0 and the constant inf
     keep = dist > 1e-9
     return float(np.min(pairings[keep] / dist[keep], initial=np.inf))

@@ -575,7 +575,8 @@ def plancherel_residual(model, f, cfg):
     Gauss grid in tau when the generic radical is nontrivial, scaled by
     c = 2^(n-m-3d) / pi^(n+m+d).  Layers with an exceptional radical are
     skipped; the panel construction keeps nodes off the exceptional set in
-    all the shipped models.
+    all the shipped models.  A lam_nodes below two per panel raises a
+    ValueError before anything is sampled.
 
     f is sampled once per batch, not once per layer.  A batch is a set of
     layers that share a frame (equal eigenvectors and radical), cut to fit
@@ -606,7 +607,11 @@ def plancherel_residual(model, f, cfg):
     grid = cfg.grid or f.grid
     lam_lo = np.asarray(cfg.lam_lo, float).reshape(model.m)
     lam_hi = np.asarray(cfg.lam_hi, float).reshape(model.m)
-    rules = [panel_gauss(cfg.lam_nodes, lam_lo[k], lam_hi[k], cuts=(0.0,)) for k in range(model.m)]
+    try:
+        rules = [panel_gauss(cfg.lam_nodes, lam_lo[k], lam_hi[k], cuts=(0.0,))
+                 for k in range(model.m)]
+    except ValueError as exc:
+        raise ValueError(f"lam_nodes = {cfg.lam_nodes} gives no lambda rule: {exc}") from exc
     lam_nodes, lam_weights = tensor_rule(rules)
     constant = 2.0 ** (model.n - model.m - 3 * gen_d) / np.pi ** (model.n + model.m + gen_d)
     lhs = l2_norm(f, grid) ** 2

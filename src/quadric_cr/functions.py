@@ -47,8 +47,8 @@ CHUNK_ELEMENTS = 200_000
 # At the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds
 # six of its 41 layers and f is sampled 7 times, not 41; on a 2-core Xeon
 # that run took 29 s at this budget and 37 s at 16 MiB.  The plancherel-deg21
-# benchmark fits its 21 layers in one batch (peak RSS 125 MB, 115 MB at
-# 16 MiB).
+# benchmark fits its 21 layers in one batch (peak RSS 83.3 MB; 73.3 MB at
+# 16 MiB, with run_s 1.72 -> 2.07 s, one run each on a 2-core box).
 BATCH_STATE_BYTES = 32 * 2**20
 
 

@@ -202,19 +202,15 @@ def support_invariance(sp, samples=64, seed=0):
     n1, n2 = sp.e1_basis.shape[1], sp.e2_basis.shape[1]
     m1, r = sp.f1_basis.shape[1], sp.f2_basis.shape[1]
     scale = 1.5  # every sampled coordinate is a complex normal of this size
-    worst = 0.0
-    for _ in range(samples):
-        c1 = (rng.standard_normal(n1) + 1j * rng.standard_normal(n1)) * scale
-        c2 = (rng.standard_normal(n2) + 1j * rng.standard_normal(n2)) * scale
-        z = sp.e1_basis @ c1 + sp.e2_basis @ c2
-        w1 = (rng.standard_normal(m1) + 1j * rng.standard_normal(m1)) * scale
-        w2 = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) * scale
-        u = sp.f1_basis @ w1 + sp.f2_basis @ w2
-        rho = np.imag(u) - model.phi(z)
-        rho2 = np.imag(w2) - sp.phi2.phi(c2)
-        gap = abs(support(sp.body, rho) - support(sp.body2, rho2))
-        worst = max(worst, gap)
-    return worst
+    # one draw laid out as the per-sample order c1, c2, w1, w2, each (Re, Im)
+    draws = rng.standard_normal((samples, 2 * (n1 + n2 + m1 + r)))
+    parts = np.split(draws, np.cumsum([n1, n1, n2, n2, m1, m1, r]), axis=1)
+    c1, c2, w1, w2 = ((re + 1j * im) * scale for re, im in zip(parts[::2], parts[1::2]))
+    z = c1 @ sp.e1_basis.T + c2 @ sp.e2_basis.T
+    u = w1 @ sp.f1_basis.T + w2 @ sp.f2_basis.T
+    rho = np.imag(u) - model.phi(z)
+    rho2 = np.imag(w2) - sp.phi2.phi(c2)
+    return float(np.max(np.abs(support(sp.body, rho) - support(sp.body2, rho2)), initial=0.0))
 
 
 def verify_split_growth(f, sp):

@@ -334,18 +334,10 @@ def pw_margin(f, body, z, u, order=4):
     z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
     vals = extend(f, z, u)
-    ph = f.model.phi(z)
-    rho = np.imag(u) - ph
-    margins = np.empty(vals.shape[0])
-    clamped = 0
-    for i in range(vals.shape[0]):
-        h = support(body, rho[i])
-        if h > _EXP_CLAMP:
-            h = _EXP_CLAMP
-            clamped += 1
-        poly = (1.0 + np.sum(np.abs(z[i]) ** 2) + np.linalg.norm(u[i])) ** order
-        margins[i] = np.abs(vals[i]) * poly * math.exp(-h)
-    return margins, clamped
+    h = support(body, np.imag(u) - f.model.phi(z))
+    clamped = int(np.count_nonzero(h > _EXP_CLAMP))
+    poly = (1.0 + np.sum(np.abs(z) ** 2, axis=1) + np.linalg.norm(u, axis=1)) ** order
+    return np.abs(vals) * poly * np.exp(-np.minimum(h, _EXP_CLAMP)), clamped
 
 
 @functools.lru_cache(maxsize=8)

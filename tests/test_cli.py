@@ -168,6 +168,23 @@ def test_a_malformed_number_is_a_parse_error(tmp_path, capsys, case):
     assert str(path) in err and bad.split(" = ")[0] in err
 
 
+@pytest.mark.parametrize("lo, hi, count, need", [("-8", "8", 3, 4), ("0.2", "4", 1, 2)])
+def test_plancherel_with_too_few_lambda_nodes_is_a_parse_error(tmp_path, capsys, lo, hi,
+                                                               count, need):
+    # two nodes per panel, and a range containing 0 is cut there into two
+    heis1 = QuadraticModel(np.array([[[1.0]]], complex))
+    cfg = PlancherelConfig(lam_lo=[float(lo)], lam_hi=[float(hi)], lam_nodes=count)
+    with pytest.raises(ValueError, match=f"lam_nodes = {count} .* at least {need} nodes"):
+        plancherel_residual(heis1, gaussian_function(heis1, GridSpec()), cfg)
+    (tmp_path / "m.model").write_text(HEIS1_MODEL)
+    scn = tmp_path / "p.scenario"
+    scn.write_text(f"model = m.model\nfunction = gaussian\nlam_lo = {lo}\nlam_hi = {hi}\n"
+                   f"lam_count = {count}\ntol_residual = 1\n")
+    assert main(["plancherel", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(scn) in err and "lam_count" in err and f"at least {need} nodes" in err
+
+
 def test_missing_reference_exit_code(tmp_path):
     scn = tmp_path / "s.scenario"
     scn.write_text("model = ghost.model\nlam_lo = -1\nlam_hi = 1\n")

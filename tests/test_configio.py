@@ -3,6 +3,7 @@ import pytest
 
 from quadric_cr import configio as cio
 from quadric_cr.configio import ConfigError, MissingReferenceError, ParseError
+from quadric_cr.transform import bump_profile
 
 
 def test_kv_parsing_strips_comments_and_splits_on_first_equals(tmp_path):
@@ -92,6 +93,32 @@ def test_profile_stays_inside_body(tmp_path):
     prof = cio.load_profile(str(pp), body)
     assert prof.lambdas.min() > 1.0 and prof.lambdas.max() < 2.0
     assert prof.values.max() > 0.1
+
+
+def test_profile_builds_its_rule_once(tmp_path, monkeypatch):
+    # the scaled profile reuses the bump's own nodes and weights: one
+    # 1-D rule per axis of the body, built once
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(num):
+        built.append(int(num))
+        return leggauss(num)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    (tmp_path / "k.body").write_text("kind = interval\nlo = 1\nhi = 2\n")
+    (tmp_path / "b.body").write_text("kind = box\nlo = 0 1\nhi = 1 3\n")
+    (tmp_path / "p.profile").write_text("shape = bump\nnodes = 12\nscale = 2.5\n")
+    for name, rules in (("k.body", [12]), ("b.body", [12, 12])):
+        built.clear()
+        body = cio.load_body(str(tmp_path / name))
+        prof = cio.load_profile(str(tmp_path / "p.profile"), body)
+        assert built == rules
+        bump = bump_profile(body, nodes=12)
+        assert np.array_equal(prof.lambdas, bump.lambdas)
+        assert np.array_equal(prof.weights, bump.weights)
+        assert np.array_equal(prof.values, 2.5 * bump.values)
+        assert np.array_equal(prof.psi(prof.lambdas), prof.values)
 
 
 def test_scenario_name_and_tolerance_validation(tmp_path):

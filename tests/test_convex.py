@@ -27,6 +27,21 @@ from quadric_cr.convex import (
 )
 
 
+TRIVIAL_CONE = [[1.0, 0.1], [-1.0, 0.1], [0.0, -1.0]]
+
+
+def _assert_stack_is_pointwise(fn, body, extra=()):
+    """fn on a (P, m) stack gives the bits of fn point by point; a point gives a float."""
+    rng = np.random.default_rng(17)
+    pts = np.concatenate([np.reshape(extra, (-1, body.m)), 2.0 * rng.standard_normal((64, body.m))])
+    singles = [fn(body, p) for p in pts]
+    assert all(type(v) is float for v in singles)
+    got = fn(body, pts)
+    assert got.shape == (pts.shape[0],)
+    assert got.tobytes() == np.array(singles).tobytes()
+    return got
+
+
 def test_support_sign_convention():
     k = interval_body(1.0, 2.0)
     assert support(k, np.array([1.0])) == -1.0
@@ -34,6 +49,13 @@ def test_support_sign_convention():
     box = box_body([0.0, 0.0], [1.0, 2.0])
     assert support(box, np.array([-1.0, -1.0])) == 3.0
     assert support(empty_body(2), np.array([1.0, 0.0])) == -np.inf
+    assert _assert_stack_is_pointwise(support, k, [[1.0], [-1.0]])[:2].tolist() == [-1.0, 2.0]
+    assert _assert_stack_is_pointwise(support, box, [-1.0, -1.0])[0] == 3.0
+    seg = segment_body([0.0, 0.3], [1.1, 0.7])
+    assert _assert_stack_is_pointwise(support, seg, [0.0, -1.0])[0] == 0.7
+    assert np.all(_assert_stack_is_pointwise(support, empty_body(2)) == -np.inf)
+    with pytest.raises(ValueError):
+        support(box, np.zeros((3, 3)))
 
 
 def test_support_on_cones():
@@ -43,6 +65,14 @@ def test_support_on_cones():
     quad = cone_body([[1.0, 0.0], [0.0, 1.0]])
     assert support(quad, np.array([0.5, 0.5])) == 0.0
     assert support(quad, np.array([-0.1, 1.0])) == np.inf
+    assert _assert_stack_is_pointwise(support, half, [[1.0], [-1.0]])[:2].tolist() == [0.0, np.inf]
+    got = _assert_stack_is_pointwise(support, quad, [[0.5, 0.5], [-0.1, 1.0]])
+    assert got[:2].tolist() == [0.0, np.inf]
+    got = _assert_stack_is_pointwise(support, cone_body(np.eye(3)), [[1.0, 2.0, 0.0], [1.0, -1e-3, 0.0]])
+    assert got[:2].tolist() == [0.0, np.inf]
+    # the trivial cone's support is inf in every direction but 0
+    got = _assert_stack_is_pointwise(support, cone_body(TRIVIAL_CONE), [0.0, 0.0])
+    assert got[0] == 0.0 and np.all(got[1:] == np.inf)
 
 
 def test_contains_polytope():
@@ -126,6 +156,8 @@ def test_boundary_distance_octant_faces():
     octant = cone_body(np.eye(3))
     assert boundary_distance(octant, np.array([1.0, 1.0, 0.0])) == 0.0
     assert boundary_distance(octant, np.array([1.0, 2.0, 3.0])) == pytest.approx(1.0, abs=1e-14)
+    got = _assert_stack_is_pointwise(boundary_distance, octant, [[1.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    assert got[0] == 0.0 and got[1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boundary_distance_interval_and_box():
@@ -136,6 +168,10 @@ def test_boundary_distance_interval_and_box():
     assert boundary_distance(box, np.array([0.5, 0.5])) == pytest.approx(0.5)
     assert boundary_distance(box, np.array([0.2, 0.9])) == pytest.approx(0.1)
     assert boundary_distance(box, np.array([1.2, 0.5])) == 0.0
+    got = _assert_stack_is_pointwise(boundary_distance, k, [[1.4], [2.5], [1.0]])
+    assert got[0] == pytest.approx(0.4) and got[1] == got[2] == 0.0
+    got = _assert_stack_is_pointwise(boundary_distance, box, [[0.5, 0.5], [0.2, 0.9], [1.2, 0.5]])
+    assert got[:3] == pytest.approx([0.5, 0.1, 0.0])
 
 
 def test_boundary_distance_flat_and_cone():
@@ -146,6 +182,13 @@ def test_boundary_distance_flat_and_cone():
     assert boundary_distance(quad, np.array([-0.3, 0.8])) == 0.0
     half = cone_body([[1.0]])
     assert boundary_distance(half, np.array([0.7])) == pytest.approx(0.7)
+    assert np.all(_assert_stack_is_pointwise(boundary_distance, seg, [0.5, 0.0]) == 0.0)
+    got = _assert_stack_is_pointwise(boundary_distance, quad, [[0.3, 0.8], [-0.3, 0.8]])
+    assert got[:2] == pytest.approx([0.3, 0.0])
+    got = _assert_stack_is_pointwise(boundary_distance, half, [[0.7], [-0.7]])
+    assert got[:2] == pytest.approx([0.7, 0.0])
+    for body in (cone_body(TRIVIAL_CONE), empty_body(2)):
+        assert np.all(_assert_stack_is_pointwise(boundary_distance, body, [0.3, 0.8]) == 0.0)
 
 
 def test_erode_interval_and_box():

@@ -501,3 +501,8 @@ def test_pw_margin_bounded_and_clamped():
     # and the margin comes out inflated rather than underflowing
     assert ncl == 1
     assert margins[6] > 10.0 * margins[0]
+    # the stack gives each probe's own margin and clamp
+    singles = [pw_margin(f, body, zs[i : i + 1], 1j * hs[i : i + 1, None], order=0)
+               for i in range(hs.size)]
+    assert np.allclose(margins, [m[0] for m, _ in singles], rtol=1e-14, atol=0.0)
+    assert [c for _, c in singles] == [0] * 6 + [1]
