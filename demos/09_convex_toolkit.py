@@ -35,7 +35,7 @@ print("membership:", contains(quadrant, np.array([0.5, 2.0])),
       contains(quadrant, np.array([-0.1, 2.0])))
 print("boundary distance of (1,2):", boundary_distance(quadrant, np.array([1.0, 2.0])))
 
-c = cone_inequality_constant(quadrant, directions=100, h_directions=100)
+c = cone_inequality_constant(quadrant, directions=100)
 theta = np.linspace(1e-3, np.pi / 2 - 1e-3, 1001)
 inradius = np.minimum(np.cos(theta), np.sin(theta)).max()
 print(f"sampled cone constant: {c:.6f}   unit-slice inradius: {inradius:.6f}")

@@ -41,6 +41,7 @@ from .split import (
     verify_split_growth,
 )
 from .transform import (
+    LONG_XBOX,
     bandlimit_project,
     bump_profile,
     extend,
@@ -67,8 +68,8 @@ def _check(name, value, bound, kind="max"):
 
 def _with_warnings(meta, f):
     """meta, with f's synthesis warnings under "warnings" if it has any."""
-    if f.meta.get("warnings"):
-        meta["warnings"] = list(f.meta["warnings"])
+    if f.warnings:
+        meta["warnings"] = list(f.warnings)
     return meta
 
 
@@ -180,7 +181,7 @@ def _run_plancherel(scn, seed, rng):
         "constant": rep.constant,
         "layers": rep.n_layers,
         "skipped": rep.skipped,
-        "warnings": list(f.meta.get("warnings", ())) + list(rep.warnings),
+        "warnings": list(f.warnings) + list(rep.warnings),
     }
     checks = [_check("plancherel_residual", rep.residual, scn.flt("tol_residual"))]
     return meta, cols, rows, checks
@@ -220,9 +221,12 @@ def _run_extend(scn, seed, rng):
     order = scn.integer("order", 3)
     z, u = _sample_ambient(model, rng, count, scn.flt("scale", 0.6), scn.flt("hmax", 1.2))
     f = inverse_FN(model, prof)
-    vb = extend_profile(model, prof, z, u, lam_nodes=scn.integer("lam_nodes", 64))
-    va = extend_by_resynthesis(f, body, z, u, xbox=scn.flt("xbox", 160.0),
-                               lam_nodes=scn.integer("lam_nodes", 64))
+    try:
+        vb = extend_profile(model, prof, z, u, lam_nodes=scn.integer("lam_nodes", 64))
+        va = extend_by_resynthesis(f, body, z, u, xbox=scn.flt("xbox", LONG_XBOX),
+                                   lam_nodes=scn.integer("lam_nodes", 64))
+    except ValueError as exc:  # route B's point cap or route A's box kernel refuses lam_nodes
+        raise cio.ParseError(f"{scn.path}: lam_nodes, xbox: {exc}") from exc
     rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
     xb = rng.standard_normal((count, model.m)) * 2.0
     ub = xb + 1j * model.phi(z)
@@ -301,7 +305,10 @@ def _run_windows(scn, seed, rng):
     worst_sandwich = 0.0
     errs = []
     for eps in eps_list:
-        w = spectral_window(body, eps)
+        try:
+            w = spectral_window(body, eps)
+        except ValueError as exc:  # its only refusal: a width that is not positive
+            raise cio.ParseError(f"{scn.path}: eps: {exc}") from exc
         inner = erode(body, eps)
         outer = erode(body, eps / 4.0)
         vals = w(lams)
@@ -331,7 +338,10 @@ def _run_windows(scn, seed, rng):
 def _run_split(scn, seed, rng):
     model = scn.model()
     body = scn.body()
-    sp = split(model, body)
+    try:
+        sp = split(model, body)
+    except ValueError as exc:  # its only refusals: a body not a polytope or outside the cone
+        raise cio.ParseError(f"{scn.path}: body: {exc}") from exc
     samples = scn.integer("samples", 64)
     res = split_invariants(sp, samples=samples, seed=seed)
     rows = [(k, v) for k, v in sorted(res.items())]
@@ -377,7 +387,7 @@ def _run_convex(scn, seed, rng):
     if scn.get("cone"):
         cone = scn.body("cone")
         d = max(2, int(np.sqrt(scn.integer("samples", 10000))))
-        const = cone_inequality_constant(cone, directions=d, h_directions=d)
+        const = cone_inequality_constant(cone, directions=d)
         rows.append(("cone_constant", const))
         if scn.get("expected_constant") is not None:
             gap = abs(const - scn.flt("expected_constant"))

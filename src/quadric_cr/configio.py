@@ -142,27 +142,30 @@ def load_body(path):
     polytope with vertex= lines, cone with generator= lines)."""
     kv = parse_kv_file(path)
     kind = kv.require("kind")
-    if kind == "interval":
-        return interval_body(_number(kv.require("lo"), path, "lo"),
-                             _number(kv.require("hi"), path, "hi"))
-    if kind == "box":
-        lo = _floats(kv.require("lo"), path, "lo")
-        hi = _floats(kv.require("hi"), path, "hi")
-        return box_body(lo, hi)
-    if kind == "segment":
-        return segment_body(
-            _floats(kv.require("a"), path, "a"), _floats(kv.require("b"), path, "b")
-        )
-    if kind == "polytope":
-        rows = [_floats(v, path, "vertex") for v in kv.getall("vertex")]
-        if not rows:
-            raise ParseError(f"{path}: polytope needs vertex= lines")
-        return polytope_body(np.asarray(rows))
-    if kind == "cone":
-        rows = [_floats(v, path, "generator") for v in kv.getall("generator")]
-        if not rows:
-            raise ParseError(f"{path}: cone needs generator= lines")
-        return cone_body(np.asarray(rows))
+    try:
+        if kind == "interval":
+            return interval_body(_number(kv.require("lo"), path, "lo"),
+                                 _number(kv.require("hi"), path, "hi"))
+        if kind == "box":
+            lo = _floats(kv.require("lo"), path, "lo")
+            hi = _floats(kv.require("hi"), path, "hi")
+            return box_body(lo, hi)
+        if kind == "segment":
+            return segment_body(
+                _floats(kv.require("a"), path, "a"), _floats(kv.require("b"), path, "b")
+            )
+        if kind == "polytope":
+            rows = [_floats(v, path, "vertex") for v in kv.getall("vertex")]
+            if not rows:
+                raise ParseError(f"{path}: polytope needs vertex= lines")
+            return polytope_body(np.asarray(rows))
+        if kind == "cone":
+            rows = [_floats(v, path, "generator") for v in kv.getall("generator")]
+            if not rows:
+                raise ParseError(f"{path}: cone needs generator= lines")
+            return cone_body(np.asarray(rows))
+    except ValueError as exc:  # a constructor's refusal, such as an empty interval
+        raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}: unknown body kind {kind!r}")
 
 

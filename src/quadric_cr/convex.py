@@ -413,20 +413,21 @@ def _body_directions(body, count):
     return np.array(out)
 
 
-def cone_inequality_constant(body, directions=181, h_directions=181):
+def cone_inequality_constant(body, directions=181):
     """Largest C with <lam, h> >= C |h| dist(lam, boundary) on scanned pairs.
 
     lam runs over a deterministic angular grid inside the cone, h over unit
     directions filtered to the polar cone (every generator pairs
-    nonnegatively).  The returned value is the infimum over the scan, an
-    upper bound for the sharp constant that converges as the grids refine.
+    nonnegatively); `directions` sets the size of both scans.  The returned
+    value is the infimum over the scan, an upper bound for the sharp
+    constant that converges as the grids refine.
     """
     if body.kind != "cone":
         raise ValueError("the cone inequality is about cone bodies")
     lam_dirs = _body_directions(body, directions)
     if lam_dirs.shape[0] == 0:
         raise ValueError("cannot scan the trivial cone")
-    hs = _sphere_directions(body.m, h_directions)
+    hs = _sphere_directions(body.m, directions)
     # h lies in the polar cone exactly where the cone's support at h is 0
     hs = hs[support(body, hs) == 0.0]
     if hs.shape[0] == 0:

@@ -52,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
-                        SpectralForm, _box_kernel, central_transform, l2_norm)
+from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, EXP_LIMIT, GridSpec,
+                        SampledFunction, SpectralForm, _box_kernel, central_transform, l2_norm)
 from .quadrature import boundary_mask, complex_grid, gauss_legendre, panel_gauss, tensor_rule
-from .spectral import is_exceptional, layer_invariants, spectral_data, generic_dimension
+from .spectral import (generic_dimension, is_exceptional, layer_invariants,
+                       plancherel_constant, spectral_data)
 
 __all__ = [
     "FockBasis",
@@ -333,11 +334,11 @@ def group_convolve(f, g, grid=None):
     H = w_q fhat(q, lam_j) e^(-<lam_j, Phi(q)>): the same terms, summed in
     another order.  The result carries a spectral form that is not a ground
     form.  Raises ValueError when g has no ground form, when one factor's
-    exponent exceeds 600 (as `extend` does), and when a product of factors
-    overflows, so no inf or nan is returned.  The axis factors stay below
-    e^(ebox |s_i|), so output points with ebox |s_i| < 600 are served (on
-    HEIS1, 2 |lam| ebox |z| < 600); kernel frequencies outside the pairing
-    cone are refused once e^(-<lam_j, Phi(q)>) passes e^600 on the box.
+    exponent exceeds `EXP_LIMIT` = 600 (as `extend` does), and when a product
+    of factors overflows, so no inf or nan is returned.  The axis factors
+    stay below e^(ebox |s_i|), so output points with ebox |s_i| < 600 are
+    served (on HEIS1, 2 |lam| ebox |z| < 600); kernel frequencies outside the
+    pairing cone are refused once e^(-<lam_j, Phi(q)>) passes e^600 on the box.
 
     When f carries a ground form too, c_i(z) = a_i e^(-<mu_i, Phi(z)>), the
     q-integral is Gaussian and closes.  With fhat(q, lam_j) = sum_i a_i
@@ -355,12 +356,12 @@ def group_convolve(f, g, grid=None):
     no coefficient is evaluated.  Every other f, or a pair with a sum that
     is degenerate or outside the cone, takes the q-sum above.
     """
-    if getattr(g, "spectral", None) is None or g.spectral.amp is None:
+    if g.spectral is None or g.spectral.amp is None:
         raise ValueError("the convolution kernel needs a ground form")
     model = f.model
     grid = grid or f.grid
     lambdas, amp = g.spectral.lambdas, g.spectral.amp  # (J, m), (J,)
-    if getattr(f, "spectral", None) is not None and f.spectral.amp is not None:
+    if f.spectral is not None and f.spectral.amp is not None:
         mus = f.spectral.lambdas  # (I, m)
         pf, negative, d = layer_invariants(model, mus[:, None, :] + lambdas[None, :, :])
         if not (negative.any() or d.any()):
@@ -371,7 +372,7 @@ def group_convolve(f, g, grid=None):
 
     def guard(exponent):
         top = float(np.max(exponent))
-        if top > 600.0:
+        if top > EXP_LIMIT:
             raise ValueError(f"a convolution factor reaches exp({top:.0f}): the kernel "
                              "frequencies or output points lie too far outside the pairing "
                              "cone for the box")
@@ -500,10 +501,11 @@ class _BatchLayer:
     def __init__(self, sd, degree, rules, src_rules, taus):
         self.fb = fock_basis(sd, degree)
         self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules)
-        # one matrix per real axis, (Re, Im) of each mode; None where the
-        # layer's nodes are the source's
-        self.mats = [None if np.array_equal(r[0], s[0]) else _interp_matrix(s[0], r[0])
-                     for r, s in zip(rules, src_rules) for _ in range(2)]
+        # one matrix per real axis, the same for Re and Im of a mode; None
+        # where the layer's nodes are the source's
+        mode_mats = [None if np.array_equal(r[0], s[0]) else _interp_matrix(s[0], r[0])
+                     for r, s in zip(rules, src_rules)]
+        self.mats = [mat for mat in mode_mats for _ in range(2)]
         self.wshift = None  # kept only while more radical chunks remain
         self.share = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
         self.tail_all = self.tail_w = self.mass = 0.0
@@ -573,7 +575,7 @@ def plancherel_residual(model, f, cfg):
     of pi_(lam,tau)(f) over a panel-split Gauss grid in lam (cut at the
     coordinate zeros, where the Pfaffian kinks and layers degenerate) and a
     Gauss grid in tau when the generic radical is nontrivial, scaled by
-    c = 2^(n-m-3d) / pi^(n+m+d).  Layers with an exceptional radical are
+    c = `plancherel_constant(model, d)`.  Layers with an exceptional radical are
     skipped; the panel construction keeps nodes off the exceptional set in
     all the shipped models.  A lam_nodes below two per panel raises a
     ValueError before anything is sampled.
@@ -613,7 +615,7 @@ def plancherel_residual(model, f, cfg):
     except ValueError as exc:
         raise ValueError(f"lam_nodes = {cfg.lam_nodes} gives no lambda rule: {exc}") from exc
     lam_nodes, lam_weights = tensor_rule(rules)
-    constant = 2.0 ** (model.n - model.m - 3 * gen_d) / np.pi ** (model.n + model.m + gen_d)
+    constant = plancherel_constant(model, gen_d)
     lhs = l2_norm(f, grid) ** 2
 
     # every processed layer has the generic radical, so they share one tau rule

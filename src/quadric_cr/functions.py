@@ -51,6 +51,10 @@ CHUNK_ELEMENTS = 200_000
 # 16 MiB, with run_s 1.72 -> 2.07 s, one run each on a 2-core box).
 BATCH_STATE_BYTES = 32 * 2**20
 
+# Largest exponent the overflow guards of `transform.extend` and
+# `fock.group_convolve` let through: e^600 leaves room below e^709 for sums.
+EXP_LIMIT = 600.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -136,13 +140,13 @@ class SpectralForm:
 
 @dataclass
 class SampledFunction:
-    """A boundary function together with its quadrature conventions."""
+    """A boundary function, its quadrature conventions and its synthesis warnings."""
 
     model: object
     evaluate: object
     grid: GridSpec = field(default_factory=GridSpec)
     spectral: SpectralForm | None = None
-    meta: dict = field(default_factory=dict)
+    warnings: tuple = ()
 
     def __call__(self, z, x):
         return self.evaluate(z, x)
@@ -192,14 +196,13 @@ def l2_norm(f, grid=None):
     model = f.model
     g = grid or f.grid
     t, tw = g.e_rule()
-    spectral = getattr(f, "spectral", None)
-    if spectral is not None:
-        lams = spectral.lambdas
+    if f.spectral is not None:
+        lams = f.spectral.lambdas
         gram = _box_kernel(lams[:, None, :] - lams[None, :, :], g.fbox)  # (J, J)
         step = max(1, CHUNK_ELEMENTS // lams.shape[0])
 
         def x_integral(zc):
-            c = spectral.coeff(zc)  # (c, J)
+            c = f.spectral.coeff(zc)  # (c, J)
             # Re(c^H G c) = Re c . G Re c + Im c . G Im c, one real GEMM a part
             parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
             return sum(np.einsum("ij,ij->i", p, p @ gram) for p in parts)
@@ -246,7 +249,7 @@ def central_transform(f, lambdas, xbox, xnodes):
     are one more real GEMM.  xnodes matters only for sampled functions.
     """
     J = lambdas.shape[0]
-    spectral = getattr(f, "spectral", None)
+    spectral = f.spectral  # the form the returned transform applies
     if spectral is not None:
         kappa = spectral.lambdas[:, None, :] - lambdas[None, :, :]  # (Jf, J, m)
         box = _box_kernel(kappa, xbox)  # (Jf, J)

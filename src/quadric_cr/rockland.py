@@ -94,21 +94,20 @@ class RocklandSpectrum:
     alphas: np.ndarray
 
 
-def rockland_spectrum(fb, tau=None, keep_untrusted=False):
+def rockland_spectrum(fb, tau=None):
     """Sorted spectrum of dpi(L), paired with the multi-indices that carry it.
 
     The operator is diagonal on the graded basis, so the spectrum is read
     off the diagonal after an off-diagonal sanity check.  Rows of top degree
-    lose their raising contribution to the truncation and are deflated;
-    they are dropped unless `keep_untrusted` is set.
+    lose their raising contribution to the truncation and are deflated, so
+    they are dropped; `rockland_matrix` still holds them.
     """
     mat = rockland_matrix(fb, tau)
     off = mat - np.diag(np.diag(mat))
     if np.abs(off).max() > 1e-9 * max(1.0, np.abs(np.diag(mat)).max()):
         raise AssertionError("layer operator is not diagonal on the graded basis")
     diag = np.diag(mat)
-    degrees = fb.alphas.sum(axis=1)
-    keep = np.ones(fb.size, bool) if keep_untrusted else (degrees < max(fb.degree, 1))
+    keep = fb.alphas.sum(axis=1) < max(fb.degree, 1)
     diag, alphas = diag[keep], fb.alphas[keep]
     order = np.argsort(diag, kind="stable")
     return RocklandSpectrum(eigenvalues=diag[order], alphas=alphas[order])

@@ -20,9 +20,9 @@ negative-eigenvalue count all follow from it, for one layer
 (`spectral_data`) or a stack (`layer_invariants`).  The closed positivity
 cone is where that count is 0.
 
-The sign in J = s i A(lam) is a global orientation choice; +1 is pinned at
-import time by checking positivity of phi_lam on a reference model, and the
-dual formula above is re-checked against the eigenvector form in the tests.
+The sign in J = s i A(lam) is a global orientation choice; +1 is pinned on
+the first `j_prime` by checking positivity of phi_lam on a reference model,
+and the dual formula above is re-checked against the eigenvector form in tests.
 """
 
 import functools
@@ -38,6 +38,7 @@ __all__ = [
     "layer_invariants",
     "generic_dimension",
     "is_exceptional",
+    "plancherel_constant",
 ]
 
 ZERO_RTOL = 1e-10
@@ -194,3 +195,11 @@ def generic_dimension(model):
 def is_exceptional(sd, generic_d):
     """Whether a layer's radical is larger than the generic one."""
     return sd.d > generic_d
+
+
+def plancherel_constant(model, d):
+    """2^(n-m-3d) / pi^(n+m+d), the Plancherel constant at generic radical dimension d.
+
+    Its d = 0 case is the synthesis constant of band-limited functions.
+    """
+    return 2.0 ** (model.n - model.m - 3 * d) / np.pi ** (model.n + model.m + d)

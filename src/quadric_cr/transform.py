@@ -3,10 +3,11 @@
 A spectral profile is a smooth density psi on a convex body K of central
 frequencies.  Synthesis is the weighted quadrature
 
-    f0(z, x) = 2^(n-m)/pi^(n+m) * sum_j w_j psi(lam_j) |Pf(lam_j)|
+    f0(z, x) = c_N sum_j w_j psi(lam_j) |Pf(lam_j)|
                exp(-<lam_j, Phi(z)>) exp(i <lam_j, x>),
 
-the ground-coefficient band-limited function with spectrum in K.  Profiles
+c_N = `plancherel_constant(model, 0)`, the ground-coefficient band-limited
+function with spectrum in K.  Profiles
 are expected to live in the closed positivity cone, where the layer weight
 is the plain pairing <lam, Phi(z)>; nodes outside it are reported and the
 result is not guaranteed to satisfy the tangential equations.
@@ -15,7 +16,7 @@ Analysis is the trace of the integrated representation, lam -> tr
 pi_lam(f), evaluated layer by layer.  For band-limited data the operator is
 rank one on the ground vector, so the trace recovers psi exactly up to
 quadrature; the central box must be long because band-limited functions
-decay slowly along the center (the default reaches well past 1e-6).
+decay slowly along the center (`LONG_XBOX` reaches well past 1e-6).
 
 The ambient extension continues f0 holomorphically in the central variable.
 Route A (`extend_by_resynthesis`) resynthesizes from the boundary function:
@@ -44,9 +45,10 @@ import numpy as np
 
 from .convex import ConvexBody, contains, empty_body, erode, support
 from .fock import fock_basis, group_convolve, pi_of_f_batch
-from .functions import GridSpec, SampledFunction, SpectralForm, central_transform
+from .functions import EXP_LIMIT, GridSpec, SampledFunction, SpectralForm, central_transform
 from .quadrature import gauss_legendre, tensor_rule
-from .spectral import generic_dimension, is_exceptional, layer_invariants, spectral_data
+from .spectral import (generic_dimension, is_exceptional, layer_invariants,
+                       plancherel_constant, spectral_data)
 
 __all__ = [
     "smooth_bump",
@@ -65,13 +67,11 @@ __all__ = [
     "spectrum_support",
 ]
 
+LONG_XBOX = 160.0
+LONG_XNODES = 768
 _EXP_CLAMP = 40.0
 _POINT_CAP = 16384
 _REFINE_RTOL = 1e-8
-
-
-def _pw_const(model):
-    return 2.0 ** (model.n - model.m) / np.pi ** (model.n + model.m)
 
 
 def smooth_bump(t, steepness=4.0):
@@ -150,23 +150,22 @@ def inverse_FN(model, profile, grid=None):
     Returns a SampledFunction carrying the finite SpectralForm, a ground
     form with amplitudes c_N w_j psi(lam_j) |Pf(lam_j)|.  Profile
     nodes outside the closed positivity cone (A(lam) has a negative
-    eigenvalue) make the ground-layer weight formula unreliable; they are
-    recorded in meta["warnings"].
+    eigenvalue) make the ground-layer weight formula unreliable; the result's
+    `warnings` names them.
     """
     grid = grid or GridSpec()
     lams = profile.lambdas
     pf, n_negative, _ = layer_invariants(model, lams)
-    warnings = [
+    warnings = tuple(
         f"profile node {j} lies outside the closed positivity cone"
         for j in np.flatnonzero(n_negative)
-    ]
-    amp = _pw_const(model) * profile.weights * profile.values * pf  # (J,)
-    meta = {"warnings": tuple(warnings)} if warnings else {}
+    )
+    amp = plancherel_constant(model, 0) * profile.weights * profile.values * pf  # (J,)
     form = SpectralForm.ground(model, lams, amp)
-    return SampledFunction(model, form, grid, spectral=form, meta=meta)
+    return SampledFunction(model, form, grid, spectral=form, warnings=warnings)
 
 
-def forward_FN(f, lambdas, degree=8, grid=None):
+def forward_FN(f, lambdas, degree=8):
     """The transform lam -> tr pi_lam(f), one layer quadrature per frequency.
 
     Each frequency is one `pi_of_f_batch` call on its own clipped grid.  A
@@ -175,17 +174,15 @@ def forward_FN(f, lambdas, degree=8, grid=None):
     from 6.5e-6 to 2.1e-5 with nothing to report it.
 
     Returns (values, warnings).  Exceptional frequencies are skipped with a
-    warning and a nan entry.  The grid defaults to the function's own
-    perpendicular box but a long central box, which band-limited data needs;
-    its node count (fnodes) matters only for a sampled f, since a spectral
-    form is transformed in closed form on the box.  Accuracy warnings from
-    the operator quadrature are passed through.
+    warning and a nan entry.  The grid is the function's own perpendicular
+    box with the central box `LONG_XBOX`, which band-limited data needs; its
+    x-rule `LONG_XNODES` matters only for a sampled f, since a spectral form
+    is transformed in closed form on the box.  Accuracy warnings from the
+    operator quadrature are passed through.
     """
     model = f.model
     lambdas = np.atleast_2d(np.asarray(lambdas, float))
-    if grid is None:
-        g = f.grid
-        grid = GridSpec(ebox=g.ebox, enodes=g.enodes, fbox=160.0, fnodes=768)
+    grid = GridSpec(ebox=f.grid.ebox, enodes=f.grid.enodes, fbox=LONG_XBOX, fnodes=LONG_XNODES)
     gen_d = generic_dimension(model)
     out = np.full(lambdas.shape[0], np.nan, complex)
     warnings = []
@@ -216,7 +213,7 @@ def extend(f, z, u):
     ph = f.model.phi(z)  # (..., m)
     rho = np.imag(u) - ph
     expo = -(rho @ lams.T)  # (..., J)
-    if np.max(expo) > 600.0:
+    if np.max(expo) > EXP_LIMIT:
         raise ValueError("extension point lies too deep outside the pairing cone")
     c = f.spectral.coeff(z)
     return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
@@ -276,7 +273,7 @@ def extend_profile(model, profile, z, u, lam_nodes=64):
         raise ValueError("route B refinement needs the profile's evaluator")
     z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
-    const = _pw_const(model)
+    const = plancherel_constant(model, 0)
     ph = model.phi(z)  # (P, m)
 
     def integrand(lams):
@@ -289,14 +286,14 @@ def extend_profile(model, profile, z, u, lam_nodes=64):
     return _gl_refine(profile.body, integrand, start=lam_nodes)
 
 
-def extend_by_resynthesis(f, body, z, u, xbox=160.0, xnodes=768, lam_nodes=64):
+def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
     """Ambient extension of boundary data f by resynthesis (route A).
 
     Takes the Euclidean fiber transform of f along the center at each
     requested z, over a long central box, and resynthesizes with the
     complex-frequency kernel on a Gauss grid over the frequency body's box;
     it touches the data only through f.  The fiber transform of a spectral
-    form is its closed form on the box, so xnodes matters only for sampled f.
+    form is its closed form on the box, so `LONG_XNODES` matters only for sampled f.
 
     The box kernel oscillates like e^(i xbox lam_k), so across an axis of
     width hi_k - lo_k it turns through xbox (hi_k - lo_k) / 2 radians about
@@ -317,7 +314,7 @@ def extend_by_resynthesis(f, body, z, u, xbox=160.0, xnodes=768, lam_nodes=64):
             f"{math.ceil((turn + 1.0) / 2.0)}"
         )
     lams, lw = tensor_rule([gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)])
-    fhat, _, _ = central_transform(f, lams, xbox, xnodes)(z)  # (P, J)
+    fhat, _, _ = central_transform(f, lams, xbox, LONG_XNODES)(z)  # (P, J)
     # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
     # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
     resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
@@ -340,11 +337,11 @@ def pw_margin(f, body, z, u, order=4):
     return np.abs(vals) * poly * np.exp(-np.minimum(h, _EXP_CLAMP)), clamped
 
 
-@functools.lru_cache(maxsize=8)
-def _bump_cdf(steepness):
+@functools.cache
+def _bump_cdf():
     """Distribution function of the unit mollifier, on a dense grid."""
     grid = np.linspace(-1.0, 1.0, 4097)
-    dens = smooth_bump(grid, steepness)
+    dens = smooth_bump(grid)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))])
     mass = cdf[-1]
     return grid, cdf / mass, mass
@@ -355,8 +352,6 @@ class WindowFunction:
     """A clipped-mollifier window on a box body."""
 
     body: ConvexBody
-    eps: float
-    steepness: float
     plateau: ConvexBody
     outer: ConvexBody
     deriv_bound: float
@@ -368,7 +363,7 @@ class WindowFunction:
         if self.empty:
             return np.zeros(lams.shape[0])
         out = np.ones(lams.shape[0])
-        grid, cdf, _ = _bump_cdf(self.steepness)
+        grid, cdf, _ = _bump_cdf()
         for k, (a, b, s) in enumerate(self._per_dim):
             ta = np.interp((lams[:, k] - a) / s, grid, cdf, left=0.0, right=1.0)
             tb = np.interp((lams[:, k] - b) / s, grid, cdf, left=0.0, right=1.0)
@@ -376,7 +371,7 @@ class WindowFunction:
         return out
 
 
-def spectral_window(body, eps, steepness=4.0):
+def spectral_window(body, eps):
     """tau_eps = chi_{K_{eps/2}} * psi_{eps/4}, exact for box bodies.
 
     Exactly one on the inner parallel body at depth 3 eps/4 (which contains
@@ -388,37 +383,20 @@ def spectral_window(body, eps, steepness=4.0):
     if body.kind != "polytope" or not _is_box(body):
         raise NotImplementedError("windows are implemented for interval and box bodies")
     lo, hi = _body_box(body)
-    s = eps / 4.0
-    _, _, mass = _bump_cdf(steepness)
-    if np.any(hi - lo <= eps):
-        return WindowFunction(
-            body=body,
-            eps=eps,
-            steepness=steepness,
-            plateau=empty_body(body.m),
-            outer=erode(body, eps / 4.0),
-            deriv_bound=4.0 / (eps * mass),
-            empty=True,
-        )
-    per_dim = tuple((lo[k] + eps / 2.0, hi[k] - eps / 2.0, s) for k in range(body.m))
+    _, _, mass = _bump_cdf()
+    empty = bool(np.any(hi - lo <= eps))
     return WindowFunction(
         body=body,
-        eps=eps,
-        steepness=steepness,
-        plateau=erode(body, 3.0 * eps / 4.0),
+        plateau=empty_body(body.m) if empty else erode(body, 3.0 * eps / 4.0),
         outer=erode(body, eps / 4.0),
         deriv_bound=4.0 / (eps * mass),
-        _per_dim=per_dim,
+        empty=empty,
+        _per_dim=() if empty else tuple((lo[k] + eps / 2.0, hi[k] - eps / 2.0, eps / 4.0)
+                                        for k in range(body.m)),
     )
 
 
-def window_profile(window, nodes=96):
-    """The window discretized as a spectral profile on its support box."""
-    base = window.outer if window.outer.kind == "polytope" else window.body
-    return profile_from_callable(base, window, nodes=nodes)
-
-
-def bandlimit_project(f, window, lam_nodes=128, grid=None):
+def bandlimit_project(f, window, lam_nodes=128):
     """Group convolution with the synthesized window kernel.
 
     On spectral data the convolution theorem collapses this to reweighting
@@ -428,7 +406,6 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
     synthesized and the group convolution evaluated by quadrature over the
     function's grid box.
     """
-    grid = grid or f.grid
     model = f.model
     if f.spectral is not None:
         lams = f.spectral.lambdas
@@ -442,40 +419,35 @@ def bandlimit_project(f, window, lam_nodes=128, grid=None):
                 return base(z) * scale
 
             form = SpectralForm(lams, coeff)
-        return SampledFunction(model, form, grid, spectral=form)
+        return SampledFunction(model, form, f.grid, spectral=form)
     if window.empty:
         return SampledFunction(
             model,
             lambda z, x: np.zeros(np.broadcast_shapes(z.shape[:-1], x.shape[:-1])),
-            grid,
+            f.grid,
         )
-    kernel = inverse_FN(model, window_profile(window, nodes=lam_nodes))
-    return group_convolve(f, kernel, grid=grid)
+    # a window that is not empty has a polytope support box, `outer`
+    kernel = inverse_FN(model, profile_from_callable(window.outer, window, lam_nodes))
+    return group_convolve(f, kernel)
 
 
-def spectrum_support(f, lam_grid, body=None, zs=None, xbox=160.0, xnodes=768):
+def spectrum_support(f, lam_grid, body=None):
     """Per-frequency fiber-transform magnitudes over a small first-layer stencil.
 
     Returns a dict with the grid, the pointwise maximum of |fhat| over the
     stencil, and (when a body is given) the fraction of that mass sitting
     outside the body.  The grid is treated as uniform for the mass ratio.
-    fhat is taken over the central box [-xbox, xbox]^m, in closed form for a
-    spectral form; xnodes matters only for sampled f.
+    fhat is taken over the central box `LONG_XBOX`, in closed form for a
+    spectral form; `LONG_XNODES` matters only for sampled f.
     """
     model = f.model
     lam_grid = np.atleast_2d(np.asarray(lam_grid, float))
     if lam_grid.shape[1] != model.m:
         lam_grid = lam_grid.reshape(-1, model.m)
-    if zs is None:
-        rng = np.random.default_rng(0)
-        zs = np.concatenate(
-            [
-                np.zeros((1, model.n), complex),
-                0.5 * (rng.standard_normal((2, model.n))
-                       + 1j * rng.standard_normal((2, model.n))),
-            ]
-        )
-    fhat, _, _ = central_transform(f, lam_grid, xbox, xnodes)(np.asarray(zs, complex))
+    rng = np.random.default_rng(0)
+    seeded = 0.5 * (rng.standard_normal((2, model.n)) + 1j * rng.standard_normal((2, model.n)))
+    zs = np.concatenate([np.zeros((1, model.n), complex), seeded])
+    fhat, _, _ = central_transform(f, lam_grid, LONG_XBOX, LONG_XNODES)(zs)
     mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:

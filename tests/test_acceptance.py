@@ -346,7 +346,7 @@ def test_criterion_08_projection_and_bipolar():
 
 def test_criterion_08_quadrant_cone_constant():
     quadrant = cone_body(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    c = cone_inequality_constant(quadrant, directions=100, h_directions=100)
+    c = cone_inequality_constant(quadrant, directions=100)
     gap = _report("criterion-8 quadrant constant gap", abs(c - 1.0 / np.sqrt(2.0)), 5e-2)
     assert gap <= 5e-2, (
         f"sampled constant {c}: the sampled infimum is 1, see the companion"
@@ -362,7 +362,7 @@ def test_criterion_08_analysis_quadrant_constant():
     # largest boundary distance on the unit slice (the inradius), attained
     # at the bisector, which is a different functional of the cone
     quadrant = cone_body(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    c = cone_inequality_constant(quadrant, directions=100, h_directions=100)
+    c = cone_inequality_constant(quadrant, directions=100)
     assert c == pytest.approx(1.0, abs=1e-6)
     theta = np.linspace(1e-3, np.pi / 2 - 1e-3, 1001)
     slice_pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)

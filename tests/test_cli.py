@@ -185,6 +185,34 @@ def test_plancherel_with_too_few_lambda_nodes_is_a_parse_error(tmp_path, capsys,
     assert str(scn) in err and "lam_count" in err and f"at least {need} nodes" in err
 
 
+# a shipped scenario with one value the library refuses: (subcommand,
+# scenario, file edited, text, replacement, what the message says after the
+# edited file's path)
+REFUSED_VALUES = {
+    "empty interval": ("windows", "windows_heis1", "bodies/k12.body", "lo = 1\nhi = 2",
+                       "lo = 2\nhi = 1", "empty interval"),
+    "zero window width": ("windows", "windows_heis1", "windows_heis1.scenario", "eps = 0.8",
+                          "eps = 0.0", "eps: window width must be positive"),
+    "route A lambda rule": ("extend", "extend_heis1", "extend_heis1.scenario", "order = 3",
+                            "order = 3\nlam_nodes = 8", "lam_nodes, xbox: route A with 8"),
+    "split a cone": ("split", "split_flat12", "split_flat12.scenario", "bodies/seg.body",
+                     "bodies/halfline.body", "body: splitting needs a polytope"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_VALUES))
+def test_a_value_the_library_refuses_is_a_parse_error(tmp_path, capsys, case):
+    sub, name, edited, old, new, said = REFUSED_VALUES[case]
+    tree = tmp_path / "scenarios"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenarios", tree)
+    text = (tree / edited).read_text()
+    assert old in text
+    (tree / edited).write_text(text.replace(old, new))
+    scn = tree / f"{name}.scenario"
+    assert main([sub, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"{tree / edited}: {said}" in capsys.readouterr().err
+
+
 def test_missing_reference_exit_code(tmp_path):
     scn = tmp_path / "s.scenario"
     scn.write_text("model = ghost.model\nlam_lo = -1\nlam_hi = 1\n")

@@ -294,7 +294,7 @@ def test_cone_constant_matches_the_per_direction_scan(name):
     for count in counts:
         want = _cone_constant_direction_by_direction(body, count)
         assert np.isfinite(want)
-        got = cone_inequality_constant(body, directions=count, h_directions=count)
+        got = cone_inequality_constant(body, directions=count)
         assert got == pytest.approx(want, rel=1e-12), count
 
 
@@ -306,9 +306,9 @@ def test_cone_constant_on_simplicial_3d_cones():
     octant = cone_body(np.eye(3))
     simplicial = cone_body([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
     for count in (20, 100, 181):
-        c = cone_inequality_constant(octant, directions=count, h_directions=count)
+        c = cone_inequality_constant(octant, directions=count)
         assert c == pytest.approx(1.0, abs=1e-14), count
-        c = cone_inequality_constant(simplicial, directions=count, h_directions=count)
+        c = cone_inequality_constant(simplicial, directions=count)
         assert 0.5 < c < 2.0, count
 
 

@@ -31,9 +31,9 @@ def test_heisenberg_ground_eigenvalues():
     fb = fock_basis(sd, 8)
     spec = rockland_spectrum(fb)
     assert np.allclose(spec.eigenvalues[:3], [5.0, 37.0, 101.0])
-    # top degree is deflated by the truncation and dropped by default
+    # top degree is deflated by the truncation and dropped; the matrix keeps it
     assert spec.eigenvalues.size == 8
-    assert rockland_spectrum(fb, keep_untrusted=True).eigenvalues.size == 9
+    assert np.diag(rockland_matrix(fb)).size == 9
     assert np.allclose(spec.alphas[:3, 0], [0, 1, 2])
 
 
@@ -130,10 +130,11 @@ def test_zero_model_layer_has_one_closed_form_eigenvalue(degree):
     for t in (None, tau):
         want = rockland_eigenvalue(sd, np.zeros(0, int), t)
         assert want == (0.0 if t is None else 0.5 * float(tau @ tau)) ** 2 + 2.25
-        for keep in (False, True):
-            spec = rockland_spectrum(fb, tau=t, keep_untrusted=keep)
-            assert spec.eigenvalues.shape == (1,) and spec.alphas.shape == (1, 0)
-            assert abs(spec.eigenvalues[0] - want) <= 1e-15 * want
+        spec = rockland_spectrum(fb, tau=t)
+        assert spec.eigenvalues.shape == (1,) and spec.alphas.shape == (1, 0)
+        assert abs(spec.eigenvalues[0] - want) <= 1e-15 * want
+        full = np.diag(rockland_matrix(fb, t))
+        assert full.shape == (1,) and abs(full[0] - want) <= 1e-15 * want
     lower, raise_ = ladder_matrices(fb)
     assert lower.shape == raise_.shape == (0, 1, 1)
     w = np.zeros((3, 2, 0), complex)

@@ -90,7 +90,7 @@ def test_split_and_inverse_fn_share_the_closed_cone():
     # refuses the body that has it as a vertex
     body = polytope_body(np.array([[-1e-12], [1.0]]))
     node = SpectralProfile(body, np.array([[-1e-12]]), np.ones(1), np.ones(1))
-    assert inverse_FN(HEIS1, node).meta["warnings"] == (
+    assert inverse_FN(HEIS1, node).warnings == (
         "profile node 0 lies outside the closed positivity cone",)
     with pytest.raises(ValueError, match="closed positivity cone"):
         split(HEIS1, body)

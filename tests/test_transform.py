@@ -62,7 +62,7 @@ def test_bump_profile_nodes_inside_body():
 def test_synthesis_carries_spectral_form():
     f = inverse_FN(HEIS1, bump_profile(K12, nodes=24))
     assert f.spectral is not None
-    assert f.meta.get("warnings") is None
+    assert f.warnings == ()
     z = np.array([[0.4 + 0.2j]])
     x = np.array([[0.3]])
     c = f.spectral.coeff(z)
@@ -117,16 +117,16 @@ def test_negative_cone_profile_warns():
     # on HEIS1, A(lam) = lam: every node of [-2, -1] lies outside the closed
     # positivity cone, and no node of [1, 2] does
     f = inverse_FN(HEIS1, bump_profile(interval_body(-2.0, -1.0), nodes=8))
-    assert f.meta["warnings"] == tuple(
+    assert f.warnings == tuple(
         f"profile node {j} lies outside the closed positivity cone" for j in range(8))
-    assert "warnings" not in inverse_FN(HEIS1, bump_profile(K12, nodes=8)).meta
+    assert inverse_FN(HEIS1, bump_profile(K12, nodes=8)).warnings == ()
     # a profile across lam = 0 warns on exactly the nodes spectral_data puts
     # outside the cone
     mixed = bump_profile(interval_body(-1.0, 1.0), nodes=9)
     outside = [j for j, lam in enumerate(mixed.lambdas)
                if (spectral_data(HEIS1, lam).eigenvalues < 0).any()]
     assert outside == [0, 1, 2, 3]
-    assert inverse_FN(HEIS1, mixed).meta["warnings"] == tuple(
+    assert inverse_FN(HEIS1, mixed).warnings == tuple(
         f"profile node {j} lies outside the closed positivity cone" for j in outside)
 
 
