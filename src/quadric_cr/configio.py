@@ -170,7 +170,11 @@ def load_body(path):
 
 
 def load_profile(path, body):
-    """Profile file: a shaped density on the body (shape=bump for now)."""
+    """Profile file: a shaped density on the body (shape=bump for now).
+
+    The density lives on the body's box, so a body that is not a polytope
+    is a ParseError naming the profile and the body's kind.
+    """
     kv = parse_kv_file(path)
     shape = kv.get("shape", "bump")
     nodes = _integer(_number(kv.get("nodes", "96"), path, "nodes"), path, "nodes")
@@ -178,6 +182,8 @@ def load_profile(path, body):
     scale = _number(kv.get("scale", "1.0"), path, "scale")
     if shape != "bump":
         raise ParseError(f"{path}: unknown profile shape {shape!r}")
+    if body.kind != "polytope":
+        raise ParseError(f"{path}: a profile needs a polytope body, not a {body.kind}")
     bump = bump_profile(body, nodes=nodes, steepness=steep)
     return replace(bump, values=scale * bump.values, psi=lambda lams: scale * bump.psi(lams))
 

@@ -21,7 +21,13 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 
 `pi_of_f_batch` integrates these matrices against a boundary function over
 a tensor grid.  The perpendicular part of the grid is clipped where the layer
-weight phi_lam exceeds `PHI_CUT`.
+weight phi_lam exceeds `PHI_CUT`.  The grid is a tensor product of per-mode
+complex rules and w_k of a grid point is its mode-k node, so each mode's
+blocks are built on that mode's N^2 nodes only and multiplied out over the
+P = N^(2K) points.  On a clipped mode the nodes are sqrt(PHI_CUT / (2|mu_k|))
+times the reference Gauss nodes, so beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT)
+times a reference node whatever lam is: every clipped layer of one node
+count and degree shares one table of blocks, conjugated where mu_k < 0.
 
 One runner computes every pi(f).  It takes a batch of layers sharing a frame
 (the same eigenvectors and radical) and per-mode source rules, and takes fhat
@@ -54,7 +60,8 @@ import numpy as np
 
 from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, EXP_LIMIT, GridSpec,
                         SampledFunction, SpectralForm, _box_kernel, central_transform, l2_norm)
-from .quadrature import boundary_mask, complex_grid, gauss_legendre, panel_gauss, tensor_rule
+from .quadrature import (_reference_rule, boundary_mask, complex_grid, gauss_legendre,
+                         panel_gauss, tensor_rule)
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
                        plancherel_constant, spectral_data)
 
@@ -76,7 +83,10 @@ __all__ = [
 # true matrix elements are suppressed by exp(-phi_lam/2) there, and the clip
 # keeps the fixed number of zeta nodes on the region that carries the layer,
 # so the grid resolves it uniformly in lam; without it the degree-24
-# Plancherel residual is 8x off its floor.
+# Plancherel residual is 8x off its floor.  A clipped mode's box is
+# |w| <= sqrt(PHI_CUT / (2|mu|)) per real axis, so its displacements
+# sqrt(2|mu|) w span the same sqrt(PHI_CUT) box at every lam and its shift
+# blocks do not depend on lam (`_clip_table`).
 PHI_CUT = 40.0
 
 # How far a layer's Plancherel certificate may pass 1 before it is reported
@@ -89,6 +99,9 @@ PHI_CUT = 40.0
 # 7e-10 relative.  1e-6 sits well clear of the noise and below that first
 # failure.
 CAPTURED_TOL = 1e-6
+
+# the clipped modes' read-only shift-block tables by (enodes, degree), at most two
+_CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the boundary's share
 _ZETA_TAIL = "zeta-grid boundary carries {:.2e} of the weighted mass"
@@ -178,6 +191,13 @@ def _mode_blocks(mu, wz, degree):
     return out
 
 
+def _mode_gathers(fb):
+    """Per mode, where each basis pair [alpha, beta] reads the mode's flattened
+    (D+1, D+1) block: entry [alpha_k, beta_k], shape (B*B,)."""
+    al, side = fb.alphas, fb.degree + 1
+    return [(al[:, k][:, None] * side + al[None, :, k]).reshape(-1) for k in range(fb.sd.kdim)]
+
+
 def _shift_matrices(fb, wz):
     """Shift-operator matrices for points wz (P, K), shape (P, B, B).
 
@@ -188,9 +208,7 @@ def _shift_matrices(fb, wz):
     per-mode blocks and their gathers onto the basis stay chunk-sized.
     """
     mu = np.abs(fb.sd.eigenvalues)
-    al, side = fb.alphas, fb.degree + 1
-    # each mode's entry [alpha_k, beta_k] in its flattened (D+1, D+1) block
-    gather = [(al[:, k][:, None] * side + al[None, :, k]).reshape(-1) for k in range(fb.sd.kdim)]
+    gather = _mode_gathers(fb)
     out = np.ones((wz.shape[0], fb.size**2), complex)
     step = max(1, CHUNK_ELEMENTS // fb.size**2)
     for lo in range(0, wz.shape[0], step):
@@ -274,9 +292,49 @@ def _tau_phases(taus, rn, rw):
     return rw[:, None] * np.exp(-1j * _tau_dot(taus[None, :, :], rn[:, None, :]))
 
 
-def _weighted_shifts(fb, zperp, pw):
-    """The shift matrices at the perpendicular points, weighted, shape (P, B*B)."""
-    out = _shift_matrices(fb, fb.sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
+def _clip_table(enodes, degree):
+    """Shift blocks of a clipped mode with mu > 0, shape (enodes^2, D+1, D+1).
+
+    The mode's rule is the reference rule scaled by sqrt(PHI_CUT / (2 mu)),
+    so these are the blocks of mu = PHI_CUT / 2 on the reference complex
+    nodes, whatever the layer; for mu < 0 they are the conjugates.  The
+    table is read-only and kept in `_CLIP_TABLES` (at most two, the oldest
+    dropped first) unless it is larger than `BATCH_STATE_BYTES`.
+    """
+    table = _CLIP_TABLES.get((enodes, degree))
+    if table is None:
+        nodes, _ = complex_grid(_reference_rule(enodes))
+        table = _mode_blocks(0.5 * PHI_CUT, nodes, degree)
+        if table.nbytes <= BATCH_STATE_BYTES:
+            table.flags.writeable = False
+            if len(_CLIP_TABLES) == 2:
+                del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
+            _CLIP_TABLES[enodes, degree] = table
+    return table
+
+
+def _weighted_shifts(fb, rules, clipped, pw):
+    """The weighted shift matrices on a layer's perpendicular grid, shape (P, B*B).
+
+    rules are the layer's per-mode rules, clipped says which of them the
+    clip bites, and pw are the grid's weights.  Mode k's coordinate w_k is
+    its complex node, conjugated where mu_k < 0, so its blocks are built on
+    its own N^2 nodes (a clipped mode's come from `_clip_table`), gathered
+    onto the basis as in `_shift_matrices`, and multiplied out over the
+    tensor grid, the last mode fastest.
+    """
+    out = np.ones((1, fb.size**2), complex)
+    modes = zip(rules, clipped, fb.sd.eigenvalues, _mode_gathers(fb))
+    for k, (rule, clip, mu, gather) in enumerate(modes):
+        if clip:
+            table = _clip_table(rule[0].size, fb.degree)
+        else:
+            nodes, _ = complex_grid(rule)
+            table = _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes), fb.degree)
+        block = table.reshape(table.shape[0], -1)[:, gather]
+        if clip and mu < 0:
+            np.conj(block, out=block)
+        out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
     out *= pw[:, None]
     return out
 
@@ -498,8 +556,9 @@ def _interpolate(fhat, mats):
 class _BatchLayer:
     """One layer of a batch: its clipped grid and what it accumulates."""
 
-    def __init__(self, sd, degree, rules, src_rules, taus):
+    def __init__(self, sd, degree, rules, clipped, src_rules, taus):
         self.fb = fock_basis(sd, degree)
+        self.rules, self.clipped = rules, clipped
         self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules)
         # one matrix per real axis, the same for Re and Im of a mode; None
         # where the layer's nodes are the source's
@@ -520,7 +579,7 @@ class _BatchLayer:
         first for many.
         """
         wshift = self.wshift if self.wshift is not None else _weighted_shifts(
-            self.fb, self.zperp, self.pw)
+            self.fb, self.rules, self.clipped, self.pw)
         self.wshift = None if last else wshift
         abs_src = np.abs(fhat_src)
         self.mass += float(src_w @ abs_src**2 @ rabs)
@@ -542,10 +601,12 @@ def _run_layers(f, sds, degree, grid, erule, taus, src_rules=None):
     all the batch's frequencies, built once for the batch; each layer
     interpolates the chunk onto its own clipped grid where that differs
     from the source.  Without src_rules a batch of one layer runs on its
-    own clipped grid, built once.
+    own clipped grid, built once.  A mode is clipped where its rule is not
+    erule itself.
     """
     rules = [_clipped_rules(sd, grid, erule) for sd in sds]
-    layers = [_BatchLayer(sd, degree, r, src_rules or r, taus) for sd, r in zip(sds, rules)]
+    layers = [_BatchLayer(sd, degree, r, [m is not erule for m in r], src_rules or r, taus)
+              for sd, r in zip(sds, rules)]
     if src_rules is None:
         zperp, src_w = layers[0].zperp, layers[0].pw
     else:

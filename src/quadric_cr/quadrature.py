@@ -5,7 +5,16 @@ Node and weight arrays are always laid out in the same order (panels left to
 right, tensor factors in C-order), and reductions go through numpy's pairwise
 summation on contiguous axes, so a rerun of the same computation accumulates
 in exactly the same sequence and reproduces results bit for bit.
+
+Every Gauss-Legendre rule is the reference rule of its node count on
+[-1, 1], mapped affinely onto its interval.  The reference rule is an
+eigenproblem, solved once per node count and kept read-only
+(`_reference_rule`), so the many clipped rules of one node count that a
+Plancherel pass builds cost one solve, and each rule has the bits a fresh
+solve would give.
 """
+
+import functools
 
 import numpy as np
 
@@ -18,9 +27,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _reference_rule(num):
+    """The read-only Gauss-Legendre nodes and weights of num nodes on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(num)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(num, lo, hi):
-    """Gauss-Legendre nodes and weights on the interval [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(int(num))
+    """Gauss-Legendre nodes and weights on the interval [lo, hi], new arrays
+    mapped from the node count's reference rule."""
+    x, w = _reference_rule(int(num))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -213,6 +213,20 @@ def test_a_value_the_library_refuses_is_a_parse_error(tmp_path, capsys, case):
     assert f"{tree / edited}: {said}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["windows", "extend", "crcheck"])
+def test_a_profile_on_a_cone_body_is_a_parse_error(tmp_path, capsys, sub):
+    # the half-line is a cone, and a profile lives on a polytope's box
+    tree = tmp_path / "scenarios"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenarios", tree)
+    scn = tree / f"{sub}_heis1.scenario"
+    text = scn.read_text()
+    assert "\nbody = bodies/k12.body" in text
+    scn.write_text(text.replace("\nbody = bodies/k12.body", "\nbody = bodies/halfline.body"))
+    assert main([sub, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{tree / 'profiles' / 'bump.profile'}: a profile needs a polytope body, not a cone" in err
+
+
 def test_missing_reference_exit_code(tmp_path):
     scn = tmp_path / "s.scenario"
     scn.write_text("model = ghost.model\nlam_lo = -1\nlam_hi = 1\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import laguerre, legendre
 
-from quadric_cr import fock
+from quadric_cr import fock, quadrature
 from quadric_cr.functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
                                   gaussian_function, l2_norm)
 from quadric_cr.fock import (
@@ -360,7 +360,8 @@ def layer_oracle(fb, f, taus, grid):
     The former body of `pi_of_f_batch`, kept as an oracle for the runner:
     f is sampled on the layer's whole clipped grid at once, and one
     multi_dot contracts the tau phases, fhat and the weighted shift
-    matrices.  The grid boundaries are read off the node indices.
+    matrices, built point by point as `rep_apply` builds them, not from
+    the per-mode tables.  The grid boundaries are read off the node indices.
     """
     sd = fb.sd
     erule = grid.e_rule()
@@ -371,7 +372,8 @@ def layer_oracle(fb, f, taus, grid):
     fhat, xtot, xtail = sampled_fhat(f, z, sd.lam[None, :], grid)
     fhat = fhat[:, 0].reshape(zperp.shape[0], zrad.shape[0])
     tphase = rw[:, None] * np.exp(-1j * fock._tau_dot(taus[None, :, :], rn[:, None, :]))
-    wshift = fock._weighted_shifts(fb, zperp, pw)
+    wshift = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
+    wshift *= pw[:, None]
     share = np.linalg.multi_dot([tphase.T, fhat.T, wshift])
 
     def edge(dims):
@@ -451,8 +453,9 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
 
 def test_pi_of_f_batch_builds_each_rule_once(monkeypatch):
     # both modes clip at lam = (3, 4) on DECOUPLED22 (half-widths 2.58 and
-    # 2.24 inside ebox 4): one rule per clipped mode, the e-rule, and an
-    # x-rule only for the sampled function
+    # 2.24 inside ebox 4): the e-rule and the clipped rules share one
+    # reference solve, and an x-rule is solved only for the sampled
+    # function; the memo is cleared before each counted call
     built = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -463,13 +466,115 @@ def test_pi_of_f_batch_builds_each_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
     grid = GridSpec(ebox=4.0, enodes=8, fbox=3.0, fnodes=12)
     fb = fock_basis(spectral_data(DECOUPLED22, np.array([3.0, 4.0])), 2)
+    quadrature._reference_rule.cache_clear()
     pi_of_f_batch(fb, gaussian_function(DECOUPLED22, grid))
-    assert sorted(built) == [8, 8, 8, 12]
+    assert sorted(built) == [8, 12]
     form = SpectralForm.ground(DECOUPLED22, np.array([[3.0, 4.0], [2.5, 3.5]]),
                                np.array([1.0, 0.5]))
+    quadrature._reference_rule.cache_clear()
     built.clear()
     pi_of_f_batch(fb, SampledFunction(DECOUPLED22, form, grid, spectral=form))
-    assert built == [8, 8, 8]
+    assert built == [8]
+
+
+# n = 2, m = 2 with eigenvectors turned off the coordinate axes: lam = (1, 0.4)
+# has one negative eigenvalue and no clip, (4, 2) clips its positive mode
+# only, and (6, -1) clips both, one of them negative
+_TURN = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+ROTATED22 = QuadraticModel(np.array([_TURN @ np.diag(d) @ _TURN.T
+                                     for d in ([1.0, -0.5], [0.3, 0.8])], complex))
+
+# model, lam, degree, grid, which modes the clip bites
+SHIFT_TABLE_CASES = {
+    "heis1-unclipped": (HEIS1, [0.7], 8, GridSpec(enodes=16), [False]),
+    "heis1-clipped": (HEIS1, [3.0], 8, GridSpec(enodes=16), [True]),
+    "heis1-clipped-negative": (HEIS1, [-3.0], 8, GridSpec(enodes=16), [True]),
+    "deg21": (DEG21, [-4.0], 6, GridSpec(ebox=3.5, enodes=12), [True]),
+    "decoupled22-both": (DECOUPLED22, [3.0, 4.0], 4, GridSpec(enodes=8), [True, True]),
+    "decoupled22-one": (DECOUPLED22, [-3.0, 0.5], 4, GridSpec(enodes=8), [True, False]),
+    "rotated22-none": (ROTATED22, [1.0, 0.4], 4, GridSpec(enodes=8), [False, False]),
+    "rotated22-one": (ROTATED22, [4.0, 2.0], 4, GridSpec(enodes=8), [False, True]),
+    "rotated22-both": (ROTATED22, [6.0, -1.0], 4, GridSpec(enodes=8), [True, True]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_TABLE_CASES))
+def test_weighted_shifts_match_the_per_point_path(case):
+    # the per-mode tables, multiplied out over the tensor grid, against the
+    # shift matrices built point by point from each point's w coordinates
+    model, lam, degree, grid, clip = SHIFT_TABLE_CASES[case]
+    sd = spectral_data(model, np.array(lam))
+    fb = fock_basis(sd, degree)
+    erule = grid.e_rule()
+    rules = fock._clipped_rules(sd, grid, erule)
+    clipped = [r is not erule for r in rules]
+    assert clipped == clip
+    if case.startswith("rotated22"):
+        assert (sd.eigenvalues < 0).any() and (np.abs(sd.eigenvectors) > 0.1).all()
+    zperp, pw, _, _ = fock._perp_grid(sd, rules)
+    want = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
+    want *= pw[:, None]
+    got = fock._weighted_shifts(fb, rules, clipped, pw)
+    assert got.shape == want.shape == (grid.enodes ** (2 * sd.kdim), fb.size**2)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want).max()).all()
+
+
+def test_clipped_layers_share_one_shift_table(monkeypatch):
+    # 41 HEIS1 layers on [-8, 8]: the clip bites past |lam| = 1.25 on ebox 4,
+    # on both signs, and every clipped layer reads the one memoized table
+    grid = GridSpec(ebox=4.0, enodes=12, fbox=4.0, fnodes=16)
+    cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
+    calls = []
+    blocks = fock._mode_blocks
+
+    def spy(mu, wz, degree):
+        calls.append(mu)
+        return blocks(mu, wz, degree)
+
+    monkeypatch.setattr(fock, "_mode_blocks", spy)
+    fock._CLIP_TABLES.clear()
+    rep = plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
+    monkeypatch.undo()
+    lams = np.array([row[0][0] for row in rep.rows])
+    unclipped = int(np.sum(np.sqrt(fock.PHI_CUT / (2.0 * np.abs(lams))) >= grid.ebox))
+    assert len(rep.rows) == 41 and 0 < unclipped < 41
+    assert (lams < -1.25).any() and (lams > 1.25).any()
+    assert unclipped + 1 <= len(calls) <= unclipped + 2
+
+
+def test_memoized_rules_and_tables_are_safe():
+    # each rule has the bits of a fresh solve, the memo is read-only, and it
+    # hands out no array a caller could write into it through
+    for num in (2, 24, 768):
+        x, w = np.polynomial.legendre.leggauss(num)
+        for lo, hi in ((-1.0, 1.0), (-4.0, 4.0), (0.3, 2.9), (-160.0, 160.0)):
+            half = 0.5 * (hi - lo)
+            nodes, weights = gauss_legendre(num, lo, hi)
+            assert np.array_equal(nodes, lo + half * (x + 1.0))
+            assert np.array_equal(weights, half * w)
+        ref = quadrature._reference_rule(num)
+        assert not any(a.flags.writeable for a in ref)
+    first = gauss_legendre(24, -4.0, 4.0)
+    want = [a.copy() for a in first]
+    for a in first:
+        a[:] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(24, -4.0, 4.0), want))
+
+    grid = GridSpec(enodes=12)
+    erule = grid.e_rule()
+    for lam in (3.0, -3.0, 0.7):
+        sd = spectral_data(HEIS1, np.array([lam]))
+        fb = fock_basis(sd, 6)
+        rules = fock._clipped_rules(sd, grid, erule)
+        clipped = [r is not erule for r in rules]
+        pw = fock._perp_grid(sd, rules)[1]
+        first = fock._weighted_shifts(fb, rules, clipped, pw)
+        want = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(fock._weighted_shifts(fb, rules, clipped, pw), want)
+    table = fock._CLIP_TABLES[12, 6]
+    assert not table.flags.writeable
+    assert fock._clip_table(12, 6) is table
 
 
 def test_plancherel_gaussian_smoke():
@@ -501,7 +606,9 @@ def test_interp_matrix_reproduces_polynomials():
     layers = []
     for lam in (0.5, 8.0):
         sd = spectral_data(HEIS1, np.array([lam]))
-        layers.append(fock._BatchLayer(sd, 4, fock._clipped_rules(sd, grid, erule), [erule], taus))
+        rules = fock._clipped_rules(sd, grid, erule)
+        layers.append(fock._BatchLayer(sd, 4, rules, [r is not erule for r in rules], [erule],
+                                       taus))
     wide, narrow = layers
     assert wide.mats == [None, None]
     assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
@@ -1024,6 +1131,7 @@ def test_l2_norm_of_a_spectral_form_is_closed(case, monkeypatch):
         raise AssertionError("the closed form evaluates the function")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    quadrature._reference_rule.cache_clear()
     got = l2_norm(SampledFunction(model, raises, grid, spectral=f.spectral))
     monkeypatch.undo()
     assert built == [grid.enodes]  # the E rule, and no central rule

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadric_cr import spectral, transform
+from quadric_cr import quadrature, spectral, transform
 from quadric_cr.model import QuadraticModel
 from quadric_cr.convex import box_body, boundary_distance, interval_body, support
 from quadric_cr.fock import fock_basis, group_convolve, pi_of_f_batch
@@ -281,7 +281,8 @@ def test_central_transform_closed_form_matches_sampled_rule(case):
 
 def test_spectral_callers_build_no_central_rule(monkeypatch):
     # a spectral form's central transform is closed: no caller builds the
-    # 768-node x-rule for it, and nothing samples the form
+    # 768-node x-rule for it, and nothing samples the form; the reference
+    # rules are memoized, so the memo is cleared before each counted call
     built = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -308,10 +309,12 @@ def test_spectral_callers_build_no_central_rule(monkeypatch):
         "spectrum_support": lambda: spectrum_support(f1, np.linspace(0.0, 3.0, 7)),
     }
     for name, call in calls.items():
+        quadrature._reference_rule.cache_clear()
         built.clear()
         call()
         assert 768 not in built, name
     # a sampled function still gets its rule, built once
+    quadrature._reference_rule.cache_clear()
     built.clear()
     central_transform(gaussian_function(HEIS1), probes, 160.0, 768)(ZERO)
     assert built == [768]
