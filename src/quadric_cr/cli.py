@@ -179,7 +179,7 @@ def _run_plancherel(scn, seed, rng):
         "rhs": rep.rhs,
         "residual": rep.residual,
         "constant": rep.constant,
-        "layers": rep.n_layers,
+        "layers": len(rep.rows),
         "skipped": rep.skipped,
         "warnings": list(f.warnings) + list(rep.warnings),
     }

@@ -191,35 +191,25 @@ def _mode_blocks(mu, wz, degree):
     return out
 
 
-def _mode_gathers(fb):
-    """Per mode, where each basis pair [alpha, beta] reads the mode's flattened
-    (D+1, D+1) block: entry [alpha_k, beta_k], shape (B*B,)."""
-    al, side = fb.alphas, fb.degree + 1
-    return [(al[:, k][:, None] * side + al[None, :, k]).reshape(-1) for k in range(fb.sd.kdim)]
+def _gathered(fb, k, blocks):
+    """Mode k's blocks (N, D+1, D+1) gathered onto the basis pairs, shape (N, B*B):
+    pair [alpha, beta] reads entry [alpha_k, beta_k]."""
+    al = fb.alphas[:, k]
+    return blocks[:, al[:, None], al[None, :]].reshape(blocks.shape[0], -1)
 
 
 def _shift_matrices(fb, wz):
     """Shift-operator matrices for points wz (P, K), shape (P, B, B).
 
     The kernel factorizes across modes, so the full matrix is the entrywise
-    product of the per-mode blocks on the degree-truncated index set.  The
-    result is filled in place a chunk of points at a time: the first mode's
-    block is gathered straight into it and the others multiply it, so the
-    per-mode blocks and their gathers onto the basis stay chunk-sized.
+    product of the per-mode blocks, each gathered onto the degree-truncated
+    index set.  `rep_apply` calls it for one point; the layer runner builds
+    its shifts per mode instead (`_weighted_shifts`).
     """
     mu = np.abs(fb.sd.eigenvalues)
-    gather = _mode_gathers(fb)
     out = np.ones((wz.shape[0], fb.size**2), complex)
-    step = max(1, CHUNK_ELEMENTS // fb.size**2)
-    for lo in range(0, wz.shape[0], step):
-        chunk = out[lo : lo + step]
-        for k in range(fb.sd.kdim):
-            block = _mode_blocks(mu[k], wz[lo : lo + step, k], fb.degree)
-            block = block.reshape(chunk.shape[0], -1)
-            if k == 0:
-                np.take(block, gather[k], axis=1, out=chunk, mode="clip")
-            else:
-                chunk *= block[:, gather[k]]
+    for k in range(fb.sd.kdim):
+        out *= _gathered(fb, k, _mode_blocks(mu[k], wz[:, k], fb.degree))
     return out.reshape(-1, fb.size, fb.size)
 
 
@@ -320,20 +310,21 @@ def _weighted_shifts(fb, rules, clipped, pw):
     clip bites, and pw are the grid's weights.  Mode k's coordinate w_k is
     its complex node, conjugated where mu_k < 0, so its blocks are built on
     its own N^2 nodes (a clipped mode's come from `_clip_table`), gathered
-    onto the basis as in `_shift_matrices`, and multiplied out over the
-    tensor grid, the last mode fastest.
+    onto the basis by `_gathered`, and multiplied out over the tensor grid,
+    the last mode fastest.
     """
     out = np.ones((1, fb.size**2), complex)
-    modes = zip(rules, clipped, fb.sd.eigenvalues, _mode_gathers(fb))
-    for k, (rule, clip, mu, gather) in enumerate(modes):
+    for k, (rule, clip, mu) in enumerate(zip(rules, clipped, fb.sd.eigenvalues)):
         if clip:
             table = _clip_table(rule[0].size, fb.degree)
         else:
             nodes, _ = complex_grid(rule)
             table = _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes), fb.degree)
-        block = table.reshape(table.shape[0], -1)[:, gather]
+        block = _gathered(fb, k, table)
         if clip and mu < 0:
             np.conj(block, out=block)
+        # the first block starts the product: multiplying it into ones would
+        # cost one more (N^2, B*B) temporary
         out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
     out *= pw[:, None]
     return out
@@ -510,7 +501,6 @@ class PlancherelReport:
     lhs: float
     rhs: float
     residual: float
-    n_layers: int
     skipped: int
     constant: float
     generic_d: int
@@ -738,7 +728,6 @@ def plancherel_residual(model, f, cfg):
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-        n_layers=lam_nodes.shape[0] - skipped,
         skipped=skipped,
         constant=constant,
         generic_d=gen_d,

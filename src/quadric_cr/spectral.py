@@ -20,17 +20,17 @@ negative-eigenvalue count all follow from it, for one layer
 (`spectral_data`) or a stack (`layer_invariants`).  The closed positivity
 cone is where that count is 0.
 
-The sign in J = s i A(lam) is a global orientation choice; +1 is pinned on
-the first `j_prime` by checking positivity of phi_lam on a reference model,
-and the dual formula above is re-checked against the eigenvector form in tests.
+The sign in J = s i A(lam) is a global orientation choice, s = +1, the one
+that makes the twisted pairing positive; the tests pin it and check the
+twisted formula against the eigenvector form.  For m = 1, A(lam) = lam A,
+so `spectral_data` scales the eigenpairs of A by lam (reversed for lam < 0):
+every layer of one sign gets bitwise the same eigenvectors, one frame for
+`plancherel_residual`, which eigh(lam A) does not give.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import QuadraticModel
 
 __all__ = [
     "SpectralData",
@@ -42,31 +42,6 @@ __all__ = [
 ]
 
 ZERO_RTOL = 1e-10
-
-
-@functools.lru_cache(maxsize=1)
-def _orientation_sign():
-    """Pin the sign s in J = s i A(lam) by positivity on a reference layer.
-
-    On the n = m = 1 model with A = [1] at lam = 1 the candidate pairing
-    built from J' = s i sign(A) evaluates to s at (1, 1); exactly one sign
-    makes it positive.  Computed once and cached.
-    """
-    ref = QuadraticModel(np.array([[[1.0]]]))
-    lam = np.array([1.0])
-    good = []
-    for s in (1.0, -1.0):
-        alam = ref.a_matrix(lam)
-        jprime = s * 1j * np.sign(alam)
-        a = np.array([1.0 + 0j])
-        val = np.vdot(lam, np.imag(ref.phi_pair(jprime @ a, a))) + 1j * np.vdot(
-            lam, np.imag(ref.phi_pair(a, a))
-        )
-        if val.real > 0:
-            good.append(s)
-    if len(good) != 1:
-        raise AssertionError("orientation self-check did not single out a sign")
-    return good[0]
 
 
 def _zero(vals):
@@ -105,9 +80,9 @@ class SpectralData:
 
     @property
     def j_prime(self):
-        """J' = s i sign(A(lam)), vanishing on the radical."""
+        """J' = i sign(A(lam)), vanishing on the radical."""
         us = self.eigenvectors
-        return _orientation_sign() * 1j * ((us * np.sign(self.eigenvalues)) @ np.conj(us.T))
+        return 1j * ((us * np.sign(self.eigenvalues)) @ np.conj(us.T))
 
     def w_coords(self, z):
         """lam-holomorphic coordinates of z, shape (..., K).
@@ -148,11 +123,17 @@ class SpectralData:
 def spectral_data(model, lam):
     """Diagonalize one frequency layer of the model.
 
-    The eigenvalues `_zero` counts as zero span the radical; the orientation
-    sign of J' is the pinned one.
+    The eigenvalues `_zero` counts as zero span the radical.  For m = 1 the
+    eigenpairs are those of A, scaled by lam.
     """
     lam = np.asarray(lam, dtype=float).reshape(model.m)
-    vals, vecs = np.linalg.eigh(model.a_matrix(lam))
+    if model.m == 1:
+        vals, vecs = np.linalg.eigh(model.A[0])
+        vals = lam[0] * vals
+        if lam[0] < 0:
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+    else:
+        vals, vecs = np.linalg.eigh(model.a_matrix(lam))
     zero = _zero(vals)
     mus = vals[~zero]
     return SpectralData(

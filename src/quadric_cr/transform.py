@@ -261,27 +261,25 @@ def extend_profile(model, profile, z, u, lam_nodes=64):
 
     Quadratures the rank-one trace display
 
-        c_N int_K psi |Pf| e^{-<lam, Phi(z)>} e^{<lam, iu + Phi(z)>} dlam
+        c_N int_K psi |Pf| e^{-<lam, Phi(z)>} e^{<lam, iu + Phi(z)>} dlam,
 
-    with node doubling on the frequency body.  The rule holds at most 16384
-    points in all, and the first two rules, lam_nodes and 2 lam_nodes per
-    axis, must fit: lam_nodes <= 64 on m = 2 and <= 12 on m = 3; a larger
-    lam_nodes raises a ValueError.  `extend_by_resynthesis` is the
-    independent route A.
+    whose Phi(z) factors cancel: for ground data the extension does not
+    depend on z, taken so that both routes read the same (z, u) pairs.  Node
+    doubling on the frequency body holds at most 16384 points in all, and
+    the first two rules, lam_nodes and 2 lam_nodes per axis, must fit:
+    lam_nodes <= 64 on m = 2 and <= 12 on m = 3; a larger lam_nodes raises a
+    ValueError.  `extend_by_resynthesis` is the independent route A, through
+    the boundary function's fiber transform.
     """
     if profile.psi is None:
         raise ValueError("route B refinement needs the profile's evaluator")
-    z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
     const = plancherel_constant(model, 0)
-    ph = model.phi(z)  # (P, m)
 
     def integrand(lams):
         pf, _, _ = layer_invariants(model, lams)
         vals = np.asarray(profile.psi(lams), float)
-        trace_factor = -(ph @ lams.T)  # <pi(z,0) e0, e0> on the positive side
-        kernel = 1j * (np.real(u) @ lams.T) - (np.imag(u) @ lams.T) + ph @ lams.T
-        return const * vals * pf * np.exp(trace_factor + kernel)
+        return const * vals * pf * np.exp(1j * (u @ lams.T))
 
     return _gl_refine(profile.body, integrand, start=lam_nodes)
 

@@ -1003,7 +1003,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     f = counted_gaussian(model, grid, points, width)
     rep = plancherel_residual(model, f, cfg)
     monkeypatch.undo()
-    assert len(seen) == batches and sum(seen) == len(rep.rows) == rep.n_layers
+    assert len(seen) == batches and sum(seen) == len(rep.rows)
     # f is sampled once for the norm and once per batch, never per layer
     assert sum(points) == (1 + batches) * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
     if case == "deg21":
@@ -1034,6 +1034,26 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     # (heis1) to 5.9e-4 (decoupled22)
     assert 0 < len(clipped) < len(rep.rows)
     assert max(clipped) <= 1e-3
+
+
+def test_an_m1_frame_holds_every_layer_of_one_sign():
+    # eigh(lam A) on this non-diagonal A returns eigenvectors that differ in
+    # the last bits from one lam to the next; spectral_data scales the
+    # eigenpairs of A instead, so the 5 negative and the 5 positive layers
+    # make two frames and f is sampled once for the norm and once per frame
+    model = QuadraticModel(np.array([[[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 2.0]]]))
+    grid = GridSpec(ebox=3.0, enodes=8, fbox=4.0, fnodes=12)
+    cfg = PlancherelConfig(lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=10, degree=2, grid=grid)
+    points = []
+    rep = plancherel_residual(model, counted_gaussian(model, grid, points), cfg)
+    assert len(rep.rows) == 10
+    assert sum(points) == 3 * grid.enodes ** (2 * model.n) * grid.fnodes
+    # the eigenpairs are still those of A(lam) itself
+    for lam, _, _, _ in rep.rows:
+        sd = spectral_data(model, lam)
+        alam = model.a_matrix(lam)
+        assert np.all(np.diff(sd.eigenvalues) > 0)
+        assert np.allclose(alam @ sd.eigenvectors, sd.eigenvectors * sd.eigenvalues, atol=1e-14)
 
 
 def test_plancherel_x_tail_warning_reads_the_shared_samples():

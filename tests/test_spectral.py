@@ -16,7 +16,6 @@ from quadric_cr.spectral import (
     generic_dimension,
     is_exceptional,
     ZERO_RTOL,
-    _orientation_sign,
 )
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]]), name="heis1")
@@ -39,7 +38,12 @@ coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
 def test_orientation_pin():
-    assert _orientation_sign() == 1.0
+    # J' = s i sign(A(lam)) with s = +1: on HEIS1 at lam = 1 the twisted
+    # pairing at a = 1 is s, and only s = +1 makes it positive
+    sd = spectral_data(HEIS1, [1.0])
+    a = np.array([1.0 + 0j])
+    val = sd.phi_lam_pair_twisted(HEIS1, a, a)
+    assert val.real > 0.0 and val.imag == 0.0
 
 
 def test_heis1_positive_layer():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from quadric_cr import quadrature, spectral, transform
 from quadric_cr.model import QuadraticModel
@@ -14,7 +15,7 @@ from quadric_cr.functions import (
     gaussian_function,
 )
 from quadric_cr.quadrature import gauss_legendre, tensor_rule
-from quadric_cr.spectral import spectral_data
+from quadric_cr.spectral import plancherel_constant, spectral_data
 from quadric_cr.transform import (
     SpectralProfile,
     bump_profile,
@@ -424,6 +425,74 @@ def test_profile_callers_take_no_per_node_spectral_data(monkeypatch):
     vb = extend_profile(DECOUPLED22, prof, z, u)
     ve = extend(f, z, u)
     assert np.abs(vb - ve).max() < 1e-6 * np.abs(ve).max()
+
+
+def polynomial_profile(k):
+    """psi_k = (lam - 1)^k (2 - lam)^k on K12, on 64 nodes: finite smoothness at the ends."""
+    return profile_from_callable(K12, lambda lams: ((lams[:, 0] - 1.0) * (2.0 - lams[:, 0])) ** k,
+                                 nodes=64)
+
+
+def polynomial_extension(k, u):
+    """The exact extension of psi_k's synthesis on HEIS1, c int_K lam psi_k e^(i lam u) dlam.
+
+    |Pf| = lam on K12, and with s = i u repeated integration by parts of the
+    polynomial p = lam psi_k gives int p e^(s lam) = e^(s lam) sum_j (-1)^j
+    p^(j)(lam) / s^(j+1) between the ends.  The sum cancels for |s| below 1:
+    at k = 3 it reads 2e-10 off mpmath there, and 2e-15 at s = 4.
+    """
+    p = Polynomial([0.0, 1.0]) * Polynomial([-2.0, 3.0, -1.0]) ** k
+    s = 1j * np.asarray(u, complex)
+    total = 0.0
+    for j in range(p.degree() + 1):
+        dp = p.deriv(j)
+        total = total + (-1) ** j * (dp(2.0) * np.exp(2.0 * s) - dp(1.0) * np.exp(s)) / s ** (j + 1)
+    return plancherel_constant(HEIS1, 0) * total
+
+
+# three points of E and their u = 0.4 + i (Phi(z) + 0.7), 0.7 above the boundary
+ORACLE_Z = np.array([[0.0], [0.3 + 0.4j], [-0.5 + 0.2j]])
+ORACLE_U = 0.4 + 1j * (HEIS1.phi(ORACLE_Z) + 0.7)
+
+
+def test_polynomial_extension_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    u = complex(ORACLE_U[1, 0])
+    c = plancherel_constant(HEIS1, 0)
+    want = complex(mpmath.quad(lambda lam: c * lam * ((lam - 1) * (2 - lam)) ** 2
+                               * mpmath.exp(1j * lam * u), [1, 2]))
+    assert abs(polynomial_extension(2, u) - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_extension_routes_match_the_exact_oracle(k):
+    prof = polynomial_profile(k)
+    f = inverse_FN(HEIS1, prof)
+    want = polynomial_extension(k, ORACLE_U[:, 0])
+    vb = extend_profile(HEIS1, prof, ORACLE_Z, ORACLE_U)
+    assert (np.abs(vb - want) <= 1e-8 * np.abs(want)).all()  # 3.4e-10 measured, at k = 3
+    if k > 0:
+        # route A reads 1.6e-6 to 3.0e-6 at k = 1, 2; at k = 0 it reads 3.8e-3,
+        # left to a route A diagnostic
+        va = extend_by_resynthesis(f, K12, ORACLE_Z, ORACLE_U)
+        assert (np.abs(va - want) <= 1e-5 * np.abs(want)).all()
+    # route B does not depend on z: the synthesis' e^(-<lam, Phi(z)>) cancels
+    # against the kernel's, so one u at two z gives `extend`'s value at both
+    z, u = ORACLE_Z[1:], np.repeat(ORACLE_U[1:2], 2, axis=0)
+    ve, vb = extend(f, z, u), extend_profile(HEIS1, prof, z, u)
+    assert (np.abs(vb - ve) <= 1e-12 * np.abs(ve)).all()  # 8.4e-15 measured
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_growth_margin_matches_the_exact_oracle(k):
+    # along u = -i h above z = 0 the support function is H_K(-h) = 2h, inside
+    # the exp(-40) clamp for h <= 16
+    f = inverse_FN(HEIS1, polynomial_profile(k))
+    h = np.array([2.0, 4.0, 8.0, 16.0])
+    margins, clamped = pw_margin(f, K12, np.zeros((4, 1), complex), -1j * h[:, None], order=0)
+    want = np.abs(polynomial_extension(k, -1j * h)) * np.exp(-2.0 * h)
+    assert clamped == 0
+    assert (np.abs(margins - want) <= 1e-10 * want).all()  # 1.6e-13 measured
 
 
 @pytest.mark.parametrize("body,seen_want,change", [
