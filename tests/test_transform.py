@@ -472,8 +472,8 @@ def test_extension_routes_match_the_exact_oracle(k):
     vb = extend_profile(HEIS1, prof, ORACLE_Z, ORACLE_U)
     assert (np.abs(vb - want) <= 1e-8 * np.abs(want)).all()  # 3.4e-10 measured, at k = 3
     if k > 0:
-        # route A reads 1.6e-6 to 3.0e-6 at k = 1, 2; at k = 0 it reads 3.8e-3,
-        # left to a route A diagnostic
+        # route A reads 1.5e-6, 2.9e-6 and 1.6e-8 at k = 1, 2, 3; at k = 0 it
+        # reads 3.8e-3, left to a route A diagnostic
         va = extend_by_resynthesis(f, K12, ORACLE_Z, ORACLE_U)
         assert (np.abs(va - want) <= 1e-5 * np.abs(want)).all()
     # route B does not depend on z: the synthesis' e^(-<lam, Phi(z)>) cancels
