@@ -40,7 +40,6 @@ print("route A vs route B, max relative gap:",
 zz = np.repeat(z, 7, axis=0)
 hh = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]).reshape(-1, 1)
 uu = np.zeros((7, 1)) + 1j * (HEIS1.phi(zz) + hh)
-margins, clamped = pw_margin(f, K, zz, uu, order=3)
+margins = pw_margin(f, K, zz, uu, order=3)
 print("paley-wiener margins along the ray (finite and growing):")
 print(" ", np.array2string(margins, precision=3))
-print("clamped damping factors:", clamped)

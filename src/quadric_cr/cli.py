@@ -225,7 +225,7 @@ def _run_extend(scn, seed, rng):
         vb = extend_profile(model, prof, z, u, lam_nodes=scn.integer("lam_nodes", 64))
         va = extend_by_resynthesis(f, body, z, u, xbox=scn.flt("xbox", LONG_XBOX),
                                    lam_nodes=scn.integer("lam_nodes", 64))
-    except ValueError as exc:  # route B's point cap or route A's box kernel refuses lam_nodes
+    except ValueError as exc:  # lam_nodes or xbox: rho = h > 0 passes the exponent check
         raise cio.ParseError(f"{scn.path}: lam_nodes, xbox: {exc}") from exc
     rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
     xb = rng.standard_normal((count, model.m)) * 2.0
@@ -233,14 +233,14 @@ def _run_extend(scn, seed, rng):
     bvals = extend(f, z, ub)
     fvals = f(z, xb)
     brel = float(np.abs(bvals - fvals).max() / np.abs(fvals).max())
-    margins, clamped = pw_margin(f, body, z, u, order=order)
+    margins = pw_margin(f, body, z, u, order=order)
     finite = float(np.mean(np.isfinite(margins)))
     rows = [
         (i, vb[i].real, vb[i].imag, va[i].real, va[i].imag, rel[i], margins[i])
         for i in range(count)
     ]
     cols = ["point", "routeB_re", "routeB_im", "routeA_re", "routeA_im", "rel_gap", "margin"]
-    meta = _with_warnings({"clamped_margins": clamped, "order": order}, f)
+    meta = _with_warnings({"order": order}, f)
     checks = [
         _check("routes_agree", float(rel.max()), scn.flt("tol_routes", 1e-5)),
         _check("boundary_restriction", brel, scn.flt("tol_boundary", 1e-6)),
@@ -310,10 +310,9 @@ def _run_windows(scn, seed, rng):
         except ValueError as exc:  # its only refusal: a width that is not positive
             raise cio.ParseError(f"{scn.path}: eps: {exc}") from exc
         inner = erode(body, eps)
-        outer = erode(body, eps / 4.0)
         vals = w(lams)
         chi_in = contains(inner, lams).astype(float)
-        chi_out = contains(outer, lams).astype(float)
+        chi_out = contains(w.outer, lams).astype(float)
         viol = float(np.maximum(chi_in - vals, 0.0).max())
         viol = max(viol, float(np.maximum(vals - chi_out, 0.0).max()))
         proj = bandlimit_project(f, w)

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, EXP_LIMIT, GridSpec,
-                        SampledFunction, SpectralForm, _box_kernel, central_transform, l2_norm)
+from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
+                        SpectralForm, _box_kernel, _check_exponent, central_transform, l2_norm)
 from .quadrature import (_reference_rule, boundary_mask, complex_grid, gauss_legendre,
                          panel_gauss, tensor_rule)
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
@@ -419,20 +419,13 @@ def group_convolve(f, g, grid=None):
             form = SpectralForm.ground(model, lambdas, amp * np.pi ** model.n * sums)
             return SampledFunction(model, form, grid, spectral=form)
 
-    def guard(exponent):
-        top = float(np.max(exponent))
-        if top > EXP_LIMIT:
-            raise ValueError(f"a convolution factor reaches exp({top:.0f}): the kernel "
-                             "frequencies or output points lie too far outside the pairing "
-                             "cone for the box")
-
     t, tw = grid.e_rule()
     N, axes = t.size, 2 * model.n
     enodes, eweights = tensor_rule([(t, tw)] * axes)
     zq = enodes[:, 0::2] + 1j * enodes[:, 1::2]  # (Q, n)
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
-    guard(qexp)
+    _check_exponent(qexp, "the q-factor of kernel frequencies outside the pairing cone")
     fhat, _, _ = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
@@ -449,13 +442,13 @@ def group_convolve(f, g, grid=None):
             # 2i + 1 is Im q_i, with factor e^(-i t s_i)
             slopes = [s[:, k // 2] * (1.0 if k % 2 == 0 else -1j) for k in range(axes)]
             zexp = -(model.phi(zc) @ lambdas.T)  # (c, J)
-            guard(zexp)
+            _check_exponent(zexp, "the z-factor at output points outside the pairing cone")
             # every exponential before the matmul: a complex exp right after a
             # BLAS call ran 12x slower on an AVX-512 Xeon (dirty upper state)
             fac = []
             for w in slopes:
                 # t * Re w peaks at an end node, and the nodes ascend
-                guard(np.maximum(t[0] * w.real, t[-1] * w.real))
+                _check_exponent(np.maximum(t[0] * w.real, t[-1] * w.real), "an axis factor")
                 e = t[:, None] * w[:, None, :]  # (J, N, c)
                 fac.append(np.exp(e, out=e))
             # the factors are finite, but far outside the pairing cone their

@@ -51,9 +51,17 @@ CHUNK_ELEMENTS = 200_000
 # 16 MiB, with run_s 1.72 -> 2.07 s, one run each on a 2-core box).
 BATCH_STATE_BYTES = 32 * 2**20
 
-# Largest exponent the overflow guards of `transform.extend` and
-# `fock.group_convolve` let through: e^600 leaves room below e^709 for sums.
+# Largest exponent `_check_exponent` lets `transform.extend`, `pw_margin`, both
+# extension routes and `fock.group_convolve` take: e^600 leaves room for sums.
 EXP_LIMIT = 600.0
+
+
+def _check_exponent(exponent, what):
+    """The exponent, once no real part passes EXP_LIMIT; else a ValueError naming `what`."""
+    top = float(np.max(np.real(exponent)))
+    if top > EXP_LIMIT:
+        raise ValueError(f"{what} reaches exp({top:.0f}), past exp({EXP_LIMIT:.0f})")
+    return exponent
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .convex import ConvexBody, contains, empty_body, erode, support
 from .fock import fock_basis, group_convolve, pi_of_f_batch
-from .functions import EXP_LIMIT, GridSpec, SampledFunction, SpectralForm, central_transform
+from .functions import GridSpec, SampledFunction, SpectralForm, _check_exponent, central_transform
 from .quadrature import gauss_legendre, tensor_rule
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
                        plancherel_constant, spectral_data)
@@ -69,7 +69,6 @@ __all__ = [
 
 LONG_XBOX = 160.0
 LONG_XNODES = 768
-_EXP_CLAMP = 40.0
 _POINT_CAP = 16384
 _REFINE_RTOL = 1e-8
 
@@ -197,26 +196,27 @@ def forward_FN(f, lambdas, degree=8):
     return out, warnings
 
 
+def _continuation(f, z, u, body=None):
+    """sum_j c_j(z) e^(i<lam_j, u> + <lam_j, Phi(z)>), times e^(-H_K(Im u - Phi(z))) given K."""
+    if f.spectral is None:
+        raise ValueError("the extension needs a function with a spectral form")
+    lams = f.spectral.lambdas
+    rho = np.imag(u) - f.model.phi(z)
+    expo = -(rho @ lams.T) - (0.0 if body is None else support(body, rho)[:, None])  # (..., J)
+    _check_exponent(expo, "the extension exponent at points outside the pairing cone")
+    c = f.spectral.coeff(z)
+    return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
+
+
 def extend(f, z, u):
     """Holomorphic continuation of a spectral-form function in the center.
 
     z is a point of E (complex, (..., n)), u a complex central variable
     (..., m).  On the boundary slice u = x + i Phi(z) this reproduces f.
-    Raises when the exponent would overflow (the point lies too deep
-    outside the pairing cone).
+    Raises ValueError when an exponent passes `functions.EXP_LIMIT` (the
+    point lies too deep outside the pairing cone), as both routes do.
     """
-    if f.spectral is None:
-        raise ValueError("the extension needs a function with a spectral form")
-    z = np.asarray(z, complex)
-    u = np.asarray(u, complex)
-    lams = f.spectral.lambdas
-    ph = f.model.phi(z)  # (..., m)
-    rho = np.imag(u) - ph
-    expo = -(rho @ lams.T)  # (..., J)
-    if np.max(expo) > EXP_LIMIT:
-        raise ValueError("extension point lies too deep outside the pairing cone")
-    c = f.spectral.coeff(z)
-    return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
+    return _continuation(f, np.asarray(z, complex), np.asarray(u, complex))
 
 
 def _gl_refine(body, integrand, start=64):
@@ -227,7 +227,8 @@ def _gl_refine(body, integrand, start=64):
     in all, nodes per axis to the power m; a RuntimeError stating the last
     relative change is raised when no two successive values agree to
     _REFINE_RTOL by then.  A start whose first two rules do not fit in
-    _POINT_CAP points raises a ValueError before anything is evaluated.
+    _POINT_CAP points raises a ValueError before anything is evaluated, and
+    so does a non-finite integrand value, on the first rule that reads one.
     """
     lo, hi = _body_box(body)
     m = lo.size
@@ -242,7 +243,11 @@ def _gl_refine(body, integrand, start=64):
     change = np.inf
     while nodes**m <= _POINT_CAP:
         lams, w = tensor_rule([gauss_legendre(nodes, lo[k], hi[k]) for k in range(m)])
-        val = integrand(lams) @ w
+        vals = integrand(lams)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"frequency quadrature read a non-finite integrand value at "
+                             f"{nodes} nodes per axis ({nodes**m} points)")
+        val = vals @ w
         if prev is not None:
             diff, scale = np.max(np.abs(val - prev)), np.max(np.abs(val)) + 1e-300
             if diff < _REFINE_RTOL * scale:
@@ -268,8 +273,9 @@ def extend_profile(model, profile, z, u, lam_nodes=64):
     doubling on the frequency body holds at most 16384 points in all, and
     the first two rules, lam_nodes and 2 lam_nodes per axis, must fit:
     lam_nodes <= 64 on m = 2 and <= 12 on m = 3; a larger lam_nodes raises a
-    ValueError.  `extend_by_resynthesis` is the independent route A, through
-    the boundary function's fiber transform.
+    ValueError, as does a point whose exponent passes `functions.EXP_LIMIT`.
+    `extend_by_resynthesis` is the independent route A, through the boundary
+    function's fiber transform.
     """
     if profile.psi is None:
         raise ValueError("route B refinement needs the profile's evaluator")
@@ -279,7 +285,7 @@ def extend_profile(model, profile, z, u, lam_nodes=64):
     def integrand(lams):
         pf, _, _ = layer_invariants(model, lams)
         vals = np.asarray(profile.psi(lams), float)
-        return const * vals * pf * np.exp(1j * (u @ lams.T))
+        return const * vals * pf * np.exp(_check_exponent(1j * (u @ lams.T), "route B's integrand"))
 
     return _gl_refine(profile.body, integrand, start=lam_nodes)
 
@@ -298,7 +304,8 @@ def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
     the midpoint, and a lam_nodes-point Gauss rule, exact to degree
     2 lam_nodes - 1, resolves it only when that degree reaches the turn.  A
     rule short of it on any axis raises a ValueError naming the lam_nodes
-    needed, rather than return unresolved values.
+    needed, rather than return unresolved values; so does a point whose
+    kernel exponent passes `functions.EXP_LIMIT`, as in `extend`.
     """
     model = f.model
     z = np.atleast_2d(np.asarray(z, complex))
@@ -312,27 +319,24 @@ def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
             f"{math.ceil((turn + 1.0) / 2.0)}"
         )
     lams, lw = tensor_rule([gauss_legendre(lam_nodes, lo[k], hi[k]) for k in range(model.m)])
-    fhat, _, _ = central_transform(f, lams, xbox, LONG_XNODES)(z)  # (P, J)
     # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
     # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
-    resynth = np.exp(1j * ((u - 1j * model.phi(z)) @ lams.T))  # (P, J)
+    resynth = np.exp(_check_exponent(1j * ((u - 1j * model.phi(z)) @ lams.T), "route A's kernel"))
+    fhat, _, _ = central_transform(f, lams, xbox, LONG_XNODES)(z)  # (P, J)
     return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
 
 
 def pw_margin(f, body, z, u, order=4):
-    """Growth margins |F(z, u)| (1+|z|^2+|u|)^order exp(-H_K(rho)).
+    """Growth margins |F(z, u)| (1+|z|^2+|u|)^order exp(-H_K(rho)), rho = Im u - Phi(z).
 
-    Returns (margins, clamp_count).  The support-function damping is
-    clamped at exp(-40) so wrong-side probes inflate the margin instead of
-    overflowing; clamped points are counted, never dropped.
+    -H_K(rho) enters each exponent of `extend`'s sum, so with f's frequencies
+    in K none is positive and the margins are exact at any depth.  On a cone
+    body, probes outside the polar have H_K = +inf and read 0.
     """
     z = np.atleast_2d(np.asarray(z, complex))
     u = np.atleast_2d(np.asarray(u, complex))
-    vals = extend(f, z, u)
-    h = support(body, np.imag(u) - f.model.phi(z))
-    clamped = int(np.count_nonzero(h > _EXP_CLAMP))
     poly = (1.0 + np.sum(np.abs(z) ** 2, axis=1) + np.linalg.norm(u, axis=1)) ** order
-    return np.abs(vals) * poly * np.exp(-np.minimum(h, _EXP_CLAMP)), clamped
+    return np.abs(_continuation(f, z, u, body)) * poly
 
 
 @functools.cache
