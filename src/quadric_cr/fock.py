@@ -21,27 +21,27 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 
 `pi_of_f_batch` integrates these matrices against a boundary function over
 a tensor grid.  The perpendicular part of the grid is clipped where the layer
-weight phi_lam exceeds `PHI_CUT`.  The grid is a tensor product of per-mode
-complex rules and w_k of a grid point is its mode-k node, so each mode's
-blocks are built on that mode's N^2 nodes only and multiplied out over the
-P = N^(2K) points.  On a clipped mode the nodes are sqrt(PHI_CUT / (2|mu_k|))
-times the reference Gauss nodes, so beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT)
-times a reference node whatever lam is: every clipped layer of one node
-count and degree shares one table of blocks, conjugated where mu_k < 0.
+weight phi_lam exceeds `PHI_CUT`: mode k has the half-width s_k =
+min(ebox, sqrt(PHI_CUT / (2|mu_k|))), and w_k of a grid point is its node,
+so each mode's blocks are built on its own N^2 nodes, times its weights, and
+multiplied out over the P = N^(2K) points.  A clipped mode's nodes are s_k
+times the reference nodes, so beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT) times
+a reference node whatever lam is: it reads one shared table, conjugated
+where mu_k < 0, and its weights' s_k^2 is a scalar.
 
 One runner computes every pi(f).  It takes a batch of layers sharing a frame
-(the same eigenvectors and radical) and per-mode source rules, and takes fhat
+(the same eigenvectors and radical) and source half-widths, and takes fhat
 on the source grid a radical chunk at a time through one `central_transform`
 for all the batch's frequencies, built once per batch: a spectral form in
 closed form on the central box, any other f sampled on the grid's central
 rule (fnodes matters only there).  Each layer interpolates that fhat onto its
 own clipped Gauss-Legendre nodes (tensor-product barycentric Lagrange, only
-on axes whose nodes differ from the source's) before the one layer
-contraction.  `pi_of_f_batch` is one batch of one layer whose source grid
-is its own clipped grid, built once, so nothing is interpolated.
-`plancherel_residual` passes the frame's unclipped rules and cuts each frame
-into batches whose cross-chunk state fits `functions.BATCH_STATE_BYTES`, so f
-is sampled once per batch rather than once per layer.  Each of its layers
+on modes whose half-width differs from the source's) before the one layer
+contraction.  `pi_of_f_batch` is one batch of one layer whose source
+half-widths are its own, so its grid is built once and nothing is
+interpolated.  `plancherel_residual` passes ebox on every mode and cuts each
+frame into batches whose cross-chunk state fits `functions.BATCH_STATE_BYTES`,
+so f is sampled once per batch rather than once per layer.  Each of its layers
 reports `captured`, its Hilbert-Schmidt mass over its fhat mass on the
 unclipped grid, which cannot exceed 1 but through quadrature error; layers
 past 1 + `CAPTURED_TOL` are warned about.
@@ -83,10 +83,10 @@ __all__ = [
 # true matrix elements are suppressed by exp(-phi_lam/2) there, and the clip
 # keeps the fixed number of zeta nodes on the region that carries the layer,
 # so the grid resolves it uniformly in lam; without it the degree-24
-# Plancherel residual is 8x off its floor.  A clipped mode's box is
-# |w| <= sqrt(PHI_CUT / (2|mu|)) per real axis, so its displacements
-# sqrt(2|mu|) w span the same sqrt(PHI_CUT) box at every lam and its shift
-# blocks do not depend on lam (`_clip_table`).
+# Plancherel residual is 8x off its floor.  A clipped mode's half-width is
+# s = sqrt(PHI_CUT / (2|mu|)), so its displacements sqrt(2|mu|) w span the
+# same sqrt(PHI_CUT) box at every lam: its weighted shift blocks are one
+# lam-independent table times s^2 (`_clip_factor`).
 PHI_CUT = 40.0
 
 # How far a layer's Plancherel certificate may pass 1 before it is reported
@@ -100,7 +100,7 @@ PHI_CUT = 40.0
 # failure.
 CAPTURED_TOL = 1e-6
 
-# the clipped modes' read-only shift-block tables by (enodes, degree), at most two
+# `_clip_factor`'s read-only tables by (enodes, degree, kdim, mode, mu > 0), at most four
 _CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the boundary's share
@@ -245,29 +245,20 @@ def hs_norm(mat):
     return np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1)))
 
 
-def _clipped_rules(sd, grid, erule):
-    """A layer's 1-D rule per perpendicular mode, clipped where phi_lam exceeds `PHI_CUT`.
-
-    erule itself where the clip does not bite, else a Gauss-Legendre rule
-    with as many nodes on the clipped box.
-    """
-    rules = []
-    for mu in np.abs(sd.eigenvalues):
-        half = math.sqrt(PHI_CUT / (2.0 * mu))
-        rules.append(erule if half >= grid.ebox else gauss_legendre(grid.enodes, -half, half))
-    return rules
+def _half_widths(sd, ebox):
+    """A layer's perpendicular half-width per mode, s_k = min(ebox, sqrt(PHI_CUT / (2|mu_k|))):
+    the function's own box, clipped where phi_lam passes `PHI_CUT` inside it."""
+    return [min(ebox, math.sqrt(PHI_CUT / (2.0 * mu))) for mu in np.abs(sd.eigenvalues)]
 
 
-def _perp_grid(sd, rules):
-    """The perpendicular tensor grid of per-mode rules: points z (P, n),
-    weights (P,), damping exp(-phi_lam(z)/2)|w| (P,) and boundary mask (P,).
+def _perp_grid(sd, halves, enodes):
+    """The perpendicular tensor grid, enodes Gauss nodes on [-s_k, s_k] per
+    mode: points z (P, n), weights (P,) and boundary mask (P,).
 
     A layer with no perpendicular direction gets the one-point rule.
     """
-    pn, pw = tensor_rule([complex_grid(r) for r in rules])
-    zperp = pn @ sd.eigenvectors.T
-    damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
-    return zperp, pw, damp, boundary_mask(pn)
+    pn, pw = tensor_rule([complex_grid(gauss_legendre(enodes, -s, s)) for s in halves])
+    return pn @ sd.eigenvectors.T, pw, boundary_mask(pn)
 
 
 def _radical_grid(sd, erule):
@@ -282,52 +273,56 @@ def _tau_phases(taus, rn, rw):
     return rw[:, None] * np.exp(-1j * _tau_dot(taus[None, :, :], rn[:, None, :]))
 
 
-def _clip_table(enodes, degree):
-    """Shift blocks of a clipped mode with mu > 0, shape (enodes^2, D+1, D+1).
+def _clip_factor(fb, k, enodes, positive):
+    """Clipped mode k's weighted shift factor over s_k^2, shape (enodes^2, B*B), read-only.
 
-    The mode's rule is the reference rule scaled by sqrt(PHI_CUT / (2 mu)),
-    so these are the blocks of mu = PHI_CUT / 2 on the reference complex
-    nodes, whatever the layer; for mu < 0 they are the conjugates.  The
-    table is read-only and kept in `_CLIP_TABLES` (at most two, the oldest
-    dropped first) unless it is larger than `BATCH_STATE_BYTES`.
+    The mode's rule is the reference rule scaled by s_k, so this is the
+    blocks of mu = PHI_CUT / 2 on the reference complex nodes, gathered onto
+    the basis and times the reference weights, whatever the layer; for
+    mu_k < 0 it is the conjugate.  It is kept in `_CLIP_TABLES` (at most
+    four, the oldest dropped first) unless larger than `BATCH_STATE_BYTES`.
     """
-    table = _CLIP_TABLES.get((enodes, degree))
+    key = (enodes, fb.degree, fb.sd.kdim, k, positive)
+    table = _CLIP_TABLES.get(key)
     if table is None:
-        nodes, _ = complex_grid(_reference_rule(enodes))
-        table = _mode_blocks(0.5 * PHI_CUT, nodes, degree)
+        if positive:
+            nodes, w = complex_grid(_reference_rule(enodes))
+            table = _gathered(fb, k, _mode_blocks(0.5 * PHI_CUT, nodes, fb.degree))
+            table *= w[:, None]
+        else:
+            table = np.conj(_clip_factor(fb, k, enodes, True))
         if table.nbytes <= BATCH_STATE_BYTES:
             table.flags.writeable = False
-            if len(_CLIP_TABLES) == 2:
+            if len(_CLIP_TABLES) == 4:
                 del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
-            _CLIP_TABLES[enodes, degree] = table
+            _CLIP_TABLES[key] = table
     return table
 
 
-def _weighted_shifts(fb, rules, clipped, pw):
-    """The weighted shift matrices on a layer's perpendicular grid, shape (P, B*B).
+def _weighted_shifts(fb, halves, grid):
+    """A layer's weighted shift matrices, scale times (P, B*B), as (scale, matrices).
 
-    rules are the layer's per-mode rules, clipped says which of them the
-    clip bites, and pw are the grid's weights.  Mode k's coordinate w_k is
-    its complex node, conjugated where mu_k < 0, so its blocks are built on
-    its own N^2 nodes (a clipped mode's come from `_clip_table`), gathered
-    onto the basis by `_gathered`, and multiplied out over the tensor grid,
-    the last mode fastest.
+    halves are its half-widths per mode.  Mode k's coordinate w_k is its
+    complex node, conjugated where mu_k < 0, so its blocks are built on its
+    own N^2 nodes, gathered onto the basis by `_gathered` and multiplied by
+    its weights; a clipped mode (s_k < ebox) reads `_clip_factor` and puts
+    s_k^2 in the scale.  The factors are multiplied out over the tensor grid,
+    the last mode fastest: a one-mode clipped layer's are the shared table.
     """
-    out = np.ones((1, fb.size**2), complex)
-    for k, (rule, clip, mu) in enumerate(zip(rules, clipped, fb.sd.eigenvalues)):
-        if clip:
-            table = _clip_table(rule[0].size, fb.degree)
+    scale, out = 1.0, np.ones((1, fb.size**2), complex)
+    for k, (s, mu) in enumerate(zip(halves, fb.sd.eigenvalues)):
+        if s < grid.ebox:
+            block = _clip_factor(fb, k, grid.enodes, mu > 0)
+            scale *= s * s
         else:
-            nodes, _ = complex_grid(rule)
-            table = _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes), fb.degree)
-        block = _gathered(fb, k, table)
-        if clip and mu < 0:
-            np.conj(block, out=block)
+            nodes, w = complex_grid(gauss_legendre(grid.enodes, -s, s))
+            block = _gathered(fb, k, _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes),
+                                                  fb.degree))
+            block *= w[:, None]
         # the first block starts the product: multiplying it into ones would
         # cost one more (N^2, B*B) temporary
         out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
-    out *= pw[:, None]
-    return out
+    return scale, out
 
 
 def _tail_warning(part, whole, text):
@@ -355,7 +350,8 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
     taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
-    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid, grid.e_rule(), taus)
+    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid,
+                                        _half_widths(sd, grid.ebox), taus)
     warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
                 + _tail_warning(xtail, xtot, _X_TAIL))
     return layer.share.reshape(-1, fb.size, fb.size), warnings
@@ -539,16 +535,19 @@ def _interpolate(fhat, mats):
 class _BatchLayer:
     """One layer of a batch: its clipped grid and what it accumulates."""
 
-    def __init__(self, sd, degree, rules, clipped, src_rules, taus):
-        self.fb = fock_basis(sd, degree)
-        self.rules, self.clipped = rules, clipped
-        self.zperp, self.pw, self.damp, self.pmask = _perp_grid(sd, rules)
+    def __init__(self, sd, degree, grid, src_halves, src, taus):
+        self.fb, self.grid = fock_basis(sd, degree), grid
+        self.halves = _half_widths(sd, grid.ebox)
+        zperp, pw, self.pmask = (src if self.halves == src_halves
+                                 else _perp_grid(sd, self.halves, grid.enodes))
+        self.damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
         # one matrix per real axis, the same for Re and Im of a mode; None
-        # where the layer's nodes are the source's
-        mode_mats = [None if np.array_equal(r[0], s[0]) else _interp_matrix(s[0], r[0])
-                     for r, s in zip(rules, src_rules)]
+        # where the layer's half-width is the source's
+        mode_mats = [None if s == t else _interp_matrix(gauss_legendre(grid.enodes, -t, t)[0],
+                                                        gauss_legendre(grid.enodes, -s, s)[0])
+                     for s, t in zip(self.halves, src_halves)]
         self.mats = [mat for mat in mode_mats for _ in range(2)]
-        self.wshift = None  # kept only while more radical chunks remain
+        self.wshift = None  # (scale, matrices), kept only while more radical chunks remain
         self.share = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
         self.tail_all = self.tail_w = self.mass = 0.0
 
@@ -557,17 +556,16 @@ class _BatchLayer:
 
         tphase (R_c, T) carries the radical weights and tau phases, rabs
         (R_c,) the radical weights of the tail diagnostics.  The layer's terms
-        of pi(f), the chain tphase^T fhat^T wshift, are multiplied in their
-        cheaper order: tau-phases first for few tau, the shift contraction
-        first for many.
+        of pi(f), the chain scale tphase^T fhat^T wshift, are multiplied in
+        their cheaper order: tau-phases first for few tau, the shift
+        contraction first for many; the scale goes on the small tphase.
         """
-        wshift = self.wshift if self.wshift is not None else _weighted_shifts(
-            self.fb, self.rules, self.clipped, self.pw)
-        self.wshift = None if last else wshift
+        scale, wshift = self.wshift or _weighted_shifts(self.fb, self.halves, self.grid)
+        self.wshift = None if last else (scale, wshift)
         abs_src = np.abs(fhat_src)
         self.mass += float(src_w @ abs_src**2 @ rabs)
         fhat = _interpolate(fhat_src, self.mats)
-        self.share += np.linalg.multi_dot([tphase.T, fhat.T, wshift])
+        self.share += np.linalg.multi_dot([scale * tphase.T, fhat.T, wshift])
         # no axis interpolated: fhat is the source chunk itself
         absf = abs_src if fhat is fhat_src else np.abs(fhat)
         full = absf @ rabs
@@ -576,25 +574,20 @@ class _BatchLayer:
         self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
 
 
-def _run_layers(f, sds, degree, grid, erule, taus, src_rules=None):
+def _run_layers(f, sds, degree, grid, src_halves, taus):
     """Run a batch of layers that share a frame; returns its layers and x-tail sums.
 
-    f is sampled once on the source grid, the tensor grid of the per-mode
-    src_rules, a radical chunk at a time, with one central transform for
-    all the batch's frequencies, built once for the batch; each layer
-    interpolates the chunk onto its own clipped grid where that differs
-    from the source.  Without src_rules a batch of one layer runs on its
-    own clipped grid, built once.  A mode is clipped where its rule is not
-    erule itself.
+    f is sampled once on the source grid, the perpendicular tensor grid of
+    half-width src_halves[k] on mode k, a radical chunk at a time, with one
+    central transform for all the batch's frequencies, built once for the
+    batch.  Each layer interpolates the chunk onto its own clipped grid on
+    the modes whose half-width differs from the source's; a layer whose
+    half-widths are the source's reads the source grid as built.
     """
-    rules = [_clipped_rules(sd, grid, erule) for sd in sds]
-    layers = [_BatchLayer(sd, degree, r, [m is not erule for m in r], src_rules or r, taus)
-              for sd, r in zip(sds, rules)]
-    if src_rules is None:
-        zperp, src_w = layers[0].zperp, layers[0].pw
-    else:
-        zperp, src_w, _, _ = _perp_grid(sds[0], src_rules)
-    zrad, rn, rw, rmask = _radical_grid(sds[0], erule)
+    src = _perp_grid(sds[0], src_halves, grid.enodes)
+    layers = [_BatchLayer(sd, degree, grid, src_halves, src, taus) for sd in sds]
+    zperp, src_w, _ = src
+    zrad, rn, rw, rmask = _radical_grid(sds[0], grid.e_rule())
     transform = central_transform(f, np.array([sd.lam for sd in sds]), grid.fbox, grid.fnodes)
     P = zperp.shape[0]
     step = max(1, CHUNK_ELEMENTS // (P * len(sds)))
@@ -635,8 +628,9 @@ def plancherel_residual(model, f, cfg):
     layer contraction; `pi_of_f_batch` runs through the same runner.  Across
     chunks a layer keeps only its (T, B^2) share of pi(f), its tail sums,
     its source mass and, while more chunks remain, its weighted shift
-    matrices; the budget bounds that state, so a frame that turns with lam
-    costs what one layer does.
+    matrices (a one-mode clipped layer's are the shared table); the budget
+    bounds that state, so a frame that turns with lam costs what one layer
+    does.
 
     Each row is (lam, |Pf(lam)|, layer, captured), where layer is the tau
     integral of ||pi_(lam,tau)(f)||_HS^2 and captured is the certificate
@@ -665,7 +659,6 @@ def plancherel_residual(model, f, cfg):
     # every processed layer has the generic radical, so they share one tau rule
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
                               * (2 * gen_d))
-    erule = grid.e_rule()
     frames = []  # [(sd, node index)] per frame
     skipped = 0
     for j in range(lam_nodes.shape[0]):
@@ -682,7 +675,10 @@ def plancherel_residual(model, f, cfg):
             frames.append([(sd, j)])
 
     # what a layer keeps across radical chunks: its (T, B^2) share and, when
-    # there is more than one radical point, its weighted shifts (P, B^2)
+    # there is more than one radical point, its weighted shifts (P, B^2).  A
+    # one-mode clipped layer keeps only a reference to the shared table, so
+    # this over-counts it; it stays until the chunk size is re-argued with it,
+    # since more layers a batch shrink the chunks (ROADMAP items 2a and 2c)
     kdim = model.n - gen_d
     P, R = grid.enodes ** (2 * kdim), grid.enodes ** (2 * gen_d)
     side = multi_indices(kdim, cfg.degree).shape[0] ** 2
@@ -693,8 +689,8 @@ def plancherel_residual(model, f, cfg):
         for batch in np.array_split(np.arange(len(frame)), -(-len(frame) // size)):
             items = [frame[i] for i in batch]
             sds = [sd for sd, _ in items]
-            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid, erule, taus,
-                                              [erule] * sds[0].kdim)
+            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid,
+                                              [grid.ebox] * sds[0].kdim, taus)
             warnings.update(_tail_warning(xtail, xtot, _X_TAIL))
             for (sd, j), lay in zip(items, layers):
                 warnings.update(_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL))

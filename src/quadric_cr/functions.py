@@ -47,8 +47,9 @@ CHUNK_ELEMENTS = 200_000
 # At the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds
 # six of its 41 layers and f is sampled 7 times, not 41; on a 2-core Xeon
 # that run took 29 s at this budget and 37 s at 16 MiB.  The plancherel-deg21
-# benchmark fits its 21 layers in one batch (peak RSS 83.3 MB; 73.3 MB at
-# 16 MiB, with run_s 1.72 -> 2.07 s, one run each on a 2-core box).
+# benchmark fits its 21 layers in one batch (peak RSS 71.5 MB, the median of
+# 20 runs on a 2-core box; one run each read 71.5 MB and run_s 1.45 s at this
+# budget, 68.7 MB and 1.61 s at 16 MiB).
 BATCH_STATE_BYTES = 32 * 2**20
 
 # Largest exponent `_check_exponent` lets `transform.extend`, `pw_margin`, both

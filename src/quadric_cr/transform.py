@@ -197,14 +197,20 @@ def forward_FN(f, lambdas, degree=8):
 
 
 def _continuation(f, z, u, body=None):
-    """sum_j c_j(z) e^(i<lam_j, u> + <lam_j, Phi(z)>), times e^(-H_K(Im u - Phi(z))) given K."""
+    """sum_j c_j(z) e^(i<lam_j, u> + <lam_j, Phi(z)>), times e^(-H_K(Im u - Phi(z))) given K.
+
+    For a ground form c_j(z) e^(<lam_j, Phi(z)>) = amp_j, so the sum is
+    amp_j e^(i<lam_j, u>) and the exponent checked is the one it takes, free
+    of Phi(z); any other form takes its coefficients and e^(<lam_j, Phi(z)>).
+    """
     if f.spectral is None:
         raise ValueError("the extension needs a function with a spectral form")
-    lams = f.spectral.lambdas
+    lams, amp = f.spectral.lambdas, f.spectral.amp
     rho = np.imag(u) - f.model.phi(z)
-    expo = -(rho @ lams.T) - (0.0 if body is None else support(body, rho)[:, None])  # (..., J)
+    hk = 0.0 if body is None else support(body, rho)[:, None]
+    expo = -((np.imag(u) if amp is not None else rho) @ lams.T) - hk  # (..., J)
     _check_exponent(expo, "the extension exponent at points outside the pairing cone")
-    c = f.spectral.coeff(z)
+    c = f.spectral.coeff(z) if amp is None else np.broadcast_to(amp, rho.shape[:-1] + amp.shape)
     return np.einsum("...j,...j->...", c, np.exp(expo + 1j * (np.real(u) @ lams.T)))
 
 
@@ -213,8 +219,12 @@ def extend(f, z, u):
 
     z is a point of E (complex, (..., n)), u a complex central variable
     (..., m).  On the boundary slice u = x + i Phi(z) this reproduces f.
-    Raises ValueError when an exponent passes `functions.EXP_LIMIT` (the
-    point lies too deep outside the pairing cone), as both routes do.
+    A ground form is summed as amp_j e^(i<lam_j, u>), which does not depend
+    on z, so any z is served where route B serves it; route A, which reads f
+    only through its fiber transform at z, refuses a point whose
+    e^(<lam, Phi(z)>) passes the limit even so.  Raises ValueError when an
+    exponent passes `functions.EXP_LIMIT` (the point lies too deep outside
+    the pairing cone), as both routes do.
     """
     return _continuation(f, np.asarray(z, complex), np.asarray(u, complex))
 
@@ -305,7 +315,11 @@ def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
     2 lam_nodes - 1, resolves it only when that degree reaches the turn.  A
     rule short of it on any axis raises a ValueError naming the lam_nodes
     needed, rather than return unresolved values; so does a point whose
-    kernel exponent passes `functions.EXP_LIMIT`, as in `extend`.
+    kernel exponent passes `functions.EXP_LIMIT`, as in `extend`.  The
+    kernel carries e^(<lam, Phi(z)>) against the fiber transform's decay, so
+    far off the centre (|z|^2 max lam past 600 on the Heisenberg model)
+    route A refuses points where `extend` and route B, which sum a ground
+    form free of Phi(z), return values of order one.
     """
     model = f.model
     z = np.atleast_2d(np.asarray(z, complex))

@@ -364,9 +364,9 @@ def layer_oracle(fb, f, taus, grid):
     the per-mode tables.  The grid boundaries are read off the node indices.
     """
     sd = fb.sd
-    erule = grid.e_rule()
-    pn, pw = tensor_rule([complex_grid(r) for r in fock._clipped_rules(sd, grid, erule)])
-    rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
+    pn, pw = tensor_rule([complex_grid(gauss_legendre(grid.enodes, -s, s))
+                          for s in fock._half_widths(sd, grid.ebox)])
+    rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sd.d)
     zperp, zrad = pn @ sd.eigenvectors.T, rn @ sd.radical.T
     z = (zperp[:, None, :] + zrad[None, :, :]).reshape(-1, zperp.shape[1])
     fhat, xtot, xtail = sampled_fhat(f, z, sd.lam[None, :], grid)
@@ -505,33 +505,40 @@ def test_weighted_shifts_match_the_per_point_path(case):
     model, lam, degree, grid, clip = SHIFT_TABLE_CASES[case]
     sd = spectral_data(model, np.array(lam))
     fb = fock_basis(sd, degree)
-    erule = grid.e_rule()
-    rules = fock._clipped_rules(sd, grid, erule)
-    clipped = [r is not erule for r in rules]
-    assert clipped == clip
+    halves = fock._half_widths(sd, grid.ebox)
+    assert [s < grid.ebox for s in halves] == clip
     if case.startswith("rotated22"):
         assert (sd.eigenvalues < 0).any() and (np.abs(sd.eigenvectors) > 0.1).all()
-    zperp, pw, _, _ = fock._perp_grid(sd, rules)
+    zperp, pw, _ = fock._perp_grid(sd, halves, grid.enodes)
     want = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
     want *= pw[:, None]
-    got = fock._weighted_shifts(fb, rules, clipped, pw)
+    scale, got = fock._weighted_shifts(fb, halves, grid)
+    got = scale * got
     assert got.shape == want.shape == (grid.enodes ** (2 * sd.kdim), fb.size**2)
     assert (np.abs(got - want) <= 1e-13 * np.abs(want).max()).all()
 
 
 def test_clipped_layers_share_one_shift_table(monkeypatch):
     # 41 HEIS1 layers on [-8, 8]: the clip bites past |lam| = 1.25 on ebox 4,
-    # on both signs, and every clipped layer reads the one memoized table
+    # on both signs; the positive table is built once, the negative one is
+    # its conjugate, and every clipped layer of one sign reads the same object
     grid = GridSpec(ebox=4.0, enodes=12, fbox=4.0, fnodes=16)
     cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
-    calls = []
-    blocks = fock._mode_blocks
+    calls, tables = [], {True: [], False: []}
+    blocks, shifts = fock._mode_blocks, fock._weighted_shifts
 
     def spy(mu, wz, degree):
         calls.append(mu)
         return blocks(mu, wz, degree)
 
+    def spy_shifts(fb, halves, grid):
+        scale, table = shifts(fb, halves, grid)
+        if halves[0] < grid.ebox:
+            tables[bool(fb.sd.eigenvalues[0] > 0)].append(table)
+        return scale, table
+
     monkeypatch.setattr(fock, "_mode_blocks", spy)
+    monkeypatch.setattr(fock, "_weighted_shifts", spy_shifts)
     fock._CLIP_TABLES.clear()
     rep = plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
     monkeypatch.undo()
@@ -539,7 +546,26 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     unclipped = int(np.sum(np.sqrt(fock.PHI_CUT / (2.0 * np.abs(lams))) >= grid.ebox))
     assert len(rep.rows) == 41 and 0 < unclipped < 41
     assert (lams < -1.25).any() and (lams > 1.25).any()
-    assert unclipped + 1 <= len(calls) <= unclipped + 2
+    assert len(calls) == unclipped + 1
+    assert len(tables[True]) + len(tables[False]) == 41 - unclipped
+    for seen in tables.values():
+        assert seen and all(t is seen[0] for t in seen) and not seen[0].flags.writeable
+    assert np.array_equal(tables[False][0], np.conj(tables[True][0]))
+
+    # the memo stays bounded: read-only entries within the batch budget, at
+    # most four, the oldest dropped first
+    assert all(not t.flags.writeable and t.nbytes <= fock.BATCH_STATE_BYTES
+               for t in fock._CLIP_TABLES.values())
+    fb = fock_basis(spectral_data(HEIS1, np.array([3.0])), 4)
+    monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 64 * 25 * 16 - 1)
+    big = fock._clip_factor(fb, 0, 8, True)
+    assert big.nbytes == 64 * 25 * 16 and (8, 4, 1, 0, True) not in fock._CLIP_TABLES
+    monkeypatch.undo()
+    fock._CLIP_TABLES.clear()
+    keys = [(enodes, 4, 1, 0, True) for enodes in (4, 5, 6, 7, 8)]
+    for enodes, *_ in keys:
+        fock._clip_factor(fb, 0, enodes, True)
+    assert list(fock._CLIP_TABLES) == keys[1:]
 
 
 def test_memoized_rules_and_tables_are_safe():
@@ -561,20 +587,22 @@ def test_memoized_rules_and_tables_are_safe():
     assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(24, -4.0, 4.0), want))
 
     grid = GridSpec(enodes=12)
-    erule = grid.e_rule()
     for lam in (3.0, -3.0, 0.7):
         sd = spectral_data(HEIS1, np.array([lam]))
         fb = fock_basis(sd, 6)
-        rules = fock._clipped_rules(sd, grid, erule)
-        clipped = [r is not erule for r in rules]
-        pw = fock._perp_grid(sd, rules)[1]
-        first = fock._weighted_shifts(fb, rules, clipped, pw)
+        halves = fock._half_widths(sd, grid.ebox)
+        _, first = fock._weighted_shifts(fb, halves, grid)
         want = first.copy()
-        first[:] = np.nan
-        assert np.array_equal(fock._weighted_shifts(fb, rules, clipped, pw), want)
-    table = fock._CLIP_TABLES[12, 6]
+        # a clipped layer's matrices are the memo's read-only table itself
+        if first.flags.writeable:
+            first[:] = np.nan
+        else:
+            with pytest.raises(ValueError):
+                first[:] = np.nan
+        assert np.array_equal(fock._weighted_shifts(fb, halves, grid)[1], want)
+    table = fock._CLIP_TABLES[12, 6, 1, 0, True]
     assert not table.flags.writeable
-    assert fock._clip_table(12, 6) is table
+    assert fock._clip_factor(fb, 0, 12, True) is table
 
 
 def test_plancherel_gaussian_smoke():
@@ -601,14 +629,12 @@ def test_interp_matrix_reproduces_polynomials():
         assert (fock._interp_matrix(src, src) == np.eye(num)).all()
     # in a layer, an unclipped axis takes no matrix at all, a clipped one does
     grid = GridSpec()
-    erule = grid.e_rule()
     taus = np.zeros((1, 0))
     layers = []
     for lam in (0.5, 8.0):
         sd = spectral_data(HEIS1, np.array([lam]))
-        rules = fock._clipped_rules(sd, grid, erule)
-        layers.append(fock._BatchLayer(sd, 4, rules, [r is not erule for r in rules], [erule],
-                                       taus))
+        src = fock._perp_grid(sd, [grid.ebox], grid.enodes)
+        layers.append(fock._BatchLayer(sd, 4, grid, [grid.ebox], src, taus))
     wide, narrow = layers
     assert wide.mats == [None, None]
     assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]

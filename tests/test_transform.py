@@ -516,6 +516,21 @@ def test_every_route_refuses_what_extend_refuses():
         assert np.isfinite(margin).all() and 0.0 < margin[0] < 1e-10
 
 
+def test_a_ground_form_continues_far_off_the_centre():
+    # at z = 20, u = 0.3 the continuation is of order one, but e^(<lam, Phi(z)>)
+    # reaches e^800 on K12; a ground form sums amp_j e^(i lam_j u), free of
+    # Phi(z), so `extend` agrees with route B there, while route A, which reads
+    # f only through its fiber transform at z, still refuses its kernel
+    prof = bump_profile(K12, nodes=64)
+    f = inverse_FN(HEIS1, prof)
+    z, u = np.array([[20.0 + 0.0j]]), np.array([[0.3 + 0.0j]])
+    ve, vb = extend(f, z, u), extend_profile(HEIS1, prof, z, u)
+    assert abs(vb[0] - (0.05238 + 0.02555j)) < 1e-5
+    assert (np.abs(ve - vb) <= 1e-12 * np.abs(vb)).all()
+    with pytest.raises(ValueError, match=r"route A's kernel reaches exp\(800\)"):
+        extend_by_resynthesis(f, K12, z, u)
+
+
 @pytest.mark.parametrize("body,seen_want,change", [
     (K12, [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384], "5.000e-01"),
     (box_body([1.0, 3.0], [2.0, 5.0]), [64**2, 128**2], "7.500e-01"),
