@@ -40,11 +40,15 @@ on modes whose half-width differs from the source's) before the one layer
 contraction.  `pi_of_f_batch` is one batch of one layer whose source
 half-widths are its own, so its grid is built once and nothing is
 interpolated.  `plancherel_residual` passes ebox on every mode and cuts each
-frame into batches whose cross-chunk state fits `functions.BATCH_STATE_BYTES`,
-so f is sampled once per batch rather than once per layer.  Each of its layers
-reports `captured`, its Hilbert-Schmidt mass over its fhat mass on the
-unclipped grid, which cannot exceed 1 but through quadrature error; layers
-past 1 + `CAPTURED_TOL` are warned about.
+frame into batches whose cross-chunk state and radical chunk fit
+`functions.BATCH_STATE_BYTES`, so f is sampled once per batch rather than
+once per layer, and the lhs ||f||^2 of a sampled f is read off the first
+batch's samples rather than sampled again: its rule is the first frame's
+unclipped grid, the box turned by the frame's eigenvectors (the box itself
+where they are coordinate axes, as on DEG21).  Each of its layers reports
+`captured`, its Hilbert-Schmidt mass over its fhat mass on the unclipped
+grid, which cannot exceed 1 but through quadrature error; layers past
+1 + `CAPTURED_TOL` are warned about.
 
 `group_convolve` takes a ground-form kernel.  When f is a ground form too
 and every sum of their frequencies is nondegenerate and inside the
@@ -350,8 +354,8 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
     taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
-    (layer,), xtot, xtail = _run_layers(f, [sd], fb.degree, grid,
-                                        _half_widths(sd, grid.ebox), taus)
+    (layer,), xtot, xtail, _ = _run_layers(f, [sd], fb.degree, grid,
+                                           _half_widths(sd, grid.ebox), taus)
     warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
                 + _tail_warning(xtail, xtot, _X_TAIL))
     return layer.share.reshape(-1, fb.size, fb.size), warnings
@@ -422,7 +426,7 @@ def group_convolve(f, g, grid=None):
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
     _check_exponent(qexp, "the q-factor of kernel frequencies outside the pairing cone")
-    fhat, _, _ = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)  # (Q, J)
+    fhat = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)[0]  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
     step = max(1, CHUNK_ELEMENTS // (J * N ** (axes - 1)))
@@ -574,35 +578,51 @@ class _BatchLayer:
         self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
 
 
-def _run_layers(f, sds, degree, grid, src_halves, taus):
-    """Run a batch of layers that share a frame; returns its layers and x-tail sums.
+def _kept_bytes(side, P, R, T):
+    """Bytes one batch layer keeps across radical chunks: its (T, B^2) share and,
+    when there is more than one radical point, its weighted shifts (P, B^2)."""
+    return 16 * side * (T + (P if R > 1 else 0))
 
+
+def _run_layers(f, sds, degree, grid, src_halves, taus):
+    """Run a batch of layers that share a frame.
+
+    Returns its layers, the x-sums of |f| over the box and over its boundary,
+    and the integral of |f|^2 over the source grid (None for a spectral form).
     f is sampled once on the source grid, the perpendicular tensor grid of
     half-width src_halves[k] on mode k, a radical chunk at a time, with one
     central transform for all the batch's frequencies, built once for the
-    batch.  Each layer interpolates the chunk onto its own clipped grid on
-    the modes whose half-width differs from the source's; a layer whose
-    half-widths are the source's reads the source grid as built.
+    batch.  A chunk holds as many radical points as its source points (16
+    bytes a coordinate) and the batch's fhat on them (16 bytes a layer) can
+    take of `BATCH_STATE_BYTES` once the layers' kept state (`_kept_bytes`)
+    is counted, and at least one.  Each layer interpolates the chunk onto
+    its own clipped grid on the modes whose half-width differs from the
+    source's; a layer whose half-widths are the source's reads the source
+    grid as built.
     """
     src = _perp_grid(sds[0], src_halves, grid.enodes)
     layers = [_BatchLayer(sd, degree, grid, src_halves, src, taus) for sd in sds]
     zperp, src_w, _ = src
     zrad, rn, rw, rmask = _radical_grid(sds[0], grid.e_rule())
     transform = central_transform(f, np.array([sd.lam for sd in sds]), grid.fbox, grid.fnodes)
-    P = zperp.shape[0]
-    step = max(1, CHUNK_ELEMENTS // (P * len(sds)))
+    P, R, L = zperp.shape[0], zrad.shape[0], len(sds)
+    kept = L * _kept_bytes(layers[0].fb.size ** 2, P, R, taus.shape[0])
+    step = max(1, (BATCH_STATE_BYTES - kept) // (16 * P * (L + zperp.shape[1])))
     xtot = xtail = 0.0
-    for lo in range(0, zrad.shape[0], step):
+    norm_sq = None if f.spectral is not None else 0.0
+    for lo in range(0, R, step):
         sl = slice(lo, lo + step)
-        z = (zperp[:, None, :] + zrad[None, sl, :]).reshape(-1, zperp.shape[1])
-        fhat, tot, tail = transform(z)
+        fhat, tot, tail, xsq = transform((zperp[:, None, :] + zrad[None, sl, :])
+                                         .reshape(-1, zperp.shape[1]))
         xtot += tot
         xtail += tail
-        fhat = fhat.T.reshape(len(sds), P, -1)
+        if norm_sq is not None:
+            norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
+        fhat = fhat.T.reshape(L, P, -1)
         tphase = _tau_phases(taus, rn[sl], rw[sl])
         for lay, fh in zip(layers, fhat):
-            lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= zrad.shape[0])
-    return layers, xtot, xtail
+            lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= R)
+    return layers, xtot, xtail, norm_sq
 
 
 def plancherel_residual(model, f, cfg):
@@ -617,11 +637,12 @@ def plancherel_residual(model, f, cfg):
     all the shipped models.  A lam_nodes below two per panel raises a
     ValueError before anything is sampled.
 
-    f is sampled once per batch, not once per layer.  A batch is a set of
-    layers that share a frame (equal eigenvectors and radical), cut to fit
-    `BATCH_STATE_BYTES`.  The batch samples f on the frame's unclipped grid
-    (the function's own box on every real axis), a radical chunk at a time,
-    and takes the x-sum for all its frequencies in one matrix product.  Each
+    f is sampled once per batch, not once per layer, and a sampled f is not
+    sampled again for the lhs.  A batch is a set of layers that share a
+    frame (equal eigenvectors and radical), cut to fit `BATCH_STATE_BYTES`.
+    The batch samples f on the frame's unclipped grid (the function's own
+    box on every real axis of the frame), a radical chunk at a time, and
+    takes the x-sum for all its frequencies in one matrix product.  Each
     layer then interpolates the chunk's fhat onto its own clipped
     Gauss-Legendre nodes (tensor-product barycentric Lagrange, one matrix
     per real axis, the identity where the clip does not bite) and runs the
@@ -629,8 +650,17 @@ def plancherel_residual(model, f, cfg):
     chunks a layer keeps only its (T, B^2) share of pi(f), its tail sums,
     its source mass and, while more chunks remain, its weighted shift
     matrices (a one-mode clipped layer's are the shared table); the budget
-    bounds that state, so a frame that turns with lam costs what one layer
-    does.
+    bounds that state together with the chunk, its points and their fhat,
+    which takes what the kept state leaves of it, so a frame that turns with
+    lam costs what one layer does.
+
+    The lhs ||f||^2 of a sampled f is the first batch's |f|^2 x-integral
+    (`central_transform`) summed on that batch's source grid: the same grid
+    as every certificate's denominator, the first frame's box, which is
+    `l2_norm`'s box where the frame's axes are coordinate axes (HEIS1,
+    DEG21) and that box turned by a unitary otherwise.  A spectral form's
+    lhs is `l2_norm`'s closed Gram form, and so is a sampled f's when every
+    layer is skipped.
 
     Each row is (lam, |Pf(lam)|, layer, captured), where layer is the tau
     integral of ||pi_(lam,tau)(f)||_HS^2 and captured is the certificate
@@ -654,7 +684,6 @@ def plancherel_residual(model, f, cfg):
         raise ValueError(f"lam_nodes = {cfg.lam_nodes} gives no lambda rule: {exc}") from exc
     lam_nodes, lam_weights = tensor_rule(rules)
     constant = plancherel_constant(model, gen_d)
-    lhs = l2_norm(f, grid) ** 2
 
     # every processed layer has the generic radical, so they share one tau rule
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
@@ -674,29 +703,37 @@ def plancherel_residual(model, f, cfg):
         else:
             frames.append([(sd, j)])
 
-    # what a layer keeps across radical chunks: its (T, B^2) share and, when
-    # there is more than one radical point, its weighted shifts (P, B^2).  A
-    # one-mode clipped layer keeps only a reference to the shared table, so
-    # this over-counts it; it stays until the chunk size is re-argued with it,
-    # since more layers a batch shrink the chunks (ROADMAP items 2a and 2c)
+    # a batch holds as many layers as fit `BATCH_STATE_BYTES` with what each
+    # keeps across radical chunks (`_kept_bytes`) and a chunk of one radical
+    # point: its P source points and each layer's fhat on them, 16 bytes a
+    # coordinate and a layer; the runner sizes its chunk from what is left.
+    # A one-mode clipped layer keeps only a reference to the shared table, so
+    # this over-counts it (ROADMAP item 2a)
     kdim = model.n - gen_d
     P, R = grid.enodes ** (2 * kdim), grid.enodes ** (2 * gen_d)
     side = multi_indices(kdim, cfg.degree).shape[0] ** 2
-    size = max(1, BATCH_STATE_BYTES // (16 * side * (taus.shape[0] + (P if R > 1 else 0))))
+    size = max(1, (BATCH_STATE_BYTES - 16 * P * model.n)
+               // (_kept_bytes(side, P, R, taus.shape[0]) + 16 * P))
+    # a spectral form's norm is closed; a sampled one is read off the first
+    # batch's samples, the first frame's unclipped grid
+    lhs = l2_norm(f, grid) ** 2 if f.spectral is not None else None
     results = {}
     warnings = set()
     for frame in frames:
         for batch in np.array_split(np.arange(len(frame)), -(-len(frame) // size)):
             items = [frame[i] for i in batch]
             sds = [sd for sd, _ in items]
-            layers, xtot, xtail = _run_layers(f, sds, cfg.degree, grid,
-                                              [grid.ebox] * sds[0].kdim, taus)
+            layers, xtot, xtail, norm_sq = _run_layers(f, sds, cfg.degree, grid,
+                                                       [grid.ebox] * sds[0].kdim, taus)
+            lhs = norm_sq if lhs is None else lhs
             warnings.update(_tail_warning(xtail, xtot, _X_TAIL))
             for (sd, j), lay in zip(items, layers):
                 warnings.update(_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL))
                 value = float(np.sum(tau_w * hs_norm(lay.share.reshape(-1, lay.fb.size,
                                                                         lay.fb.size)) ** 2))
                 results[j] = (sd, value, lay.mass)
+    if lhs is None:  # every layer was skipped, so no batch sampled f
+        lhs = l2_norm(f, grid) ** 2
 
     rhs = 0.0
     rows = []

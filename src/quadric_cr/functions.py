@@ -20,9 +20,11 @@ of z.  For a spectral form the box integral of each exponential has a
 closed form, a product of 2 sin(kappa xbox)/kappa, so no central rule is
 built; any other function is sampled on a tensor Gauss-Legendre rule, and
 the box's node count matters only there.  The sampled path also returns
-the x-sums of |f| that the tail diagnostics read.  `l2_norm` closes its
-x-integral the same way: a spectral form's is a Gram form of the same box
-integrals, and only a sampled function is evaluated on the central rule.
+the x-sums of |f| that the tail diagnostics read and each point's
+x-integral of |f|^2, so one sampling serves a norm too.  `l2_norm` closes
+its x-integral the same way: a spectral form's is a Gram form of the same
+box integrals, and a sampled function's is that |f|^2 integral of the
+central transform.
 """
 
 import inspect
@@ -36,20 +38,31 @@ __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "
            "central_transform"]
 
 # Samples evaluated and contracted at a time by every chunked sum in the
-# package: small enough that a chunk, the evaluator's temporaries and the
-# x-sums stay in cache.  On a 2-core Xeon with 2 MiB of L2 per core,
-# 5e4 to 5e5 ran within 15% of each other and 2e6 about twice as slow.
-CHUNK_ELEMENTS = 200_000
+# package.  A sampled chunk's temporaries (the samples, the evaluator's own
+# arrays, |f|) are about 2 MB here, and glibc keeps them in its heap from one
+# chunk to the next.  At 200_000, four times as large, they passed glibc's
+# dynamic trim threshold, so every chunk's arrays went back to the kernel and
+# were faulted in again: a plancherel-deg21 pass took 55k minor faults and
+# 0.12 s of system time there, against 4.3k and 0.01 s at 50_000.  On a 2-core
+# Xeon, one BLAS thread, that pass read 0.96 s at 25_000, 1.01 s here, 0.98 s
+# at 100_000 (the three inside one another's spread) and 1.13 s at 200_000,
+# medians of 8 passes in 4 fresh processes.  The spectral paths read 1-2%
+# slower than at 200_000 (convolve-heis1 +1.7%, checks-light +0.8%).
+CHUNK_ELEMENTS = 50_000
 
-# Bytes of per-layer state one Plancherel batch keeps while it walks its
-# radical chunks (see `fock.plancherel_residual`).  A larger budget means
-# fewer batches, so f is sampled fewer times, at the cost of resident memory.
-# At the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds
-# six of its 41 layers and f is sampled 7 times, not 41; on a 2-core Xeon
-# that run took 29 s at this budget and 37 s at 16 MiB.  The plancherel-deg21
-# benchmark fits its 21 layers in one batch (peak RSS 71.5 MB, the median of
-# 20 runs on a 2-core box; one run each read 71.5 MB and run_s 1.45 s at this
-# budget, 68.7 MB and 1.61 s at 16 MiB).
+# Bytes one Plancherel batch holds across its radical chunks (see
+# `fock.plancherel_residual`): each layer's kept state and one radical chunk,
+# its source points and the batch's fhat on them, which is as large as the
+# kept state leaves room for.  A larger budget means fewer batches, so f is
+# sampled fewer times, and larger chunks, at the cost of resident memory.  At
+# the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds six of
+# its 41 layers with 16 radical points a chunk, and f is sampled 7 times, not
+# 41; on a 2-core Xeon, one BLAS thread, that run took 18.0 s (median of 3)
+# at this budget and 29.7 s (one run), in 14 batches, at 16 MiB.  The
+# plancherel-deg21 benchmark fits its 21 layers in one batch with 18 radical
+# points a chunk: peak RSS 67.7 MB and run_s 0.92 s (medians of 10 runs on a
+# 2-core box); at 16 MiB it takes 2 batches and its pass read 1.35 s against
+# 1.01 s (medians of 8 passes, fresh processes).
 BATCH_STATE_BYTES = 32 * 2**20
 
 # Largest exponent `_check_exponent` lets `transform.extend`, `pw_margin`, both
@@ -194,9 +207,10 @@ def l2_norm(f, grid=None):
     sum_j c_j(z) e^(i <lam_j, x>): it is c^H G c with the real Gram matrix
     G_jl = prod_k 2 sin(kappa_k fbox) / kappa_k, kappa = lam_j - lam_l (the
     box kernel of `central_transform`), so no central rule is built and the
-    form is never evaluated.  Any other f is sampled against the tensor
-    Gauss-Legendre rule of fnodes nodes per central coordinate, which
-    matters only there.
+    form is never evaluated.  Any other f is sampled by `central_transform`
+    at no frequency, on its tensor Gauss-Legendre rule of fnodes nodes per
+    central coordinate (which matters only there), and its |f|^2
+    x-integral is read.
 
     The E grid is built one chunk at a time from the C-ordered index range,
     node for node and weight for weight what `tensor_rule` gives, so the
@@ -216,11 +230,12 @@ def l2_norm(f, grid=None):
             parts = (c.real, c.imag) if np.iscomplexobj(c) else (c,)
             return sum(np.einsum("ij,ij->i", p, p @ gram) for p in parts)
     else:
-        xnodes, xweights = tensor_rule([g.f_rule()] * model.m)
-        step = max(1, CHUNK_ELEMENTS // xnodes.shape[0])
+        # the central transform at no frequency: only its |f|^2 x-integral
+        transform = central_transform(f, np.zeros((0, model.m)), g.fbox, g.fnodes)
+        step = max(1, CHUNK_ELEMENTS // g.fnodes**model.m)
 
         def x_integral(zc):
-            return np.abs(f(zc[:, None, :], xnodes[None, :, :])) ** 2 @ xweights  # (c,)
+            return transform(zc)[3]
     shape = (t.size,) * (2 * model.n)
     points = t.size ** (2 * model.n)
     total = 0.0
@@ -237,10 +252,11 @@ def l2_norm(f, grid=None):
 def central_transform(f, lambdas, xbox, xnodes):
     """Central Fourier transform on the box [-xbox, xbox]^m, as a function of z.
 
-    lambdas is (J, m).  Returns transform(z) -> (fhat (Z, J), xtot, xtail)
-    for z (Z, n), with fhat(z, lam) = integral of f(z, x) e^(-i <lam, x>)
-    over the box, and the x-sums of |f| over the whole box and over its
-    boundary nodes (`boundary_mask`), the two sides of an x-tail diagnostic.
+    lambdas is (J, m).  Returns transform(z) -> (fhat (Z, J), xtot, xtail,
+    xsq) for z (Z, n), with fhat(z, lam) = integral of f(z, x) e^(-i <lam, x>)
+    over the box, the x-sums of |f| over the whole box and over its
+    boundary nodes (`boundary_mask`), the two sides of an x-tail diagnostic,
+    and xsq (Z,), each point's integral of |f(z, x)|^2 over the box.
     Everything that depends only on the frequencies is built once, here,
     and the returned function applies it to chunks of z.
 
@@ -250,12 +266,15 @@ def central_transform(f, lambdas, xbox, xnodes):
 
     kappa = lam_j - lam (2 xbox where kappa_k = 0), so its coefficients are
     contracted with that real (J_f, J) matrix and no x-rule is built; its
-    x-tails are not observable and both sums read 0.  Any other f is
-    sampled on chunks of z against the tensor Gauss-Legendre rule of
-    xnodes nodes per coordinate, and each chunk's x-sum is one matrix
-    product for all J frequencies: a real GEMM against (Re, Im) of the
-    phases when the samples are real, a complex one otherwise; the |f| sums
-    are one more real GEMM.  xnodes matters only for sampled functions.
+    x-tails are not observable and both sums read 0, and xsq is None (its
+    closed form is `l2_norm`'s Gram form).  Any other f is sampled on
+    chunks of z of at most `CHUNK_ELEMENTS` samples against the tensor
+    Gauss-Legendre rule of xnodes nodes per coordinate, and each chunk's
+    x-sum is one matrix product for all J frequencies: for real samples two
+    real GEMMs against Re and Im of the phases, written straight into the
+    two halves of fhat, a complex one otherwise; the |f| sums are one more
+    real GEMM and xsq a GEMV of |f|^2.  xnodes matters only for sampled
+    functions.
     """
     J = lambdas.shape[0]
     spectral = f.spectral  # the form the returned transform applies
@@ -268,28 +287,32 @@ def central_transform(f, lambdas, xbox, xnodes):
             out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
             for lo in range(0, z.shape[0], step):
                 out[lo : lo + step] = spectral.coeff(z[lo : lo + step]) @ box
-            return out, 0.0, 0.0
+            return out, 0.0, 0.0, None
 
         return transform
     xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * lambdas.shape[1])
     phases = xw[:, None] * np.exp(-1j * (xn @ lambdas.T))  # (X, J)
-    phase_ri = np.concatenate([phases.real, phases.imag], axis=1)  # (X, 2J)
+    halves = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
     xabs = np.stack([np.abs(xw), np.abs(xw) * boundary_mask(xn)], axis=1)  # (X, 2)
     step = max(1, CHUNK_ELEMENTS // xn.shape[0])
 
     def transform(z):
         out = np.empty((J, z.shape[0]), complex).T
+        xsq = np.empty(z.shape[0])
         xtot = xtail = 0.0
         for lo in range(0, z.shape[0], step):
+            chunk = out[lo : lo + step]
             samples = f(z[lo : lo + step, None, :], xn[None, :, :])  # (c, X)
             if np.isrealobj(samples):
-                ri = samples @ phase_ri
-                out[lo : lo + step] = ri[:, :J] + 1j * ri[:, J:]
+                for part, half in zip((chunk.real, chunk.imag), halves):
+                    np.matmul(samples, half, out=part)
             else:
-                out[lo : lo + step] = samples @ phases
-            tot, tail = np.sum(np.abs(samples) @ xabs, axis=0)
+                chunk[...] = samples @ phases
+            absf = np.abs(samples)
+            tot, tail = np.sum(absf @ xabs, axis=0)
             xtot += float(tot)
             xtail += float(tail)
-        return out, xtot, xtail
+            np.matmul(np.square(absf, out=absf), xw, out=xsq[lo : lo + step])
+        return out, xtot, xtail, xsq
 
     return transform

@@ -336,7 +336,7 @@ def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
     # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
     # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
     resynth = np.exp(_check_exponent(1j * ((u - 1j * model.phi(z)) @ lams.T), "route A's kernel"))
-    fhat, _, _ = central_transform(f, lams, xbox, LONG_XNODES)(z)  # (P, J)
+    fhat = central_transform(f, lams, xbox, LONG_XNODES)(z)[0]  # (P, J)
     return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
 
 
@@ -463,7 +463,7 @@ def spectrum_support(f, lam_grid, body=None):
     rng = np.random.default_rng(0)
     seeded = 0.5 * (rng.standard_normal((2, model.n)) + 1j * rng.standard_normal((2, model.n)))
     zs = np.concatenate([np.zeros((1, model.n), complex), seeded])
-    fhat, _, _ = central_transform(f, lam_grid, LONG_XBOX, LONG_XNODES)(zs)
+    fhat = central_transform(f, lam_grid, LONG_XBOX, LONG_XNODES)(zs)[0]
     mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:

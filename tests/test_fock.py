@@ -33,6 +33,8 @@ DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
 # with it the frame, flips across the diagonal lam_1 = lam_2
 DECOUPLED22 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
                                       complex))
+# n = 2, m = 1 with a non-diagonal A: its frames are not the coordinate axes
+ROTATED_M1 = QuadraticModel(np.array([[[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 2.0]]]))
 
 
 def coherent_diag(lam, alpha):
@@ -423,8 +425,12 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
     f = off_centre_gaussian(model, grid)
     chunks = []
     if case == "deg21-chunked":
-        # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24
-        monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 40)
+        # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24.
+        # The budget holds the layer's kept state (B^2 = 49, T = 3, P = 144)
+        # and a chunk of 40 radical points: their 144 source points each, 16
+        # bytes a coordinate (n = 2), and the layer's fhat on them, 16 bytes
+        monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
+                            16 * 49 * (3 + 144) + 16 * 144 * (1 + 2) * 40)
         build = fock.central_transform
 
         def spy(*args):
@@ -1001,10 +1007,13 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     model, grid, kw, width, batches = PLANCHEREL_CASES[case]
     cfg = PlancherelConfig(grid=grid, **kw)
     if case == "deg21":
-        # batches of 3, 2 and 2 layers (B^2 = 25, T = 16, P = R = 144), with
-        # 16 radical points a chunk for three layers and 24 for two
-        monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 3 * 16 * 25 * (16 + 144))
-        monkeypatch.setattr(fock, "CHUNK_ELEMENTS", 144 * 3 * 16)
+        # batches of 3, 2 and 2 layers (B^2 = 25, T = 16, P = R = 144): each
+        # layer keeps 16 * 25 * (16 + 144) bytes, and a chunk holds 144
+        # source points a radical point, 16 bytes for each of their n = 2
+        # coordinates and each layer's fhat; the budget leaves three layers
+        # chunks of 6 radical points, two layers 14, and four layers none
+        monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
+                            3 * 16 * 25 * (16 + 144) + 16 * 144 * (3 + 2) * 6)
     seen, radical = [], []
     run_batch, build = fock._run_layers, fock.central_transform
     perp = grid.enodes ** (2 * (model.n - generic_dimension(model)))
@@ -1030,10 +1039,11 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     rep = plancherel_residual(model, f, cfg)
     monkeypatch.undo()
     assert len(seen) == batches and sum(seen) == len(rep.rows)
-    # f is sampled once for the norm and once per batch, never per layer
-    assert sum(points) == (1 + batches) * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
+    # f is sampled once per batch, never per layer; the norm reads the first
+    # batch's samples
+    assert sum(points) == batches * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
     if case == "deg21":
-        assert sorted(seen) == [2, 2, 3] and len(radical) == 9 + 6 + 6 and max(radical) == 24
+        assert sorted(seen) == [2, 2, 3] and len(radical) == 24 + 11 + 11 and max(radical) == 14
 
     erule = grid.e_rule()
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
@@ -1066,20 +1076,55 @@ def test_an_m1_frame_holds_every_layer_of_one_sign():
     # eigh(lam A) on this non-diagonal A returns eigenvectors that differ in
     # the last bits from one lam to the next; spectral_data scales the
     # eigenpairs of A instead, so the 5 negative and the 5 positive layers
-    # make two frames and f is sampled once for the norm and once per frame
-    model = QuadraticModel(np.array([[[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 2.0]]]))
+    # make two frames and f is sampled once per frame
+    model = ROTATED_M1
     grid = GridSpec(ebox=3.0, enodes=8, fbox=4.0, fnodes=12)
     cfg = PlancherelConfig(lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=10, degree=2, grid=grid)
     points = []
     rep = plancherel_residual(model, counted_gaussian(model, grid, points), cfg)
     assert len(rep.rows) == 10
-    assert sum(points) == 3 * grid.enodes ** (2 * model.n) * grid.fnodes
+    assert sum(points) == 2 * grid.enodes ** (2 * model.n) * grid.fnodes
     # the eigenpairs are still those of A(lam) itself
     for lam, _, _, _ in rep.rows:
         sd = spectral_data(model, lam)
         alam = model.a_matrix(lam)
         assert np.all(np.diff(sd.eigenvalues) > 0)
         assert np.allclose(alam @ sd.eigenvectors, sd.eigenvectors * sd.eigenvalues, atol=1e-14)
+
+
+# model, grid, config and width of the counted gaussian (None: complex samples)
+ONE_SAMPLING_CASES = {
+    "heis1": PLANCHEREL_CASES["heis1"][:4],
+    "deg21": PLANCHEREL_CASES["deg21"][:4],
+    "rotated-m1": (ROTATED_M1, GridSpec(ebox=3.0, enodes=8, fbox=4.0, fnodes=12),
+                   dict(lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=10, degree=2), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SAMPLING_CASES))
+def test_plancherel_samples_f_once_per_batch(case, monkeypatch):
+    # the lhs is read off the first batch's samples, so f is evaluated once
+    # per batch, in chunks of at most CHUNK_ELEMENTS samples, and the lhs is
+    # the norm on the box: the frame's grid is the box's, turned by a unitary
+    # on the rotated model, and the gaussian depends on |z| alone
+    model, grid, kw, width = ONE_SAMPLING_CASES[case]
+    seen = []
+    run_batch = fock._run_layers
+
+    def spy_batch(f, sds, *args):
+        seen.append(len(sds))
+        return run_batch(f, sds, *args)
+
+    monkeypatch.setattr(fock, "_run_layers", spy_batch)
+    points = []
+    f = counted_gaussian(model, grid, points, width)
+    rep = plancherel_residual(model, f, PlancherelConfig(grid=grid, **kw))
+    monkeypatch.undo()
+    assert len(seen) >= 1 and sum(seen) == len(rep.rows)
+    assert sum(points) == len(seen) * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
+    assert max(points) <= CHUNK_ELEMENTS
+    norm_sq = l2_norm(f, grid) ** 2
+    assert abs(rep.lhs - norm_sq) <= 1e-13 * norm_sq
 
 
 def test_plancherel_x_tail_warning_reads_the_shared_samples():
@@ -1119,7 +1164,7 @@ def test_plancherel_certificate_names_unresolved_layers():
 
 
 def test_l2_norm_chunks_match_the_materialised_rule():
-    # 20736 zeta points against 10000 a chunk, summed exactly as the
+    # 20736 zeta points against 2500 a chunk, summed exactly as the
     # materialised tensor rule sums them
     grid = GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=20)
     f = modulated_gaussian(grid, float)

@@ -213,9 +213,9 @@ def test_central_transform_gaussian_closed_form():
     xn, xw = tensor_rule([gauss_legendre(768, -8.0, 8.0)])
     rng = np.random.default_rng(5)
     z = (rng.standard_normal((600, 1)) + 1j * rng.standard_normal((600, 1))) * 0.8
-    assert -(-z.shape[0] // (CHUNK_ELEMENTS // xn.shape[0])) == 3  # the samples span 3 chunks
+    assert -(-z.shape[0] // (CHUNK_ELEMENTS // xn.shape[0])) == 10  # the samples span 10 chunks
     lams = np.array([[-3.0], [-0.5], [0.0], [1.5], [4.0]])
-    got, xtot, xtail = central_transform(f, lams, 8.0, 768)(z)
+    got, xtot, xtail, xsq = central_transform(f, lams, 8.0, 768)(z)
     want = np.sqrt(np.pi) * np.exp(-np.abs(z) ** 2 - lams[:, 0] ** 2 / 4.0)
     assert got.shape == (600, 5)
     assert np.abs(got / want - 1.0).max() < 1e-12
@@ -225,6 +225,9 @@ def test_central_transform_gaussian_closed_form():
     absf = np.abs(f(z[:, None, :], xn[None, :, :]))  # (Z, X)
     assert abs(xtot - float(np.sum(absf @ xw))) <= 1e-12 * xtot
     assert abs(xtail - float(np.sum(absf[:, [0, -1]] @ xw[[0, -1]]))) <= 1e-12 * xtail
+    # and each point's x-integral of |f|^2, sqrt(pi/2) exp(-2|z|^2) in closed form
+    want_sq = np.sqrt(np.pi / 2.0) * np.exp(-2.0 * np.abs(z[:, 0]) ** 2)
+    assert np.abs(xsq / want_sq - 1.0).max() < 1e-12
 
 
 def test_central_transform_of_a_spectral_form():
@@ -235,10 +238,10 @@ def test_central_transform_of_a_spectral_form():
     xn, xw = tensor_rule([grid.f_rule()])
     z = (np.random.default_rng(2).standard_normal((7, 1)) + 0.5j).astype(complex)
     lams = np.array([[0.7], [1.3], [1.9]])
-    got, xtot, xtail = central_transform(f, lams, grid.fbox, grid.fnodes)(z)
+    got, xtot, xtail, xsq = central_transform(f, lams, grid.fbox, grid.fnodes)(z)
     want = f(z[:, None, :], xn[None, :, :]) @ (xw[:, None] * np.exp(-1j * (xn @ lams.T)))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert xtot == xtail == 0.0
+    assert xtot == xtail == 0.0 and xsq is None
 
 
 # n = 2, m = 2, two decoupled copies of HEIS1
@@ -267,8 +270,8 @@ def test_central_transform_closed_form_matches_sampled_rule(case):
     form = SpectralForm.ground(model, lambdas, amp)
     f = SampledFunction(model, form, GridSpec(fbox=xbox, fnodes=xnodes), spectral=form)
     z = 0.6 * (rng.standard_normal((3, model.n)) + 1j * rng.standard_normal((3, model.n)))
-    got, xtot, xtail = central_transform(f, probes, xbox, xnodes)(z)
-    assert xtot == xtail == 0.0
+    got, xtot, xtail, xsq = central_transform(f, probes, xbox, xnodes)(z)
+    assert xtot == xtail == 0.0 and xsq is None
     # the sampled x-sum, a chunk of x nodes at a time (768^2 nodes on DECOUPLED22)
     xn, xw = tensor_rule([gauss_legendre(xnodes, -xbox, xbox)] * model.m)
     want = np.zeros((z.shape[0], probes.shape[0]), complex)
