@@ -29,26 +29,26 @@ times the reference nodes, so beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT) times
 a reference node whatever lam is: it reads one shared table, conjugated
 where mu_k < 0, and its weights' s_k^2 is a scalar.
 
-One runner computes every pi(f).  It takes a batch of layers sharing a frame
-(the same eigenvectors and radical) and source half-widths, and takes fhat
-on the source grid a radical chunk at a time through one `central_transform`
-for all the batch's frequencies, built once per batch: a spectral form in
-closed form on the central box, any other f sampled on the grid's central
-rule (fnodes matters only there).  Each layer interpolates that fhat onto its
-own clipped Gauss-Legendre nodes (tensor-product barycentric Lagrange, only
-on modes whose half-width differs from the source's) before the one layer
-contraction.  `pi_of_f_batch` is one batch of one layer whose source
-half-widths are its own, so its grid is built once and nothing is
-interpolated.  `plancherel_residual` passes ebox on every mode and cuts each
-frame into batches whose cross-chunk state and radical chunk fit
-`functions.BATCH_STATE_BYTES`, so f is sampled once per batch rather than
-once per layer, and the lhs ||f||^2 of a sampled f is read off the first
-batch's samples rather than sampled again: its rule is the first frame's
-unclipped grid, the box turned by the frame's eigenvectors (the box itself
-where they are coordinate axes, as on DEG21).  Each of its layers reports
-`captured`, its Hilbert-Schmidt mass over its fhat mass on the unclipped
-grid, which cannot exceed 1 but through quadrature error; layers past
-1 + `CAPTURED_TOL` are warned about.
+One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
+takes a frame's layers (the same eigenvectors and radical) and source
+half-widths, builds the source and radical grids once, cuts the layers into
+batches that fit `BATCH_STATE_BYTES`, and takes each batch's fhat on the
+source grid a radical chunk at a time through one `central_transform` for
+all its frequencies: a spectral form in closed form on the central box, any
+other f sampled on the grid's central rule (fnodes matters only there).
+Each layer interpolates that fhat onto its own clipped Gauss-Legendre nodes
+(tensor-product barycentric Lagrange, only on modes whose half-width differs
+from the source's) before the one layer contraction; it builds no grid.
+`pi_of_f_batch` is a frame of one layer whose source half-widths are its
+own, so nothing is interpolated.  `plancherel_residual` passes ebox on
+every mode, so f is sampled once per batch rather than once per layer, and
+reads the lhs ||f||^2 of a sampled f off the first batch's samples: its
+rule is the first frame's unclipped grid, the box turned by the frame's
+eigenvectors (the box itself where they are coordinate axes, as on DEG21).
+Each of its layers reports `captured`, its Hilbert-Schmidt mass over its
+fhat mass on the unclipped grid, which cannot exceed 1 but through
+quadrature error; layers past 1 + `CAPTURED_TOL` are warned about.  Every
+zeta-tail warning names its layer's lam.
 
 `group_convolve` takes a ground-form kernel.  When f is a ground form too
 and every sum of their frequencies is nondegenerate and inside the
@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (BATCH_STATE_BYTES, CHUNK_ELEMENTS, GridSpec, SampledFunction,
-                        SpectralForm, _box_kernel, _check_exponent, central_transform, l2_norm)
+from .functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm, _box_kernel,
+                        _check_exponent, central_transform, l2_norm)
 from .quadrature import (_reference_rule, boundary_mask, complex_grid, gauss_legendre,
                          panel_gauss, tensor_rule)
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
@@ -93,6 +93,21 @@ __all__ = [
 # lam-independent table times s^2 (`_clip_factor`).
 PHI_CUT = 40.0
 
+# Bytes one Plancherel batch holds across its radical chunks (see
+# `_run_layers`): each layer's kept state and one radical chunk, its source
+# points and the batch's fhat on them, which is as large as the kept state
+# leaves room for.  A larger budget means fewer batches, so f is sampled
+# fewer times, and larger chunks, at the cost of resident memory.  At the
+# criterion-01 degenerate size a layer keeps 5.0 MB, so this holds six of
+# its 41 layers with 16 radical points a chunk, and f is sampled 7 times, not
+# 41; on a 2-core Xeon, one BLAS thread, that run took 18.0 s (median of 3)
+# at this budget and 29.7 s (one run), in 14 batches, at 16 MiB.  The
+# plancherel-deg21 benchmark fits its 21 layers in one batch with 18 radical
+# points a chunk: peak RSS 67.7 MB and run_s 0.92 s (medians of 10 runs on a
+# 2-core box); at 16 MiB it takes 2 batches and its pass read 1.35 s against
+# 1.01 s (medians of 8 passes, fresh processes).
+BATCH_STATE_BYTES = 32 * 2**20
+
 # How far a layer's Plancherel certificate may pass 1 before it is reported
 # (see `plancherel_residual`).  Resolved runs read at most 1 + 1e-12: the
 # gaussian on HEIS1 at degree 12, 24 and 48 on 64 zeta nodes, and at degree
@@ -107,8 +122,9 @@ CAPTURED_TOL = 1e-6
 # `_clip_factor`'s read-only tables by (enodes, degree, kdim, mode, mu > 0), at most four
 _CLIP_TABLES = {}
 
-# the tail-diagnostic warnings, filled in with the boundary's share
-_ZETA_TAIL = "zeta-grid boundary carries {:.2e} of the weighted mass"
+# the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
+# the boundary's share
+_ZETA_TAIL = "layer lam = {}: zeta-grid boundary carries {:.2e} of the weighted mass"
 _X_TAIL = "x-grid boundary carries {:.2e} of the absolute mass"
 
 
@@ -255,21 +271,13 @@ def _half_widths(sd, ebox):
     return [min(ebox, math.sqrt(PHI_CUT / (2.0 * mu))) for mu in np.abs(sd.eigenvalues)]
 
 
-def _perp_grid(sd, halves, enodes):
-    """The perpendicular tensor grid, enodes Gauss nodes on [-s_k, s_k] per
-    mode: points z (P, n), weights (P,) and boundary mask (P,).
+def _perp_rule(halves, enodes):
+    """The perpendicular tensor rule in the modes' coordinates, enodes Gauss
+    nodes on [-s_k, s_k] per mode: nodes (P, K) and weights (P,).
 
     A layer with no perpendicular direction gets the one-point rule.
     """
-    pn, pw = tensor_rule([complex_grid(gauss_legendre(enodes, -s, s)) for s in halves])
-    return pn @ sd.eigenvectors.T, pw, boundary_mask(pn)
-
-
-def _radical_grid(sd, erule):
-    """The radical directions' grid, on the function's own box: points z (R, n),
-    coordinates (R, d), weights (R,) and boundary mask (R,)."""
-    rn, rw = tensor_rule([complex_grid(erule)] * sd.d)
-    return rn @ sd.radical.T, rn, rw, boundary_mask(rn)
+    return tensor_rule([complex_grid(gauss_legendre(enodes, -s, s)) for s in halves])
 
 
 def _tau_phases(taus, rn, rw):
@@ -329,9 +337,12 @@ def _weighted_shifts(fb, halves, grid):
     return scale, out
 
 
-def _tail_warning(part, whole, text):
-    """(text with the fraction part/whole filled in,) past 1e-6, else ()."""
-    return (text.format(part / whole),) if whole > 0 and part / whole > 1e-6 else ()
+def _tail_warning(part, whole, text, *lam):
+    """(text with the layer's lam, where given, and the fraction part/whole filled
+    in,) past 1e-6, else ()."""
+    if whole > 0 and part / whole > 1e-6:
+        return (text.format(*(np.array2string(v, precision=4) for v in lam), part / whole),)
+    return ()
 
 
 def pi_of_f_batch(fb, f, taus=None, grid=None):
@@ -343,21 +354,20 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     frequency), then radical directions against the tau phases,
     then the perpendicular directions against the shift matrices.  The
     factored order changes nothing about which terms are summed.  This is
-    one batch of one layer for `_run_layers`, the runner `plancherel_residual`
-    uses, with the layer's own clipped rules as the source rules: f is
-    sampled on that grid, so nothing is interpolated, and the zeta- and
-    x-tail warnings are this layer's own.  Each clipped rule and the e-rule
-    are built once; a central rule only when f is sampled.
+    the runner `_run_layers` on a frame of this one layer, with the layer's
+    own clipped rules as the source rules: f is sampled on that grid, so
+    nothing is interpolated, and the zeta-tail warning (which names the
+    layer's lam) and the x-tail warning are this layer's own.  Each clipped
+    rule and the e-rule are built once; a central rule only when f is
+    sampled.
     """
     sd = fb.sd
     grid = grid or f.grid
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
     taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
-    (layer,), xtot, xtail, _ = _run_layers(f, [sd], fb.degree, grid,
-                                           _half_widths(sd, grid.ebox), taus)
-    warnings = (_tail_warning(layer.tail_w, layer.tail_all, _ZETA_TAIL)
-                + _tail_warning(xtail, xtot, _X_TAIL))
+    [((layer,), warnings, _)] = _run_layers(f, [sd], fb.degree, grid,
+                                            _half_widths(sd, grid.ebox), taus)
     return layer.share.reshape(-1, fb.size, fb.size), warnings
 
 
@@ -537,14 +547,20 @@ def _interpolate(fhat, mats):
 
 
 class _BatchLayer:
-    """One layer of a batch: its clipped grid and what it accumulates."""
+    """One layer of a batch: its half-widths, its damping and what it accumulates."""
 
     def __init__(self, sd, degree, grid, src_halves, src, taus):
         self.fb, self.grid = fock_basis(sd, degree), grid
         self.halves = _half_widths(sd, grid.ebox)
-        zperp, pw, self.pmask = (src if self.halves == src_halves
-                                 else _perp_grid(sd, self.halves, grid.enodes))
-        self.damp = np.exp(-0.5 * sd.phi_lam(zperp)) * np.abs(pw)
+        # src is the source rule (nodes, weights) and boundary mask; the
+        # layer's rule has the same tensor layout, so the mask is the same,
+        # and where its half-widths are the source's it is the source rule
+        pn, pw, self.pmask = src
+        if self.halves != src_halves:
+            pn, pw = _perp_rule(self.halves, grid.enodes)
+        # e^(-phi_lam/2) |w| of the tail diagnostics: a grid point's w_k is its
+        # node, so phi_lam = sum_k |mu_k| |node_k|^2
+        self.damp = np.exp(-0.5 * (np.abs(pn) ** 2 @ np.abs(sd.eigenvalues))) * np.abs(pw)
         # one matrix per real axis, the same for Re and Im of a mode; None
         # where the layer's half-width is the source's
         mode_mats = [None if s == t else _interp_matrix(gauss_legendre(grid.enodes, -t, t)[0],
@@ -578,51 +594,59 @@ class _BatchLayer:
         self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
 
 
-def _kept_bytes(side, P, R, T):
-    """Bytes one batch layer keeps across radical chunks: its (T, B^2) share and,
-    when there is more than one radical point, its weighted shifts (P, B^2)."""
-    return 16 * side * (T + (P if R > 1 else 0))
-
-
 def _run_layers(f, sds, degree, grid, src_halves, taus):
-    """Run a batch of layers that share a frame.
+    """Plan and run the layers of one frame (equal eigenvectors and radical).
 
-    Returns its layers, the x-sums of |f| over the box and over its boundary,
-    and the integral of |f|^2 over the source grid (None for a spectral form).
-    f is sampled once on the source grid, the perpendicular tensor grid of
-    half-width src_halves[k] on mode k, a radical chunk at a time, with one
-    central transform for all the batch's frequencies, built once for the
-    batch.  A chunk holds as many radical points as its source points (16
-    bytes a coordinate) and the batch's fhat on them (16 bytes a layer) can
-    take of `BATCH_STATE_BYTES` once the layers' kept state (`_kept_bytes`)
-    is counted, and at least one.  Each layer interpolates the chunk onto
-    its own clipped grid on the modes whose half-width differs from the
-    source's; a layer whose half-widths are the source's reads the source
-    grid as built.
+    Yields, one batch at a time, its layers, its warnings (each layer's
+    zeta-tail warning, naming its lam, then the batch's x-tail warning) and
+    the integral of |f|^2 over the source grid (None for a spectral form).
+    The source grid, of half-width src_halves[k] on mode k, and the radical
+    grid are built once.  A batch holds as many layers as fit
+    `BATCH_STATE_BYTES` with what each keeps across radical chunks and a
+    chunk of one radical point (`np.array_split` evens them out).  It
+    samples f on the source grid a radical chunk at a time, with one central
+    transform for all its frequencies; a chunk holds as many radical points
+    as its source points (16 bytes a coordinate) and the batch's fhat on
+    them (16 bytes a layer) can take of the budget the kept state leaves,
+    and at least one.  Each layer interpolates the chunk onto its own
+    clipped grid on the modes whose half-width differs from the source's.
     """
-    src = _perp_grid(sds[0], src_halves, grid.enodes)
-    layers = [_BatchLayer(sd, degree, grid, src_halves, src, taus) for sd in sds]
-    zperp, src_w, _ = src
-    zrad, rn, rw, rmask = _radical_grid(sds[0], grid.e_rule())
-    transform = central_transform(f, np.array([sd.lam for sd in sds]), grid.fbox, grid.fnodes)
-    P, R, L = zperp.shape[0], zrad.shape[0], len(sds)
-    kept = L * _kept_bytes(layers[0].fb.size ** 2, P, R, taus.shape[0])
-    step = max(1, (BATCH_STATE_BYTES - kept) // (16 * P * (L + zperp.shape[1])))
-    xtot = xtail = 0.0
-    norm_sq = None if f.spectral is not None else 0.0
-    for lo in range(0, R, step):
-        sl = slice(lo, lo + step)
-        fhat, tot, tail, xsq = transform((zperp[:, None, :] + zrad[None, sl, :])
-                                         .reshape(-1, zperp.shape[1]))
-        xtot += tot
-        xtail += tail
-        if norm_sq is not None:
-            norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
-        fhat = fhat.T.reshape(L, P, -1)
-        tphase = _tau_phases(taus, rn[sl], rw[sl])
-        for lay, fh in zip(layers, fhat):
-            lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= R)
-    return layers, xtot, xtail, norm_sq
+    pn, src_w = _perp_rule(src_halves, grid.enodes)
+    src = (pn, src_w, boundary_mask(pn))  # every layer's source rule and mask
+    rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sds[0].d)  # on the function's box
+    zperp, zrad, rmask = pn @ sds[0].eigenvectors.T, rn @ sds[0].radical.T, boundary_mask(rn)
+    P, R, n = zperp.shape[0], zrad.shape[0], zperp.shape[1]
+    # what a layer keeps across radical chunks: its (T, B^2) share and, when
+    # there is more than one radical point, its weighted shifts (P, B^2).  A
+    # one-mode clipped layer keeps only a reference to the shared table, so
+    # this over-counts it (ROADMAP item 2a)
+    side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
+    kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
+    size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 16 * P))
+    for idx in np.array_split(np.arange(len(sds)), -(-len(sds) // size)):
+        batch = [sds[i] for i in idx]
+        L = len(batch)
+        layers = [_BatchLayer(sd, degree, grid, src_halves, src, taus) for sd in batch]
+        step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (L + n)))
+        transform = central_transform(f, np.array([sd.lam for sd in batch]), grid.fbox,
+                                      grid.fnodes)
+        xtot = xtail = 0.0
+        norm_sq = None if f.spectral is not None else 0.0
+        for lo in range(0, R, step):
+            sl = slice(lo, lo + step)
+            fhat, tot, tail, xsq = transform((zperp[:, None, :] + zrad[None, sl, :]).reshape(-1, n))
+            xtot += tot
+            xtail += tail
+            if norm_sq is not None:
+                norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
+            fhat = fhat.T.reshape(L, P, -1)
+            tphase = _tau_phases(taus, rn[sl], rw[sl])
+            for lay, fh in zip(layers, fhat):
+                lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= R)
+        del fhat, fh  # the last chunk's fhat, so the next batch's first does not sit beside it
+        warnings = sum((_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL, lay.fb.sd.lam)
+                        for lay in layers), ()) + _tail_warning(xtail, xtot, _X_TAIL)
+        yield layers, warnings, norm_sq
 
 
 def plancherel_residual(model, f, cfg):
@@ -637,22 +661,15 @@ def plancherel_residual(model, f, cfg):
     all the shipped models.  A lam_nodes below two per panel raises a
     ValueError before anything is sampled.
 
-    f is sampled once per batch, not once per layer, and a sampled f is not
-    sampled again for the lhs.  A batch is a set of layers that share a
-    frame (equal eigenvectors and radical), cut to fit `BATCH_STATE_BYTES`.
-    The batch samples f on the frame's unclipped grid (the function's own
-    box on every real axis of the frame), a radical chunk at a time, and
-    takes the x-sum for all its frequencies in one matrix product.  Each
-    layer then interpolates the chunk's fhat onto its own clipped
-    Gauss-Legendre nodes (tensor-product barycentric Lagrange, one matrix
-    per real axis, the identity where the clip does not bite) and runs the
-    layer contraction; `pi_of_f_batch` runs through the same runner.  Across
-    chunks a layer keeps only its (T, B^2) share of pi(f), its tail sums,
-    its source mass and, while more chunks remain, its weighted shift
-    matrices (a one-mode clipped layer's are the shared table); the budget
-    bounds that state together with the chunk, its points and their fhat,
-    which takes what the kept state leaves of it, so a frame that turns with
-    lam costs what one layer does.
+    The layers are grouped into frames (equal eigenvectors and radical),
+    and `_run_layers` plans and runs each frame: it cuts it into batches
+    that fit `BATCH_STATE_BYTES`, samples f once per batch, not once per
+    layer, on the frame's unclipped grid (the function's own box on every
+    real axis of the frame), a radical chunk at a time, and interpolates
+    each chunk's fhat onto every layer's clipped Gauss-Legendre nodes; a
+    frame that turns with lam costs what one layer does.  This function
+    only loops over the frames and reads the rows off their batches, and a
+    sampled f is not sampled again for the lhs.
 
     The lhs ||f||^2 of a sampled f is the first batch's |f|^2 x-integral
     (`central_transform`) summed on that batch's source grid: the same grid
@@ -670,8 +687,9 @@ def plancherel_residual(model, f, cfg):
     its denominator summed on the unclipped source grid.  For the
     untruncated operator the two sides agree, and truncation, the clip and
     the finite tau box can only lose mass, so captured <= 1 up to quadrature
-    error; every layer past 1 + `CAPTURED_TOL` is named in the warnings.
-    The x-tail warning is read off each batch's shared samples.
+    error; every layer past 1 + `CAPTURED_TOL` is named in the warnings, and
+    so is every layer whose zeta-grid boundary carries mass.  The x-tail
+    warning is read off each batch's shared samples.
     """
     gen_d = generic_dimension(model)
     grid = cfg.grid or f.grid
@@ -703,32 +721,18 @@ def plancherel_residual(model, f, cfg):
         else:
             frames.append([(sd, j)])
 
-    # a batch holds as many layers as fit `BATCH_STATE_BYTES` with what each
-    # keeps across radical chunks (`_kept_bytes`) and a chunk of one radical
-    # point: its P source points and each layer's fhat on them, 16 bytes a
-    # coordinate and a layer; the runner sizes its chunk from what is left.
-    # A one-mode clipped layer keeps only a reference to the shared table, so
-    # this over-counts it (ROADMAP item 2a)
-    kdim = model.n - gen_d
-    P, R = grid.enodes ** (2 * kdim), grid.enodes ** (2 * gen_d)
-    side = multi_indices(kdim, cfg.degree).shape[0] ** 2
-    size = max(1, (BATCH_STATE_BYTES - 16 * P * model.n)
-               // (_kept_bytes(side, P, R, taus.shape[0]) + 16 * P))
     # a spectral form's norm is closed; a sampled one is read off the first
     # batch's samples, the first frame's unclipped grid
     lhs = l2_norm(f, grid) ** 2 if f.spectral is not None else None
     results = {}
     warnings = set()
     for frame in frames:
-        for batch in np.array_split(np.arange(len(frame)), -(-len(frame) // size)):
-            items = [frame[i] for i in batch]
-            sds = [sd for sd, _ in items]
-            layers, xtot, xtail, norm_sq = _run_layers(f, sds, cfg.degree, grid,
-                                                       [grid.ebox] * sds[0].kdim, taus)
+        nodes = iter(frame)  # the batches hold the frame's layers in order
+        for layers, warns, norm_sq in _run_layers(f, [sd for sd, _ in frame], cfg.degree, grid,
+                                                  [grid.ebox] * frame[0][0].kdim, taus):
             lhs = norm_sq if lhs is None else lhs
-            warnings.update(_tail_warning(xtail, xtot, _X_TAIL))
-            for (sd, j), lay in zip(items, layers):
-                warnings.update(_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL))
+            warnings.update(warns)
+            for lay, (sd, j) in zip(layers, nodes):
                 value = float(np.sum(tau_w * hs_norm(lay.share.reshape(-1, lay.fb.size,
                                                                         lay.fb.size)) ** 2))
                 results[j] = (sd, value, lay.mass)

@@ -50,21 +50,6 @@ __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "
 # slower than at 200_000 (convolve-heis1 +1.7%, checks-light +0.8%).
 CHUNK_ELEMENTS = 50_000
 
-# Bytes one Plancherel batch holds across its radical chunks (see
-# `fock.plancherel_residual`): each layer's kept state and one radical chunk,
-# its source points and the batch's fhat on them, which is as large as the
-# kept state leaves room for.  A larger budget means fewer batches, so f is
-# sampled fewer times, and larger chunks, at the cost of resident memory.  At
-# the criterion-01 degenerate size a layer keeps 5.0 MB, so this holds six of
-# its 41 layers with 16 radical points a chunk, and f is sampled 7 times, not
-# 41; on a 2-core Xeon, one BLAS thread, that run took 18.0 s (median of 3)
-# at this budget and 29.7 s (one run), in 14 batches, at 16 MiB.  The
-# plancherel-deg21 benchmark fits its 21 layers in one batch with 18 radical
-# points a chunk: peak RSS 67.7 MB and run_s 0.92 s (medians of 10 runs on a
-# 2-core box); at 16 MiB it takes 2 batches and its pass read 1.35 s against
-# 1.01 s (medians of 8 passes, fresh processes).
-BATCH_STATE_BYTES = 32 * 2**20
-
 # Largest exponent `_check_exponent` lets `transform.extend`, `pw_margin`, both
 # extension routes and `fock.group_convolve` take: e^600 leaves room for sums.
 EXP_LIMIT = 600.0

@@ -25,7 +25,8 @@ from quadric_cr.model import QuadraticModel, inverse, multiply
 from quadric_cr.quadrature import complex_grid, gauss_legendre, tensor_rule
 from quadric_cr.spectral import generic_dimension, spectral_data
 from quadric_cr.convex import interval_body
-from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
+from quadric_cr.transform import (bandlimit_project, bump_profile, forward_FN, inverse_FN,
+                                  spectral_window)
 
 HEIS1 = QuadraticModel(np.array([[[1.0]]], dtype=complex))
 DEG21 = QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
@@ -386,8 +387,11 @@ def layer_oracle(fb, f, taus, grid):
     absf = np.abs(fhat)
     full = absf @ rabs
     tail_w = float(damp @ np.where(pmask, full, absf[:, rmask] @ rabs[rmask]))
-    warnings = (fock._tail_warning(tail_w, float(damp @ full), fock._ZETA_TAIL)
-                + fock._tail_warning(xtail, xtot, fock._X_TAIL))
+    # the zeta-tail warning names its layer's lam
+    ratio = tail_w / float(damp @ full)
+    warnings = ((f"layer lam = {np.array2string(sd.lam, precision=4)}: zeta-grid boundary "
+                 f"carries {ratio:.2e} of the weighted mass",) if ratio > 1e-6 else ())
+    warnings += fock._tail_warning(xtail, xtot, fock._X_TAIL)
     return share.reshape(-1, fb.size, fb.size), warnings
 
 
@@ -515,7 +519,8 @@ def test_weighted_shifts_match_the_per_point_path(case):
     assert [s < grid.ebox for s in halves] == clip
     if case.startswith("rotated22"):
         assert (sd.eigenvalues < 0).any() and (np.abs(sd.eigenvectors) > 0.1).all()
-    zperp, pw, _ = fock._perp_grid(sd, halves, grid.enodes)
+    pn, pw = fock._perp_rule(halves, grid.enodes)
+    zperp = pn @ sd.eigenvectors.T
     want = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
     want *= pw[:, None]
     scale, got = fock._weighted_shifts(fb, halves, grid)
@@ -639,7 +644,8 @@ def test_interp_matrix_reproduces_polynomials():
     layers = []
     for lam in (0.5, 8.0):
         sd = spectral_data(HEIS1, np.array([lam]))
-        src = fock._perp_grid(sd, [grid.ebox], grid.enodes)
+        pn, pw = fock._perp_rule([grid.ebox], grid.enodes)
+        src = (pn, pw, quadrature.boundary_mask(pn))
         layers.append(fock._BatchLayer(sd, 4, grid, [grid.ebox], src, taus))
     wide, narrow = layers
     assert wide.mats == [None, None]
@@ -1014,13 +1020,21 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         # chunks of 6 radical points, two layers 14, and four layers none
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
                             3 * 16 * 25 * (16 + 144) + 16 * 144 * (3 + 2) * 6)
-    seen, radical = [], []
-    run_batch, build = fock._run_layers, fock.central_transform
-    perp = grid.enodes ** (2 * (model.n - generic_dimension(model)))
+    budget = fock.BATCH_STATE_BYTES
+    seen, radical, sources = [], [], []
+    run_batch, build, rule = fock._run_layers, fock.central_transform, fock._perp_rule
+    kdim = model.n - generic_dimension(model)
+    perp = grid.enodes ** (2 * kdim)
+
+    def spy_rule(halves, enodes):
+        # a layer builds a rule only where its half-widths are not the source's
+        sources.append(halves == [grid.ebox] * kdim)
+        return rule(halves, enodes)
 
     def spy_batch(f, sds, *args):
-        seen.append(len(sds))
-        return run_batch(f, sds, *args)
+        for batch in run_batch(f, sds, *args):
+            seen.append(len(batch[0]))
+            yield batch
 
     def spy_sample(*args):
         transform = build(*args)
@@ -1034,6 +1048,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
 
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
     monkeypatch.setattr(fock, "central_transform", spy_sample)
+    monkeypatch.setattr(fock, "_perp_rule", spy_rule)
     points = []
     f = counted_gaussian(model, grid, points, width)
     rep = plancherel_residual(model, f, cfg)
@@ -1042,8 +1057,19 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     # f is sampled once per batch, never per layer; the norm reads the first
     # batch's samples
     assert sum(points) == batches * grid.enodes ** (2 * model.n) * grid.fnodes ** model.m
+    # the source grid is built once per frame, not once per batch
+    frames = {(sd.eigenvectors.tobytes(), sd.radical.tobytes())
+              for sd in (spectral_data(model, row[0]) for row in rep.rows)}
+    assert sum(sources) == len(frames)
     if case == "deg21":
         assert sorted(seen) == [2, 2, 3] and len(radical) == 24 + 11 + 11 and max(radical) == 14
+        assert len(frames) == 1  # DEG21's layers of both signs share e_1: one frame, 3 batches
+        # the plan: as many layers a batch as fit the budget with a chunk of
+        # one radical point, and each batch's chunk from what its layers leave
+        P, R, n, kept = 144, 144, 2, 16 * 25 * (16 + 144)
+        assert (budget - 16 * P * n) // (kept + 16 * P) == max(seen) == 3
+        steps = [(budget - L * kept) // (16 * P * (L + n)) for L in seen]
+        assert radical == [min(step, R - lo) for step in steps for lo in range(0, R, step)]
 
     erule = grid.e_rule()
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
@@ -1112,8 +1138,9 @@ def test_plancherel_samples_f_once_per_batch(case, monkeypatch):
     run_batch = fock._run_layers
 
     def spy_batch(f, sds, *args):
-        seen.append(len(sds))
-        return run_batch(f, sds, *args)
+        for batch in run_batch(f, sds, *args):
+            seen.append(len(batch[0]))
+            yield batch
 
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
     points = []
@@ -1161,6 +1188,43 @@ def test_plancherel_certificate_names_unresolved_layers():
     fine = plancherel_residual(HEIS1, gaussian_function(HEIS1, GridSpec(enodes=64)), cfg)
     assert max(row[3] for row in fine.rows) <= 1.0 + fock.CAPTURED_TOL
     assert not any("captures" in w for w in fine.warnings)
+
+
+def test_every_zeta_tail_warning_names_its_layer():
+    # a zeta box too short for the gaussian: every layer's boundary carries
+    # mass, the same share on lam and -lam, so each warning must say which
+    # layer it is or the pairs merge
+    grid = GridSpec(ebox=1.2, enodes=16, fbox=4.0)
+    f = gaussian_function(HEIS1, grid)
+    cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=12, degree=4)
+    rep = plancherel_residual(HEIS1, f, cfg)
+    zeta = [w for w in rep.warnings if "zeta-grid boundary" in w]
+    assert len(rep.rows) == len(zeta) == 12
+    for lam, *_ in rep.rows:
+        named = f"layer lam = {np.array2string(lam, precision=4)}: zeta-grid boundary carries"
+        assert sum(w.startswith(named) for w in zeta) == 1
+    # one layer's pi(f), and forward_FN through it, name the layer too
+    _, warns = pi_of_f_batch(fock_basis(spectral_data(HEIS1, np.array([0.5])), 4), f)
+    assert any(w.startswith("layer lam = [0.5]: zeta-grid boundary carries") for w in warns)
+    _, warns = forward_FN(f, [[0.5]], degree=4)
+    assert any(w.startswith("layer lam = [0.5]: zeta-grid boundary carries") for w in warns)
+
+
+def test_plancherel_skips_exceptional_layers():
+    # A(lam) = lam_1 - lam_2 vanishes on the diagonal: those 6 product nodes
+    # have a radical the generic layer lacks and are skipped, and the other
+    # 30 rows come in lam-node order
+    model = QuadraticModel(np.array([[[1.0]], [[-1.0]]], complex))
+    grid = GridSpec(ebox=3.0, enodes=8, fbox=3.0, fnodes=8)
+    cfg = PlancherelConfig(lam_lo=[-2.0, -2.0], lam_hi=[2.0, 2.0], lam_nodes=6, degree=2,
+                           grid=grid)
+    rep = plancherel_residual(model, gaussian_function(model, grid), cfg)
+    nodes, _ = tensor_rule([quadrature.panel_gauss(6, -2.0, 2.0, cuts=(0.0,))] * 2)
+    assert (nodes[:, 0] == nodes[:, 1]).sum() == 6
+    assert rep.skipped == 6 and len(rep.rows) == 30
+    lams = np.array([row[0] for row in rep.rows])
+    assert not (lams[:, 0] == lams[:, 1]).any()
+    assert np.array_equal(lams, nodes[nodes[:, 0] != nodes[:, 1]])
 
 
 def test_l2_norm_chunks_match_the_materialised_rule():

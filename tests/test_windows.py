@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadric_cr import transform
 from quadric_cr.model import QuadraticModel
 from quadric_cr.convex import box_body, interval_body, segment_body
-from quadric_cr.functions import GridSpec, SampledFunction, l2_norm
+from quadric_cr.functions import GridSpec, SampledFunction, SpectralForm, gaussian_function, l2_norm
 from quadric_cr.transform import (
     bandlimit_project,
     bump_profile,
@@ -68,6 +69,42 @@ def test_window_wider_than_body_is_identically_zero():
     g = bandlimit_project(f, w)
     z = np.zeros((1, 1), complex)
     assert np.all(g(z, np.array([[0.0], [1.0]])) == 0.0)
+
+
+def test_projection_reweights_a_spectral_form_that_is_not_ground():
+    # coefficients that are no ground form: the projection multiplies them
+    # by the window at each frequency node and has no amplitudes
+    lams = np.linspace(0.95, 2.05, 7)[:, None]
+
+    def base(z):
+        z = np.asarray(z, complex)
+        return np.exp(-np.abs(z) ** 2 * (1.0 + lams[:, 0]) + 1j * z.real * lams[:, 0])
+
+    form = SpectralForm(lams, base)
+    f = SampledFunction(HEIS1, form, GridSpec(), spectral=form)
+    w = spectral_window(K12, 0.4)
+    scale = w(lams)
+    assert (scale == 0.0).any() and ((scale > 0.0) & (scale < 1.0)).any()
+    p = bandlimit_project(f, w)
+    assert form.amp is None and p.spectral.amp is None
+    assert p.spectral.lambdas is lams
+    z = np.array([[0.3 - 0.2j], [0.0], [-1.1 + 0.4j]])
+    assert np.array_equal(p.spectral.coeff(z), base(z) * scale)
+
+
+def test_empty_window_on_a_sampled_function_synthesizes_no_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty window synthesizes no kernel")
+
+    monkeypatch.setattr(transform, "inverse_FN", refuse)
+    monkeypatch.setattr(transform, "group_convolve", refuse)
+    f = gaussian_function(HEIS1)
+    g = bandlimit_project(f, spectral_window(K12, 1.2))
+    assert g.spectral is None and g.grid is f.grid
+    z = np.array([[0.3 - 0.2j], [0.0]])
+    x = np.array([[0.7], [-1.4]])
+    out = g(z, x)
+    assert out.shape == (2,) and np.all(out == 0.0)
 
 
 def test_wide_window_has_empty_plateau():
