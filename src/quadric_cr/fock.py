@@ -22,12 +22,19 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 `pi_of_f_batch` integrates these matrices against a boundary function over
 a tensor grid.  The perpendicular part of the grid is clipped where the layer
 weight phi_lam exceeds `PHI_CUT`: mode k has the half-width s_k =
-min(ebox, sqrt(PHI_CUT / (2|mu_k|))), and w_k of a grid point is its node,
-so each mode's blocks are built on its own N^2 nodes, times its weights, and
-multiplied out over the P = N^(2K) points.  A clipped mode's nodes are s_k
-times the reference nodes, so beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT) times
-a reference node whatever lam is: it reads one shared table, conjugated
-where mu_k < 0, and its weights' s_k^2 is a scalar.
+min(ebox, sqrt(PHI_CUT / (2|mu_k|))), and w_k of a grid point is its node.
+A displacement block is conjugated when w is (every Im axis reversed) and
+takes the sign (-1)^(a-b) when w is negated (Cahill & Glauber; Folland,
+Harmonic Analysis in Phase Space (1989), ch. 1), and the Gauss rules are
+symmetric.  So the weighted shift matrices W are built only on the quadrant
+{Re > 0, Im > 0} of the first mode's nodes, times all N^2 nodes of each
+other mode, P/4 of the P = N^(2K) points, and kept as four real arrays: Re W
+and Im W, each split by sigma = (-1)^(|alpha| - |beta|).  Each layer folds
+fhat onto the quadrant through its mirrored views and contracts it in four
+real GEMMs.  A clipped mode's nodes are s_k times the reference nodes, so
+beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT) times a reference node whatever lam
+is: it reads one shared table, its Im arrays negated where mu_k < 0, and
+its weights' s_k^2 is a scalar.
 
 One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
 takes a frame's layers (the same eigenvectors and radical) and source
@@ -57,13 +64,14 @@ in closed form, the integral over all of C^n; any other f is summed over
 the tensor q-grid of its e-box in 2n one-axis contractions.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm, _box_kernel,
-                        _check_exponent, central_transform, l2_norm)
+from .functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
+                        _box_kernel, _check_exponent, central_transform, l2_norm)
 from .quadrature import (_reference_rule, boundary_mask, complex_grid, gauss_legendre,
                          panel_gauss, tensor_rule)
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
@@ -90,7 +98,8 @@ __all__ = [
 # Plancherel residual is 8x off its floor.  A clipped mode's half-width is
 # s = sqrt(PHI_CUT / (2|mu|)), so its displacements sqrt(2|mu|) w span the
 # same sqrt(PHI_CUT) box at every lam: its weighted shift blocks are one
-# lam-independent table times s^2 (`_clip_factor`).
+# lam-independent table times s^2 (`_clip_factor`), the same four real
+# arrays for both signs of mu, its Im arrays negated where mu < 0.
 PHI_CUT = 40.0
 
 # Bytes one Plancherel batch holds across its radical chunks (see
@@ -119,7 +128,8 @@ BATCH_STATE_BYTES = 32 * 2**20
 # failure.
 CAPTURED_TOL = 1e-6
 
-# `_clip_factor`'s read-only tables by (enodes, degree, kdim, mode, mu > 0), at most four
+# `_clip_factor`'s entries by (enodes, degree, kdim, mode), at most four: each
+# the four read-only real arrays of one table, read by both signs of mu
 _CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
@@ -285,56 +295,138 @@ def _tau_phases(taus, rn, rw):
     return rw[:, None] * np.exp(-1j * _tau_dot(taus[None, :, :], rn[:, None, :]))
 
 
-def _clip_factor(fb, k, enodes, positive):
-    """Clipped mode k's weighted shift factor over s_k^2, shape (enodes^2, B*B), read-only.
+@functools.lru_cache(maxsize=16)
+def _sigma_columns(kdim, degree):
+    """The flat basis pairs [alpha, beta] whose sign sigma = (-1)^(|alpha| - |beta|)
+    is +1, then those where it is -1, read-only: the shift-matrix entries that
+    negating every w keeps, and those it negates."""
+    deg = multi_indices(kdim, degree).sum(axis=1)
+    odd = ((deg[:, None] + deg[None, :]) % 2).reshape(-1) == 1
+    cols = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
-    The mode's rule is the reference rule scaled by s_k, so this is the
-    blocks of mu = PHI_CUT / 2 on the reference complex nodes, gathered onto
-    the basis and times the reference weights, whatever the layer; for
-    mu_k < 0 it is the conjugate.  It is kept in `_CLIP_TABLES` (at most
-    four, the oldest dropped first) unless larger than `BATCH_STATE_BYTES`.
+
+def _split(fb, table):
+    """Re and Im of a complex (Q, B*B) table, each split into its sigma = +1 and
+    -1 columns (`_sigma_columns`): four read-only real arrays (Re+, Re-, Im+, Im-)."""
+    cols = _sigma_columns(fb.sd.kdim, fb.degree)
+    parts = tuple(part[:, c] for part in (table.real, table.imag) for c in cols)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _quadrant(rule):
+    """The complex product of a symmetric 1-D rule on its quadrant {Re > 0, Im > 0}:
+    the rule's upper half on both axes, with weight 1/2 on the zero lines of an
+    odd rule and 1/4 at its origin, so that the quadrant's orbits under w -> conj w
+    and w -> -w count every point of the full product once."""
+    nodes, weights = rule
+    half = nodes.size // 2
+    w = weights[half:].copy()
+    if nodes.size % 2:
+        w[0] *= 0.5
+    return complex_grid((nodes[half:], w))
+
+
+def _clip_factor(fb, k, enodes):
+    """Clipped mode k's weighted shift factor over s_k^2 where mu_k > 0, as `_split`'s
+    four read-only real arrays; where mu_k < 0 it is the conjugate, the same entry
+    read with its Im arrays negated.
+
+    The mode's rule is the reference rule scaled by s_k, so this is the blocks
+    of mu = PHI_CUT / 2 on the reference complex nodes (the first mode's on
+    their quadrant, `_quadrant`), gathered onto the basis and times the
+    reference weights, whatever the layer.  It is kept in `_CLIP_TABLES` (at
+    most four, the oldest dropped first) unless larger than `BATCH_STATE_BYTES`.
     """
-    key = (enodes, fb.degree, fb.sd.kdim, k, positive)
-    table = _CLIP_TABLES.get(key)
-    if table is None:
-        if positive:
-            nodes, w = complex_grid(_reference_rule(enodes))
-            table = _gathered(fb, k, _mode_blocks(0.5 * PHI_CUT, nodes, fb.degree))
-            table *= w[:, None]
-        else:
-            table = np.conj(_clip_factor(fb, k, enodes, True))
-        if table.nbytes <= BATCH_STATE_BYTES:
-            table.flags.writeable = False
+    key = (enodes, fb.degree, fb.sd.kdim, k)
+    parts = _CLIP_TABLES.get(key)
+    if parts is None:
+        rule = _reference_rule(enodes)
+        nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
+        table = _gathered(fb, k, _mode_blocks(0.5 * PHI_CUT, nodes, fb.degree))
+        table *= w[:, None]
+        parts = _split(fb, table)
+        if sum(part.nbytes for part in parts) <= BATCH_STATE_BYTES:
             if len(_CLIP_TABLES) == 4:
                 del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
-            _CLIP_TABLES[key] = table
-    return table
+            _CLIP_TABLES[key] = parts
+    return parts
+
+
+def _joined(fb, parts, im_sign):
+    """The complex (Q, B*B) table of `_split`'s four parts, its Im times im_sign."""
+    out = np.empty((parts[0].shape[0], fb.size**2), complex)
+    for cols, re, im in zip(_sigma_columns(fb.sd.kdim, fb.degree), parts[:2], parts[2:]):
+        out.real[:, cols] = re
+        out.imag[:, cols] = im_sign * im
+    return out
 
 
 def _weighted_shifts(fb, halves, grid):
-    """A layer's weighted shift matrices, scale times (P, B*B), as (scale, matrices).
+    """A layer's weighted shift matrices on its first mode's quadrant, as (scale,
+    im_sign, parts): W = scale (Re + i im_sign Im) over `_split`'s four parts.
 
     halves are its half-widths per mode.  Mode k's coordinate w_k is its
-    complex node, conjugated where mu_k < 0, so its blocks are built on its
-    own N^2 nodes, gathered onto the basis by `_gathered` and multiplied by
-    its weights; a clipped mode (s_k < ebox) reads `_clip_factor` and puts
-    s_k^2 in the scale.  The factors are multiplied out over the tensor grid,
-    the last mode fastest: a one-mode clipped layer's are the shared table.
+    complex node, conjugated where mu_k < 0, so its blocks are built on its own
+    nodes, gathered onto the basis by `_gathered` and multiplied by its
+    weights: the first mode's on the ceil(N/2)^2 nodes of its quadrant
+    (`_quadrant`), every other mode's on all N^2.  The rest of the grid is the
+    quadrant's mirror images, which `_BatchLayer.add` folds onto it
+    (`_fold`).  A clipped mode (s_k < ebox) reads `_clip_factor` and puts
+    s_k^2 in the scale; a one-mode clipped layer's parts are that shared entry
+    itself, with im_sign -1 where mu < 0.  The factors are multiplied out over
+    the tensor grid, the last mode fastest; a layer with no mode has the
+    one-point rule, W = 1.
     """
     scale, out = 1.0, np.ones((1, fb.size**2), complex)
     for k, (s, mu) in enumerate(zip(halves, fb.sd.eigenvalues)):
+        im_sign = 1.0 if mu > 0 else -1.0
         if s < grid.ebox:
-            block = _clip_factor(fb, k, grid.enodes, mu > 0)
+            parts = _clip_factor(fb, k, grid.enodes)
             scale *= s * s
+            if fb.sd.kdim == 1:
+                return scale, im_sign, parts
+            block = _joined(fb, parts, im_sign)
         else:
-            nodes, w = complex_grid(gauss_legendre(grid.enodes, -s, s))
+            rule = gauss_legendre(grid.enodes, -s, s)
+            nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
             block = _gathered(fb, k, _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes),
                                                   fb.degree))
             block *= w[:, None]
         # the first block starts the product: multiplying it into ones would
         # cost one more (N^2, B*B) temporary
         out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
-    return scale, out
+    return scale, 1.0, _split(fb, out)
+
+
+def _fold(fhat, kdim, num):
+    """fhat (P, X) on a layer's tensor grid of num nodes an axis, folded onto its
+    first mode's quadrant: the four parts (Q, X) that `_BatchLayer.add` meets
+    with Re W+, Re W-, Im W+ and Im W- (`_weighted_shifts`).
+
+    With a, b, c and d the values at p, at conj p (every Im axis reversed), at
+    -p and at -conj p (every Re axis reversed), W(conj p) = conj W(p) and
+    W(-p) = sigma W(p), so the orbit of a quadrant point p contributes
+    (a + b + sigma (c + d)) Re W + i (a - b + sigma (c - d)) Im W.  The
+    mirrors are reversed views of fhat.  A layer with no mode has one point,
+    its own orbit under the one-point rule: each part is fhat itself.
+    """
+    if kdim == 0:
+        return (fhat,) * 4
+    v = fhat.reshape((num,) * (2 * kdim) + (-1,))
+    # each axis kept or reversed, the first mode's cut to the quadrant's half
+    half = slice(num // 2, None), slice(num - num // 2 - 1, None, -1)
+    whole = slice(None), slice(None, None, -1)
+    a, b, c, d = (v[(half[re], half[im]) + (whole[re], whole[im]) * (kdim - 1)]
+                  for re, im in ((0, 0), (0, 1), (1, 1), (1, 0)))
+    ac, bd, a_c, b_d = a + c, b + d, a - c, b - d
+    # the two sums first, then the differences in place of what they read last
+    parts = ac + bd, a_c + b_d, np.subtract(ac, bd, out=ac), np.subtract(a_c, b_d, out=a_c)
+    return tuple(part.reshape(-1, v.shape[-1]) for part in parts)
 
 
 def _tail_warning(part, whole, text, *lam):
@@ -439,6 +531,9 @@ def group_convolve(f, g, grid=None):
     fhat = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)[0]  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
+    # a point takes J N^(axes-1) complex elements here, 32 KB on HEIS1 at 64
+    # frequencies and 32 nodes, so `SPECTRAL_CHUNK_ELEMENTS` would leave 3 points
+    # a chunk, and the per-chunk work made the closure 27% slower than at 24
     step = max(1, CHUNK_ELEMENTS // (J * N ** (axes - 1)))
 
     def coeff(z):
@@ -549,43 +644,70 @@ def _interpolate(fhat, mats):
 class _BatchLayer:
     """One layer of a batch: its half-widths, its damping and what it accumulates."""
 
-    def __init__(self, sd, degree, grid, src_halves, src, taus):
+    def __init__(self, sd, degree, grid, src_halves, pmask, taus):
         self.fb, self.grid = fock_basis(sd, degree), grid
         self.halves = _half_widths(sd, grid.ebox)
-        # src is the source rule (nodes, weights) and boundary mask; the
-        # layer's rule has the same tensor layout, so the mask is the same,
-        # and where its half-widths are the source's it is the source rule
-        pn, pw, self.pmask = src
-        if self.halves != src_halves:
-            pn, pw = _perp_rule(self.halves, grid.enodes)
+        # the layer's rule has the source rule's tensor layout, so the source's
+        # boundary mask pmask is its own
+        self.pmask = pmask
         # e^(-phi_lam/2) |w| of the tail diagnostics: a grid point's w_k is its
-        # node, so phi_lam = sum_k |mu_k| |node_k|^2
-        self.damp = np.exp(-0.5 * (np.abs(pn) ** 2 @ np.abs(sd.eigenvalues))) * np.abs(pw)
+        # node, so this is the tensor product of each real axis's factor
+        # e^(-|mu_k| t^2/2) |w(t)|, the last mode's Im axis fastest
+        self.damp = np.ones(1)
+        for s, mu in zip(self.halves, np.abs(sd.eigenvalues)):
+            t, w = gauss_legendre(grid.enodes, -s, s)
+            axis = np.exp(-0.5 * mu * t * t) * np.abs(w)
+            self.damp = np.multiply.outer(np.multiply.outer(self.damp, axis), axis).reshape(-1)
         # one matrix per real axis, the same for Re and Im of a mode; None
         # where the layer's half-width is the source's
         mode_mats = [None if s == t else _interp_matrix(gauss_legendre(grid.enodes, -t, t)[0],
                                                         gauss_legendre(grid.enodes, -s, s)[0])
                      for s, t in zip(self.halves, src_halves)]
         self.mats = [mat for mat in mode_mats for _ in range(2)]
-        self.wshift = None  # (scale, matrices), kept only while more radical chunks remain
-        self.share = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
+        self.wshift = None  # `_weighted_shifts`, kept only while more radical chunks remain
+        # pi(f) so far, its sigma = +1 pairs first (`_sigma_columns`)
+        self.acc = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
+        self.order = np.argsort(np.concatenate(_sigma_columns(sd.kdim, degree)))
         self.tail_all = self.tail_w = self.mass = 0.0
+
+    @property
+    def share(self):
+        """pi(f) so far, (T, B*B) in the basis's pair order."""
+        return self.acc[:, self.order]
 
     def add(self, fhat_src, src_w, tphase, rabs, rmask, last):
         """Add one radical chunk from fhat (P, R_c) on the source grid.
 
         tphase (R_c, T) carries the radical weights and tau phases, rabs
         (R_c,) the radical weights of the tail diagnostics.  The layer's terms
-        of pi(f), the chain scale tphase^T fhat^T wshift, are multiplied in
-        their cheaper order: tau-phases first for few tau, the shift
-        contraction first for many; the scale goes on the small tphase.
+        of pi(f), the chain scale tphase^T fhat^T W, are multiplied in their
+        cheaper order: tau-phases first when there are fewer tau than radical
+        points, the shift contraction first otherwise; the scale goes on the
+        small tphase.  What meets W, fhat or its product with the phases, is
+        folded onto the first mode's quadrant (`_fold`), and four real GEMMs
+        on its rows take it through Re and Im of W, each split by sigma.
         """
-        scale, wshift = self.wshift or _weighted_shifts(self.fb, self.halves, self.grid)
-        self.wshift = None if last else (scale, wshift)
+        shifts = self.wshift or _weighted_shifts(self.fb, self.halves, self.grid)
+        self.wshift = None if last else shifts
+        scale, im_sign, parts = shifts
         abs_src = np.abs(fhat_src)
         self.mass += float(src_w @ abs_src**2 @ rabs)
         fhat = _interpolate(fhat_src, self.mats)
-        self.share += np.linalg.multi_dot([scale * tphase.T, fhat.T, wshift])
+        phases = scale * tphase
+        first = phases.shape[1] < phases.shape[0]
+        folded = _fold(fhat @ phases if first else fhat, self.fb.sd.kdim, self.grid.enodes)
+        # a complex part (Q, X) is a real (Q, 2X) one, Re and Im side by side,
+        # so each GEMM gives (n, X) complex: the Re W and Im W products, the
+        # sigma = +1 columns first
+        plus = parts[0].shape[1]
+        rows = slice(None, plus), slice(plus, None)
+        prod = np.empty((2, self.fb.size**2, 2 * folded[0].shape[1]))
+        for k, (table, part) in enumerate(zip(parts, folded)):
+            np.matmul(table.T, part.view(float), out=prod[k // 2, rows[k % 2]])
+        re_w, im_w = prod.view(complex)
+        im_w *= 1j * im_sign
+        im_w += re_w
+        self.acc += im_w.T if first else phases.T @ im_w.T
         # no axis interpolated: fhat is the source chunk itself
         absf = abs_src if fhat is fhat_src else np.abs(fhat)
         full = absf @ rabs
@@ -612,21 +734,22 @@ def _run_layers(f, sds, degree, grid, src_halves, taus):
     clipped grid on the modes whose half-width differs from the source's.
     """
     pn, src_w = _perp_rule(src_halves, grid.enodes)
-    src = (pn, src_w, boundary_mask(pn))  # every layer's source rule and mask
     rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sds[0].d)  # on the function's box
-    zperp, zrad, rmask = pn @ sds[0].eigenvectors.T, rn @ sds[0].radical.T, boundary_mask(rn)
+    zperp, zrad = pn @ sds[0].eigenvectors.T, rn @ sds[0].radical.T
+    pmask, rmask = boundary_mask(pn), boundary_mask(rn)
     P, R, n = zperp.shape[0], zrad.shape[0], zperp.shape[1]
     # what a layer keeps across radical chunks: its (T, B^2) share and, when
-    # there is more than one radical point, its weighted shifts (P, B^2).  A
-    # one-mode clipped layer keeps only a reference to the shared table, so
-    # this over-counts it (ROADMAP item 2a)
+    # there is more than one radical point, its weighted shifts, counted as a
+    # complex (P, B^2) table.  An owned table is four real arrays on about P/4
+    # rows, a quarter of that, and a one-mode clipped layer keeps only a
+    # reference to the shared table, so this over-counts both (ROADMAP item 5)
     side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
     kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
     size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 16 * P))
     for idx in np.array_split(np.arange(len(sds)), -(-len(sds) // size)):
         batch = [sds[i] for i in idx]
         L = len(batch)
-        layers = [_BatchLayer(sd, degree, grid, src_halves, src, taus) for sd in batch]
+        layers = [_BatchLayer(sd, degree, grid, src_halves, pmask, taus) for sd in batch]
         step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (L + n)))
         transform = central_transform(f, np.array([sd.lam for sd in batch]), grid.fbox,
                                       grid.fnodes)

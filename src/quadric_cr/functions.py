@@ -38,17 +38,29 @@ __all__ = ["GridSpec", "SpectralForm", "SampledFunction", "gaussian_function", "
            "central_transform"]
 
 # Samples evaluated and contracted at a time by every chunked sum in the
-# package.  A sampled chunk's temporaries (the samples, the evaluator's own
-# arrays, |f|) are about 2 MB here, and glibc keeps them in its heap from one
-# chunk to the next.  At 200_000, four times as large, they passed glibc's
-# dynamic trim threshold, so every chunk's arrays went back to the kernel and
-# were faulted in again: a plancherel-deg21 pass took 55k minor faults and
-# 0.12 s of system time there, against 4.3k and 0.01 s at 50_000.  On a 2-core
-# Xeon, one BLAS thread, that pass read 0.96 s at 25_000, 1.01 s here, 0.98 s
-# at 100_000 (the three inside one another's spread) and 1.13 s at 200_000,
-# medians of 8 passes in 4 fresh processes.  The spectral paths read 1-2%
-# slower than at 200_000 (convolve-heis1 +1.7%, checks-light +0.8%).
+# package but a spectral form's coefficient chunks (below).  A sampled
+# chunk's temporaries (the samples, the evaluator's own arrays, |f|) are
+# about 2 MB here, and glibc keeps them in its heap from one chunk to the
+# next.  At 200_000, four times as large, they passed glibc's dynamic trim
+# threshold, so every chunk's arrays went back to the kernel and were faulted
+# in again: a plancherel-deg21 pass took 55k minor faults and 0.12 s of
+# system time there, against 4.3k and 0.01 s at 50_000.  On a 2-core Xeon,
+# one BLAS thread, that pass read 0.96 s at 25_000, 1.01 s here, 0.98 s at
+# 100_000 (the three inside one another's spread) and 1.13 s at 200_000,
+# medians of 8 passes in 4 fresh processes.
 CHUNK_ELEMENTS = 50_000
+
+# Elements a coefficient chunk of a spectral form holds in `central_transform`
+# and `l2_norm`.  Its temporaries hold one element per point and frequency, so
+# at 6250 a complex one is 100 KB and a real one 50 KB, under glibc's initial
+# 128 KiB mmap threshold: they stay in the heap whatever the process has
+# freed before.  At CHUNK_ELEMENTS a ground form of 64 frequencies took 781
+# points a chunk and 400 KB real temporaries, which glibc mmapped and faulted
+# in on every call unless an earlier large free had raised its threshold.  A
+# convolve-heis1 pass read 3.16-3.23 ms there, 2.61-2.76 ms with glibc's
+# thresholds pinned from the environment, and 2.38-2.51 ms at this size with
+# or without (2-core Xeon, one BLAS thread, medians of 300 in-process passes).
+SPECTRAL_CHUNK_ELEMENTS = CHUNK_ELEMENTS // 8
 
 # Largest exponent `_check_exponent` lets `transform.extend`, `pw_margin`, both
 # extension routes and `fock.group_convolve` take: e^600 leaves room for sums.
@@ -207,7 +219,7 @@ def l2_norm(f, grid=None):
     if f.spectral is not None:
         lams = f.spectral.lambdas
         gram = _box_kernel(lams[:, None, :] - lams[None, :, :], g.fbox)  # (J, J)
-        step = max(1, CHUNK_ELEMENTS // lams.shape[0])
+        step = max(1, SPECTRAL_CHUNK_ELEMENTS // lams.shape[0])
 
         def x_integral(zc):
             c = f.spectral.coeff(zc)  # (c, J)
@@ -266,7 +278,7 @@ def central_transform(f, lambdas, xbox, xnodes):
     if spectral is not None:
         kappa = spectral.lambdas[:, None, :] - lambdas[None, :, :]  # (Jf, J, m)
         box = _box_kernel(kappa, xbox)  # (Jf, J)
-        step = max(1, CHUNK_ELEMENTS // box.shape[0])
+        step = max(1, SPECTRAL_CHUNK_ELEMENTS // max(box.shape))
 
         def transform(z):
             out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous

@@ -23,6 +23,7 @@ Im u - Phi(z) is a right-invariant gauge: the boundary is {rho = 0} and the
 level sets {rho = h} foliate the domain above it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,14 @@ class QuadraticModel:
         """Real diagonal Phi(z) = Phi(z, z), shape (..., m)."""
         z = np.asarray(z, dtype=complex)
         return np.real(np.einsum("kij,...i,...j->...k", self.A, np.conj(z), z))
+
+    @functools.cached_property
+    def a_eigh(self):
+        """Eigenvalues (ascending) and eigenvectors of A_1, solved once per model
+        and read-only; for m = 1 every A(lam) = lam A_1 is theirs scaled by lam."""
+        vals, vecs = np.linalg.eigh(self.A[0])
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
     def a_matrix(self, lam):
         """Frequency matrix A(lam) = sum_k lam_k A_k, Hermitian (n, n)."""

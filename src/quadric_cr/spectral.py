@@ -124,11 +124,12 @@ def spectral_data(model, lam):
     """Diagonalize one frequency layer of the model.
 
     The eigenvalues `_zero` counts as zero span the radical.  For m = 1 the
-    eigenpairs are those of A, scaled by lam.
+    eigenpairs are those of A, solved once per model (`QuadraticModel.a_eigh`)
+    and scaled by lam.
     """
     lam = np.asarray(lam, dtype=float).reshape(model.m)
     if model.m == 1:
-        vals, vecs = np.linalg.eigh(model.A[0])
+        vals, vecs = model.a_eigh
         vals = lam[0] * vals
         if lam[0] < 0:
             vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -419,6 +419,12 @@ RUNNER_CASES = {
                       GridSpec(ebox=2.5, enodes=12, fbox=3.0, fnodes=24)),
     "zero": (ZERO, 1.5, 4, np.array([[0.7, -0.2], [0.0, 1.0]]),
              GridSpec(ebox=3.0, enodes=16, fbox=3.0, fnodes=24)),
+    # odd node counts: the quadrant's zero lines carry weight 1/2, its origin 1/4
+    "heis1-odd-unclipped": (HEIS1, 0.7, 10, np.zeros((1, 0)), GridSpec(enodes=15)),
+    "heis1-odd-clipped": (HEIS1, -3.0, 10, np.zeros((1, 0)),
+                          GridSpec(ebox=4.0, enodes=9, fbox=3.0, fnodes=32)),
+    "deg21-odd": (DEG21, -1.1, 6, np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]]),
+                  GridSpec(ebox=2.5, enodes=9, fbox=3.0, fnodes=24)),
 }
 
 
@@ -458,7 +464,8 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
         assert chunks == [40, 40, 40, 24]
     # the short x-boxes warn; so do the short zeta-boxes, except where the
     # clip keeps the layer's grid inside the function's mass
-    assert len(warns) == {"heis1-unclipped": 0, "heis1-clipped": 1}.get(case, 2)
+    assert len(warns) == {"heis1-unclipped": 0, "heis1-clipped": 1, "heis1-odd-unclipped": 0,
+                          "heis1-odd-clipped": 1}.get(case, 2)
 
 
 def test_pi_of_f_batch_builds_each_rule_once(monkeypatch):
@@ -505,13 +512,43 @@ SHIFT_TABLE_CASES = {
     "rotated22-none": (ROTATED22, [1.0, 0.4], 4, GridSpec(enodes=8), [False, False]),
     "rotated22-one": (ROTATED22, [4.0, 2.0], 4, GridSpec(enodes=8), [False, True]),
     "rotated22-both": (ROTATED22, [6.0, -1.0], 4, GridSpec(enodes=8), [True, True]),
+    # odd node counts: the quadrant holds the zero lines at weight 1/2
+    "heis1-odd-unclipped": (HEIS1, [-0.7], 8, GridSpec(enodes=9), [False]),
+    "heis1-odd-clipped": (HEIS1, [3.0], 8, GridSpec(enodes=15), [True]),
+    "rotated22-odd": (ROTATED22, [4.0, 2.0], 4, GridSpec(enodes=9), [False, True]),
 }
+
+
+def expand_quadrant(fb, shifts, num):
+    """A layer's weighted shift matrices (P, B*B) on its whole tensor grid, from
+    `_weighted_shifts`'s arrays on its first mode's quadrant through the two
+    symmetries W(conj p) = conj W(p) and W(-p) = sigma W(p), with the zero
+    lines of an odd rule put back at full weight."""
+    scale, im_sign, (re_p, re_m, im_p, im_m) = shifts
+    kdim, pairs = fb.sd.kdim, fb.size**2
+    deg = fb.alphas.sum(axis=1)
+    sigma = ((-1.0) ** (deg[:, None] - deg[None, :])).reshape(-1)
+    quad = np.empty((re_p.shape[0], pairs), complex)
+    quad[:, sigma > 0] = re_p + 1j * im_sign * im_p
+    quad[:, sigma < 0] = re_m + 1j * im_sign * im_m
+    half, side = num // 2, num - num // 2
+    quad = scale * quad.reshape((side, side) + (num,) * (2 * kdim - 2) + (pairs,))
+    if num % 2:
+        quad[0] *= 2.0
+        quad[:, 0] *= 2.0
+    full = np.empty((num,) * (2 * kdim) + (pairs,), complex)
+    re, im = tuple(range(0, 2 * kdim, 2)), tuple(range(1, 2 * kdim, 2))
+    for axes, value in (((), quad), (im, np.conj(quad)), (re + im, sigma * quad),
+                        (re, sigma * np.conj(quad))):
+        np.flip(full, axes)[half:, half:] = value
+    return full.reshape(-1, pairs)
 
 
 @pytest.mark.parametrize("case", sorted(SHIFT_TABLE_CASES))
 def test_weighted_shifts_match_the_per_point_path(case):
-    # the per-mode tables, multiplied out over the tensor grid, against the
-    # shift matrices built point by point from each point's w coordinates
+    # the per-mode tables on the first mode's quadrant, multiplied out over the
+    # tensor grid and expanded onto all of it, against the shift matrices built
+    # point by point from each point's w coordinates
     model, lam, degree, grid, clip = SHIFT_TABLE_CASES[case]
     sd = spectral_data(model, np.array(lam))
     fb = fock_basis(sd, degree)
@@ -523,30 +560,35 @@ def test_weighted_shifts_match_the_per_point_path(case):
     zperp = pn @ sd.eigenvectors.T
     want = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
     want *= pw[:, None]
-    scale, got = fock._weighted_shifts(fb, halves, grid)
-    got = scale * got
+    shifts = fock._weighted_shifts(fb, halves, grid)
+    side = -(-grid.enodes // 2)
+    assert all(part.shape[0] == side**2 * grid.enodes ** (2 * sd.kdim - 2)
+               and not part.flags.writeable for part in shifts[2])
+    got = expand_quadrant(fb, shifts, grid.enodes)
     assert got.shape == want.shape == (grid.enodes ** (2 * sd.kdim), fb.size**2)
     assert (np.abs(got - want) <= 1e-13 * np.abs(want).max()).all()
 
 
 def test_clipped_layers_share_one_shift_table(monkeypatch):
     # 41 HEIS1 layers on [-8, 8]: the clip bites past |lam| = 1.25 on ebox 4,
-    # on both signs; the positive table is built once, the negative one is
-    # its conjugate, and every clipped layer of one sign reads the same object
-    grid = GridSpec(ebox=4.0, enodes=12, fbox=4.0, fnodes=16)
+    # on both signs; one table is built, and every clipped layer of either
+    # sign reads that one cached entry, the negative ones with Im negated.
+    # An unclipped layer builds its own on the ceil(13/2)^2 = 49 nodes of its
+    # quadrant, not on all 169
+    grid = GridSpec(ebox=4.0, enodes=13, fbox=4.0, fnodes=16)
     cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
     calls, tables = [], {True: [], False: []}
     blocks, shifts = fock._mode_blocks, fock._weighted_shifts
 
     def spy(mu, wz, degree):
-        calls.append(mu)
+        calls.append((mu, wz.size))
         return blocks(mu, wz, degree)
 
     def spy_shifts(fb, halves, grid):
-        scale, table = shifts(fb, halves, grid)
+        scale, im_sign, parts = shifts(fb, halves, grid)
         if halves[0] < grid.ebox:
-            tables[bool(fb.sd.eigenvalues[0] > 0)].append(table)
-        return scale, table
+            tables[bool(fb.sd.eigenvalues[0] > 0)].append((im_sign, parts))
+        return scale, im_sign, parts
 
     monkeypatch.setattr(fock, "_mode_blocks", spy)
     monkeypatch.setattr(fock, "_weighted_shifts", spy_shifts)
@@ -557,25 +599,28 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     unclipped = int(np.sum(np.sqrt(fock.PHI_CUT / (2.0 * np.abs(lams))) >= grid.ebox))
     assert len(rep.rows) == 41 and 0 < unclipped < 41
     assert (lams < -1.25).any() and (lams > 1.25).any()
-    assert len(calls) == unclipped + 1
+    assert len(calls) == unclipped + 1 and all(size == 49 for _, size in calls)
     assert len(tables[True]) + len(tables[False]) == 41 - unclipped
-    for seen in tables.values():
-        assert seen and all(t is seen[0] for t in seen) and not seen[0].flags.writeable
-    assert np.array_equal(tables[False][0], np.conj(tables[True][0]))
+    shared = fock._CLIP_TABLES[13, 4, 1, 0]
+    assert list(fock._CLIP_TABLES) == [(13, 4, 1, 0)]
+    for positive, seen in tables.items():
+        assert seen and all(parts is shared and im_sign == (1.0 if positive else -1.0)
+                            for im_sign, parts in seen)
+    assert not any(part.flags.writeable for part in shared)
 
     # the memo stays bounded: read-only entries within the batch budget, at
-    # most four, the oldest dropped first
-    assert all(not t.flags.writeable and t.nbytes <= fock.BATCH_STATE_BYTES
-               for t in fock._CLIP_TABLES.values())
+    # most four, the oldest dropped first; a quadrant of 8 nodes is 16 points,
+    # B^2 = 25 pairs, Re and Im
     fb = fock_basis(spectral_data(HEIS1, np.array([3.0])), 4)
-    monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 64 * 25 * 16 - 1)
-    big = fock._clip_factor(fb, 0, 8, True)
-    assert big.nbytes == 64 * 25 * 16 and (8, 4, 1, 0, True) not in fock._CLIP_TABLES
+    monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 16 * 25 * 8 * 2 - 1)
+    big = fock._clip_factor(fb, 0, 8)
+    assert sum(part.nbytes for part in big) == 16 * 25 * 8 * 2
+    assert (8, 4, 1, 0) not in fock._CLIP_TABLES
     monkeypatch.undo()
     fock._CLIP_TABLES.clear()
-    keys = [(enodes, 4, 1, 0, True) for enodes in (4, 5, 6, 7, 8)]
+    keys = [(enodes, 4, 1, 0) for enodes in (4, 5, 6, 7, 8)]
     for enodes, *_ in keys:
-        fock._clip_factor(fb, 0, enodes, True)
+        fock._clip_factor(fb, 0, enodes)
     assert list(fock._CLIP_TABLES) == keys[1:]
 
 
@@ -602,18 +647,17 @@ def test_memoized_rules_and_tables_are_safe():
         sd = spectral_data(HEIS1, np.array([lam]))
         fb = fock_basis(sd, 6)
         halves = fock._half_widths(sd, grid.ebox)
-        _, first = fock._weighted_shifts(fb, halves, grid)
-        want = first.copy()
-        # a clipped layer's matrices are the memo's read-only table itself
-        if first.flags.writeable:
-            first[:] = np.nan
-        else:
+        first = fock._weighted_shifts(fb, halves, grid)[2]
+        want = [part.copy() for part in first]
+        # every layer's arrays are read-only; a clipped layer's are the memo's
+        for part in first:
             with pytest.raises(ValueError):
-                first[:] = np.nan
-        assert np.array_equal(fock._weighted_shifts(fb, halves, grid)[1], want)
-    table = fock._CLIP_TABLES[12, 6, 1, 0, True]
-    assert not table.flags.writeable
-    assert fock._clip_factor(fb, 0, 12, True) is table
+                part[:] = np.nan
+        again = fock._weighted_shifts(fb, halves, grid)[2]
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+    table = fock._CLIP_TABLES[12, 6, 1, 0]
+    assert not any(part.flags.writeable for part in table)
+    assert fock._clip_factor(fb, 0, 12) is table
 
 
 def test_plancherel_gaussian_smoke():
@@ -644,9 +688,9 @@ def test_interp_matrix_reproduces_polynomials():
     layers = []
     for lam in (0.5, 8.0):
         sd = spectral_data(HEIS1, np.array([lam]))
-        pn, pw = fock._perp_rule([grid.ebox], grid.enodes)
-        src = (pn, pw, quadrature.boundary_mask(pn))
-        layers.append(fock._BatchLayer(sd, 4, grid, [grid.ebox], src, taus))
+        pn, _ = fock._perp_rule([grid.ebox], grid.enodes)
+        layers.append(fock._BatchLayer(sd, 4, grid, [grid.ebox], quadrature.boundary_mask(pn),
+                                       taus))
     wide, narrow = layers
     assert wide.mats == [None, None]
     assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
@@ -1027,7 +1071,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     perp = grid.enodes ** (2 * kdim)
 
     def spy_rule(halves, enodes):
-        # a layer builds a rule only where its half-widths are not the source's
+        # only the runner builds a rule, the source's; a layer builds none
         sources.append(halves == [grid.ebox] * kdim)
         return rule(halves, enodes)
 
@@ -1060,7 +1104,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     # the source grid is built once per frame, not once per batch
     frames = {(sd.eigenvectors.tobytes(), sd.radical.tobytes())
               for sd in (spectral_data(model, row[0]) for row in rep.rows)}
-    assert sum(sources) == len(frames)
+    assert all(sources) and len(sources) == len(frames)
     if case == "deg21":
         assert sorted(seen) == [2, 2, 3] and len(radical) == 24 + 11 + 11 and max(radical) == 14
         assert len(frames) == 1  # DEG21's layers of both signs share e_1: one frame, 3 batches
