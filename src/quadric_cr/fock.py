@@ -706,8 +706,8 @@ class _BatchLayer:
             np.matmul(table.T, part.view(float), out=prod[k // 2, rows[k % 2]])
         re_w, im_w = prod.view(complex)
         im_w *= 1j * im_sign
-        im_w += re_w
-        self.acc += im_w.T if first else phases.T @ im_w.T
+        total = np.add(re_w, im_w, out=re_w)  # (B^2, X)
+        self.acc += total.T if first else phases.T @ total.T
         # no axis interpolated: fhat is the source chunk itself
         absf = abs_src if fhat is fhat_src else np.abs(fhat)
         full = absf @ rabs

@@ -1,4 +1,4 @@
-"""Test-session set-up: one BLAS thread, pinned before numpy loads its BLAS.
+"""Set-up for the test suite: one BLAS thread, pinned before numpy loads its BLAS.
 
 The same pin as `perfbench/run.py`, so the suite's runtime gates time the
 code on one thread, as the benchmark does, and not on however many threads
