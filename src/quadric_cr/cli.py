@@ -163,9 +163,9 @@ def _run_plancherel(scn, seed, rng):
         lam_lo=scn.vec("lam_lo", model.m),
         lam_hi=scn.vec("lam_hi", model.m),
         lam_nodes=scn.integer("lam_count", 81),
-        degree=scn.integer("degree", 12),
-        tau_box=scn.flt("tau_box", 6.0),
-        tau_nodes=scn.integer("tau_nodes", 12),
+        degree=scn.integer("degree", PlancherelConfig.degree),
+        tau_box=scn.flt("tau_box", PlancherelConfig.tau_box),
+        tau_nodes=scn.integer("tau_nodes", PlancherelConfig.tau_nodes),
         grid=grid,
     )
     try:

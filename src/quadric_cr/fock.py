@@ -22,19 +22,20 @@ generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177, 1857
 `pi_of_f_batch` integrates these matrices against a boundary function over
 a tensor grid.  The perpendicular part of the grid is clipped where the layer
 weight phi_lam exceeds `PHI_CUT`: mode k has the half-width s_k =
-min(ebox, sqrt(PHI_CUT / (2|mu_k|))), and w_k of a grid point is its node.
-A displacement block is conjugated when w is (every Im axis reversed) and
-takes the sign (-1)^(a-b) when w is negated (Cahill & Glauber; Folland,
-Harmonic Analysis in Phase Space (1989), ch. 1), and the Gauss rules are
-symmetric.  So the weighted shift matrices W are built only on the quadrant
-{Re > 0, Im > 0} of the first mode's nodes, times all N^2 nodes of each
-other mode, P/4 of the P = N^(2K) points, and kept as four real arrays: Re W
-and Im W, each split by sigma = (-1)^(|alpha| - |beta|).  Each layer folds
-fhat onto the quadrant through its mirrored views and contracts it in four
-real GEMMs.  A clipped mode's nodes are s_k times the reference nodes, so
-beta = sqrt(2|mu_k|) w is sqrt(PHI_CUT) times a reference node whatever lam
-is: it reads one shared table, its Im arrays negated where mu_k < 0, and
-its weights' s_k^2 is a scalar.
+min(ebox, sqrt(PHI_CUT / (2|mu_k|))), and its rule is the node count's
+reference Gauss rule times s_k.  So one rule serves every mode, read at its
+scaled eigenvalue mu = |mu_k| s_k^2: its shift factor, s_k^2 times the blocks
+of mu on the reference nodes (`_mode_factor`), the damping of its zeta-tail
+diagnostic and its interpolation; a clipped mode is mu = PHI_CUT / 2 at every
+lam, one shared table.  A displacement block is conjugated when w is (every
+Im axis reversed), so mu_k < 0 reads the factor with Im negated, and takes
+the sign (-1)^(a-b) when w is negated (Cahill & Glauber; Folland, Harmonic
+Analysis in Phase Space (1989), ch. 1).  The rules are symmetric, so W is
+built only on the quadrant {Re > 0, Im > 0} of the first mode's nodes, times
+all N^2 nodes of each other mode, P/4 of the P = N^(2K) points, and kept as
+four real arrays: Re W and Im W, each split by sigma = (-1)^(|alpha| - |beta|).
+Each layer folds fhat onto the quadrant through its mirrored views and
+contracts it in four real GEMMs.
 
 One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
 takes a frame's layers (the same eigenvectors and radical) and source
@@ -95,11 +96,11 @@ __all__ = [
 # true matrix elements are suppressed by exp(-phi_lam/2) there, and the clip
 # keeps the fixed number of zeta nodes on the region that carries the layer,
 # so the grid resolves it uniformly in lam; without it the degree-24
-# Plancherel residual is 8x off its floor.  A clipped mode's half-width is
-# s = sqrt(PHI_CUT / (2|mu|)), so its displacements sqrt(2|mu|) w span the
-# same sqrt(PHI_CUT) box at every lam: its weighted shift blocks are one
-# lam-independent table times s^2 (`_clip_factor`), the same four real
-# arrays for both signs of mu, its Im arrays negated where mu < 0.
+# Plancherel residual is 8x off its floor.  A clipped mode's half-width
+# s = sqrt(PHI_CUT / (2|mu|)) makes its scaled eigenvalue |mu| s^2 = PHI_CUT/2
+# at every lam, so its displacements span the same sqrt(PHI_CUT) box and its
+# weighted shift factor is one lam-independent `_mode_factor` table times s^2
+# (`_clip_factor`), read by both signs of mu.
 PHI_CUT = 40.0
 
 # Bytes one Plancherel batch holds across its radical chunks (see
@@ -129,7 +130,8 @@ BATCH_STATE_BYTES = 32 * 2**20
 CAPTURED_TOL = 1e-6
 
 # `_clip_factor`'s entries by (enodes, degree, kdim, mode), at most four: each
-# the four read-only real arrays of one table, read by both signs of mu
+# the four read-only arrays of `_mode_factor` at mu = PHI_CUT / 2, read by
+# both signs of mu.  An unclipped mode's factor depends on lam and is not kept
 _CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
@@ -298,11 +300,12 @@ def _tau_phases(taus, rn, rw):
 @functools.lru_cache(maxsize=16)
 def _sigma_columns(kdim, degree):
     """The flat basis pairs [alpha, beta] whose sign sigma = (-1)^(|alpha| - |beta|)
-    is +1, then those where it is -1, read-only: the shift-matrix entries that
-    negating every w keeps, and those it negates."""
+    is +1 (the shift-matrix entries that negating every w keeps), those where it
+    is -1, and the order that takes pairs so split back to the basis's, read-only."""
     deg = multi_indices(kdim, degree).sum(axis=1)
     odd = ((deg[:, None] + deg[None, :]) % 2).reshape(-1) == 1
-    cols = np.flatnonzero(~odd), np.flatnonzero(odd)
+    plus, minus = np.flatnonzero(~odd), np.flatnonzero(odd)
+    cols = plus, minus, np.argsort(np.concatenate((plus, minus)))
     for c in cols:
         c.flags.writeable = False
     return cols
@@ -311,7 +314,7 @@ def _sigma_columns(kdim, degree):
 def _split(fb, table):
     """Re and Im of a complex (Q, B*B) table, each split into its sigma = +1 and
     -1 columns (`_sigma_columns`): four read-only real arrays (Re+, Re-, Im+, Im-)."""
-    cols = _sigma_columns(fb.sd.kdim, fb.degree)
+    cols = _sigma_columns(fb.sd.kdim, fb.degree)[:2]
     parts = tuple(part[:, c] for part in (table.real, table.imag) for c in cols)
     for part in parts:
         part.flags.writeable = False
@@ -331,25 +334,28 @@ def _quadrant(rule):
     return complex_grid((nodes[half:], w))
 
 
-def _clip_factor(fb, k, enodes):
-    """Clipped mode k's weighted shift factor over s_k^2 where mu_k > 0, as `_split`'s
-    four read-only real arrays; where mu_k < 0 it is the conjugate, the same entry
-    read with its Im arrays negated.
+def _mode_factor(fb, k, mu, enodes):
+    """Mode k's weighted shift factor over s_k^2 at its scaled eigenvalue
+    mu = |mu_k| s_k^2, as `_split`'s four read-only real arrays; where mu_k < 0
+    the factor is the conjugate, read with Im negated.  The mode's rule is the
+    reference rule times s_k and sqrt(2|mu_k|) s_k = sqrt(2 mu), so this is the
+    blocks of mu on the reference complex nodes (the first mode's on their
+    quadrant, `_quadrant`), gathered onto the basis, times the reference weights."""
+    rule = _reference_rule(enodes)
+    nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
+    table = _gathered(fb, k, _mode_blocks(mu, nodes, fb.degree))
+    table *= w[:, None]
+    return _split(fb, table)
 
-    The mode's rule is the reference rule scaled by s_k, so this is the blocks
-    of mu = PHI_CUT / 2 on the reference complex nodes (the first mode's on
-    their quadrant, `_quadrant`), gathered onto the basis and times the
-    reference weights, whatever the layer.  It is kept in `_CLIP_TABLES` (at
-    most four, the oldest dropped first) unless larger than `BATCH_STATE_BYTES`.
-    """
+
+def _clip_factor(fb, k, enodes):
+    """`_mode_factor` of clipped mode k: its mu is PHI_CUT / 2 whatever the layer,
+    so it is kept in `_CLIP_TABLES` (at most four, the oldest dropped first)
+    unless larger than `BATCH_STATE_BYTES`."""
     key = (enodes, fb.degree, fb.sd.kdim, k)
     parts = _CLIP_TABLES.get(key)
     if parts is None:
-        rule = _reference_rule(enodes)
-        nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
-        table = _gathered(fb, k, _mode_blocks(0.5 * PHI_CUT, nodes, fb.degree))
-        table *= w[:, None]
-        parts = _split(fb, table)
+        parts = _mode_factor(fb, k, 0.5 * PHI_CUT, enodes)
         if sum(part.nbytes for part in parts) <= BATCH_STATE_BYTES:
             if len(_CLIP_TABLES) == 4:
                 del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
@@ -360,7 +366,7 @@ def _clip_factor(fb, k, enodes):
 def _joined(fb, parts, im_sign):
     """The complex (Q, B*B) table of `_split`'s four parts, its Im times im_sign."""
     out = np.empty((parts[0].shape[0], fb.size**2), complex)
-    for cols, re, im in zip(_sigma_columns(fb.sd.kdim, fb.degree), parts[:2], parts[2:]):
+    for cols, re, im in zip(_sigma_columns(fb.sd.kdim, fb.degree)[:2], parts[:2], parts[2:]):
         out.real[:, cols] = re
         out.imag[:, cols] = im_sign * im
     return out
@@ -370,33 +376,24 @@ def _weighted_shifts(fb, halves, grid):
     """A layer's weighted shift matrices on its first mode's quadrant, as (scale,
     im_sign, parts): W = scale (Re + i im_sign Im) over `_split`'s four parts.
 
-    halves are its half-widths per mode.  Mode k's coordinate w_k is its
-    complex node, conjugated where mu_k < 0, so its blocks are built on its own
-    nodes, gathered onto the basis by `_gathered` and multiplied by its
-    weights: the first mode's on the ceil(N/2)^2 nodes of its quadrant
-    (`_quadrant`), every other mode's on all N^2.  The rest of the grid is the
-    quadrant's mirror images, which `_BatchLayer.add` folds onto it
-    (`_fold`).  A clipped mode (s_k < ebox) reads `_clip_factor` and puts
-    s_k^2 in the scale; a one-mode clipped layer's parts are that shared entry
-    itself, with im_sign -1 where mu < 0.  The factors are multiplied out over
-    the tensor grid, the last mode fastest; a layer with no mode has the
-    one-point rule, W = 1.
+    halves are its half-widths per mode.  Every mode reads its factor off
+    `_mode_factor` (a clipped mode, s_k < ebox, off its memo `_clip_factor`),
+    puts s_k^2 in the scale and its sign in im_sign; a one-mode layer's parts
+    are that factor itself.  The first mode's factor is on the ceil(N/2)^2
+    nodes of its quadrant, every other mode's on all N^2; the rest of the grid
+    is the quadrant's mirror images, which `_BatchLayer.add` folds onto it
+    (`_fold`).  The factors are multiplied out over the tensor grid, the last
+    mode fastest; a layer with no mode has the one-point rule, W = 1.
     """
     scale, out = 1.0, np.ones((1, fb.size**2), complex)
     for k, (s, mu) in enumerate(zip(halves, fb.sd.eigenvalues)):
         im_sign = 1.0 if mu > 0 else -1.0
-        if s < grid.ebox:
-            parts = _clip_factor(fb, k, grid.enodes)
-            scale *= s * s
-            if fb.sd.kdim == 1:
-                return scale, im_sign, parts
-            block = _joined(fb, parts, im_sign)
-        else:
-            rule = gauss_legendre(grid.enodes, -s, s)
-            nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
-            block = _gathered(fb, k, _mode_blocks(abs(mu), nodes if mu > 0 else np.conj(nodes),
-                                                  fb.degree))
-            block *= w[:, None]
+        scale *= s * s
+        parts = (_clip_factor(fb, k, grid.enodes) if s < grid.ebox
+                 else _mode_factor(fb, k, abs(mu) * s * s, grid.enodes))
+        if fb.sd.kdim == 1:
+            return scale, im_sign, parts
+        block = _joined(fb, parts, im_sign)
         # the first block starts the product: multiplying it into ones would
         # cost one more (N^2, B*B) temporary
         out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
@@ -650,30 +647,28 @@ class _BatchLayer:
         # the layer's rule has the source rule's tensor layout, so the source's
         # boundary mask pmask is its own
         self.pmask = pmask
-        # e^(-phi_lam/2) |w| of the tail diagnostics: a grid point's w_k is its
-        # node, so this is the tensor product of each real axis's factor
-        # e^(-|mu_k| t^2/2) |w(t)|, the last mode's Im axis fastest
+        # e^(-phi_lam/2) |w| of the tail diagnostics but for each axis's s_k,
+        # common to every point: the tensor product of each real axis's
+        # e^(-mu x^2/2) w(x) on the reference rule, the last mode's Im axis fastest
+        x, w = _reference_rule(grid.enodes)
         self.damp = np.ones(1)
         for s, mu in zip(self.halves, np.abs(sd.eigenvalues)):
-            t, w = gauss_legendre(grid.enodes, -s, s)
-            axis = np.exp(-0.5 * mu * t * t) * np.abs(w)
+            axis = np.exp(-0.5 * (mu * s * s) * x * x) * w
             self.damp = np.multiply.outer(np.multiply.outer(self.damp, axis), axis).reshape(-1)
-        # one matrix per real axis, the same for Re and Im of a mode; None
-        # where the layer's half-width is the source's
-        mode_mats = [None if s == t else _interp_matrix(gauss_legendre(grid.enodes, -t, t)[0],
-                                                        gauss_legendre(grid.enodes, -s, s)[0])
+        # one matrix per real axis, the same for Re and Im of a mode; None where
+        # the half-width is the source's.  It depends only on their ratio
+        mode_mats = [None if s == t else _interp_matrix(x, x * (s / t))
                      for s, t in zip(self.halves, src_halves)]
         self.mats = [mat for mat in mode_mats for _ in range(2)]
         self.wshift = None  # `_weighted_shifts`, kept only while more radical chunks remain
         # pi(f) so far, its sigma = +1 pairs first (`_sigma_columns`)
         self.acc = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
-        self.order = np.argsort(np.concatenate(_sigma_columns(sd.kdim, degree)))
         self.tail_all = self.tail_w = self.mass = 0.0
 
     @property
     def share(self):
         """pi(f) so far, (T, B*B) in the basis's pair order."""
-        return self.acc[:, self.order]
+        return self.acc[:, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[2]]
 
     def add(self, fhat_src, src_w, tphase, rabs, rmask, last):
         """Add one radical chunk from fhat (P, R_c) on the source grid.
@@ -844,9 +839,7 @@ def plancherel_residual(model, f, cfg):
         else:
             frames.append([(sd, j)])
 
-    # a spectral form's norm is closed; a sampled one is read off the first
-    # batch's samples, the first frame's unclipped grid
-    lhs = l2_norm(f, grid) ** 2 if f.spectral is not None else None
+    lhs = None  # a sampled f's, off the first batch's samples: the first frame's grid
     results = {}
     warnings = set()
     for frame in frames:
@@ -856,10 +849,9 @@ def plancherel_residual(model, f, cfg):
             lhs = norm_sq if lhs is None else lhs
             warnings.update(warns)
             for lay, (sd, j) in zip(layers, nodes):
-                value = float(np.sum(tau_w * hs_norm(lay.share.reshape(-1, lay.fb.size,
-                                                                        lay.fb.size)) ** 2))
-                results[j] = (sd, value, lay.mass)
-    if lhs is None:  # every layer was skipped, so no batch sampled f
+                # the HS norm does not depend on the pairs' order
+                results[j] = (sd, float(tau_w @ np.sum(np.abs(lay.acc) ** 2, axis=1)), lay.mass)
+    if lhs is None:  # a spectral form's norm is closed, and so is f's when no batch ran
         lhs = l2_norm(f, grid) ** 2
 
     rhs = 0.0

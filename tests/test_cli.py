@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -8,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadric_cr import cli
 from quadric_cr.cli import EXIT_MISSING, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
 from quadric_cr.configio import load_scenarios
+from quadric_cr.convex import interval_body
 from quadric_cr.fock import PlancherelConfig, plancherel_residual
 from quadric_cr.functions import GridSpec, SampledFunction, SpectralForm, gaussian_function, l2_norm
 from quadric_cr.model import QuadraticModel
-from quadric_cr.transform import bandlimit_project, inverse_FN, spectral_window
+from quadric_cr.transform import bandlimit_project, bump_profile, inverse_FN, spectral_window
 
 HEIS1_MODEL = "n = 1\nm = 1\nA_1 = 1,0\n"
 
@@ -55,6 +58,97 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (
         a / "demo_spectral_summary.json"
     ).read_bytes() == (b / "demo_spectral_summary.json").read_bytes()
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("sub, name", [("extend", "extend_heis1"), ("split", "split_flat12"),
+                                       ("split", "split_pair22"),
+                                       ("convex", "convex_quadrant")])
+def test_shipped_scenarios_pass_and_rerun_byte_identical(tmp_path, sub, name):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main([sub, "--scenario", str(SCENARIOS / f"{name}.scenario"),
+                     "--out", str(out)]) == EXIT_OK
+    files = sorted(path.name for path in a.iterdir())
+    assert files == [f"{name}_{sub}.csv", f"{name}_{sub}_summary.json"]
+    assert files == sorted(path.name for path in b.iterdir())
+    for fname in files:
+        assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+
+DEG21_MODEL = "n = 2\nm = 1\nA_1 = 1,0 0,0 0,0 0,0\n"
+
+
+def _modulated(model, omega, grid):
+    def ev(z, x):
+        z = np.asarray(z, complex)
+        x = np.asarray(x, float)
+        rad = np.sum(np.abs(z) ** 2, axis=-1) + np.sum(x**2, axis=-1)
+        return np.exp(-rad) * np.cos(x @ omega)
+
+    return SampledFunction(model, ev, grid)
+
+
+# function kind -> (model file, scenario keys, model, the function on a grid,
+# the grid and the config's other keywords); the modulated gaussian on DEG21 has a live tau
+# integral, at the benchmark's smoke size, and the banded function is a
+# spectral form, whose lhs is closed
+PLANCHEREL_KINDS = {
+    "modulated": (DEG21_MODEL, "omega = 4\ndegree = 4\ntau_box = 6\ntau_nodes = 6\n"
+                               "ebox = 4\nenodes = 16\nfbox = 4.5\nfnodes = 32\n"
+                               "lam_lo = -10\nlam_hi = 10\nlam_count = 7\ntol_residual = 0.25\n",
+                  QuadraticModel(np.array([[[1.0, 0.0], [0.0, 0.0]]], complex)),
+                  lambda model, grid: _modulated(model, np.array([4.0]), grid),
+                  GridSpec(ebox=4.0, enodes=16, fbox=4.5, fnodes=32),
+                  dict(lam_lo=[-10.0], lam_hi=[10.0], lam_nodes=7, degree=4, tau_box=6.0,
+                       tau_nodes=6)),
+    "banded": (HEIS1_MODEL, "body = k.body\nprofile = b.profile\ndegree = 8\nfbox = 20\n"
+                            "lam_lo = 0.8\nlam_hi = 2.2\nlam_count = 8\ntol_residual = 0.05\n",
+               QuadraticModel(np.array([[[1.0]]], complex)),
+               lambda model, grid: inverse_FN(
+                   model, bump_profile(interval_body(1.0, 2.0), nodes=16), grid=grid),
+               GridSpec(fbox=20.0),
+               dict(lam_lo=[0.8], lam_hi=[2.2], lam_nodes=8, degree=8)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PLANCHEREL_KINDS))
+def test_plancherel_summary_matches_the_library(tmp_path, kind):
+    # the same inputs built without the CLI give the same residual, bit for bit
+    text, keys, model, build, grid, kw = PLANCHEREL_KINDS[kind]
+    (tmp_path / "m.model").write_text(text)
+    (tmp_path / "k.body").write_text("kind = interval\nlo = 1\nhi = 2\n")
+    (tmp_path / "b.profile").write_text("shape = bump\nnodes = 16\n")
+    scn = tmp_path / "p.scenario"
+    scn.write_text(f"name = p\nmodel = m.model\nfunction = {kind}\n{keys}")
+    assert main(["plancherel", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "p_plancherel_summary.json").read_text())
+    rep = plancherel_residual(model, build(model, grid), PlancherelConfig(grid=grid, **kw))
+    assert rep.rows and rep.skipped == 0
+    assert summary["checks"][0]["value"] == rep.residual
+    assert summary["warnings"] == list(rep.warnings)
+
+
+def test_plancherel_keys_default_to_the_config_fields(tmp_path, monkeypatch):
+    # a scenario without degree, tau_box or tau_nodes runs the config's defaults
+    seen = []
+
+    def spy(model, f, cfg):
+        seen.append(cfg)
+        return plancherel_residual(model, f, cfg)
+
+    monkeypatch.setattr(cli, "plancherel_residual", spy)
+    (tmp_path / "m.model").write_text(HEIS1_MODEL)
+    scn = tmp_path / "p.scenario"
+    scn.write_text("name = p\nmodel = m.model\nfunction = gaussian\nenodes = 12\n"
+                   "lam_lo = 0.5\nlam_hi = 2\nlam_count = 2\ntol_residual = 1\n")
+    assert main(["plancherel", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    (cfg,) = seen
+    defaults = {field.name: field.default for field in dataclasses.fields(PlancherelConfig)}
+    for name in ("degree", "tau_box", "tau_nodes"):
+        assert getattr(cfg, name) == defaults[name]
 
 
 def test_plancherel_summary_carries_the_warnings(tmp_path):

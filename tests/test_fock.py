@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import laguerre, legendre
 
-from quadric_cr import fock, quadrature
+from quadric_cr import fock, functions, quadrature
 from quadric_cr.functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
                                   gaussian_function, l2_norm)
 from quadric_cr.fock import (
@@ -658,6 +658,35 @@ def test_memoized_rules_and_tables_are_safe():
     table = fock._CLIP_TABLES[12, 6, 1, 0]
     assert not any(part.flags.writeable for part in table)
     assert fock._clip_factor(fb, 0, 12) is table
+
+
+def test_no_layer_builds_a_gauss_rule(monkeypatch):
+    # a pass builds its lambda panels, its tau rule and each frame's source,
+    # radical and central rules; every layer reads the reference rule, so the
+    # count does not grow with the layers
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return gauss_legendre(*args)
+
+    for module in (quadrature, fock, functions):
+        monkeypatch.setattr(module, "gauss_legendre", spy)
+    heis1 = gaussian_function(HEIS1, GridSpec(enodes=16))
+    grid = GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=24)
+    deg21 = SampledFunction(DEG21, lambda z, x: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)
+                                                       - np.sum(x**2, axis=-1)), grid)
+    cases = [(HEIS1, heis1, dict(lam_lo=[-8.0], lam_hi=[8.0], degree=4), (9, 41)),
+             (DEG21, deg21, dict(lam_lo=[-10.0], lam_hi=[10.0], degree=4, tau_nodes=6, grid=grid),
+              (7, 21))]
+    for model, f, kw, layer_counts in cases:
+        built = []
+        for lam_nodes in layer_counts:
+            calls.clear()
+            rep = plancherel_residual(model, f, PlancherelConfig(lam_nodes=lam_nodes, **kw))
+            assert len(rep.rows) == lam_nodes
+            built.append(len(calls))
+        assert built[0] == built[1], built
 
 
 def test_plancherel_gaussian_smoke():
