@@ -48,13 +48,19 @@ class MissingReferenceError(ConfigError):
 
 
 class KVFile:
-    """Ordered key=value pairs from one file."""
+    """Ordered key=value pairs from one file, read through typed accessors.
+
+    Every read marks its key, so `refuse_unread` can refuse the keys that no
+    reader asked for: a misspelled key is an error, not a silent default.
+    """
 
     def __init__(self, path, pairs):
         self.path = path
         self.pairs = pairs
+        self.read_keys = set()
 
     def getall(self, key):
+        self.read_keys.add(key)
         return [v for k, v in self.pairs if k == key]
 
     def get(self, key, default=None):
@@ -65,14 +71,84 @@ class KVFile:
             raise ParseError(f"{self.path}: key {key!r} given {len(vals)} times")
         return vals[0]
 
-    def require(self, key):
-        val = self.get(key)
-        if val is None:
-            raise ParseError(f"{self.path}: missing required key {key!r}")
-        return val
-
     def keys(self):
         return [k for k, _ in self.pairs]
+
+    def text(self, key, default=None):
+        """The key's value; a missing key reads str(default), or is refused without one."""
+        val = self.get(key, default)
+        if val is None:
+            raise ParseError(f"{self.path}: missing required key {key!r}")
+        return str(val)
+
+    def _parse(self, key, text):
+        """The one number parser: comma or space separated floats, else ParseError."""
+        try:
+            return [float(t) for t in text.replace(",", " ").split()]
+        except ValueError:
+            raise ParseError(f"{self.path}: key {key!r} is not a list of numbers: {text!r}")
+
+    def _number(self, key, text):
+        vals = self._parse(key, text)
+        if len(vals) != 1:
+            raise ParseError(f"{self.path}: key {key!r} is not a number: {text!r}")
+        return vals[0]
+
+    def floats(self, key, default=None):
+        return self._parse(key, self.text(key, default))
+
+    def flt(self, key, default=None):
+        return self._number(key, self.text(key, default))
+
+    def integer(self, key, default=None, least=0):
+        """A number that is a whole number no smaller than least, as an int."""
+        val = self.flt(key, default)
+        if not val.is_integer():
+            raise ParseError(f"{self.path}: key {key!r} is not an integer: {val!r}")
+        if val < least:
+            raise ParseError(f"{self.path}: key {key!r} must be at least {least}, got {val:g}")
+        return int(val)
+
+    def count(self, key, default=None):
+        return self.integer(key, default, least=1)
+
+    def flag(self, key):
+        """true/yes/1 or false/no/0, in any case; a missing flag is false."""
+        val = self.get(key, "false")
+        if val.lower() in ("true", "yes", "1"):
+            return True
+        if val.lower() in ("false", "no", "0"):
+            return False
+        raise ParseError(f"{self.path}: key {key!r} is not true/false, yes/no or 1/0: {val!r}")
+
+    def vec(self, key, m, default=None):
+        """The key's m numbers as an array; one number stands for all m."""
+        vals = self.floats(key, default)
+        if len(vals) == 1:
+            vals = vals * m
+        if len(vals) != m:
+            raise ParseError(f"{self.path}: key {key!r} needs {m} numbers")
+        return np.asarray(vals)
+
+    def numbers(self, key):
+        """The number on each line of a repeated key, in order."""
+        return [self._number(key, raw) for raw in self.getall(key)]
+
+    def rows(self, key):
+        """The numbers on each line of a repeated key, in order."""
+        return [self._parse(key, raw) for raw in self.getall(key)]
+
+    def given(self, **accessors):
+        """The keys this file sets, each read by its named accessor, as the
+        keywords of a library call whose own defaults cover the rest."""
+        keys = set(self.keys())
+        return {key: getattr(self, acc)(key) for key, acc in accessors.items() if key in keys}
+
+    def refuse_unread(self):
+        """ParseError naming every key no reader asked for."""
+        unread = [k for k in dict.fromkeys(self.keys()) if k not in self.read_keys]
+        if unread:
+            raise ParseError(f"{self.path}: no reader asks for {', '.join(map(repr, unread))}")
 
 
 def parse_kv_file(path):
@@ -91,148 +167,91 @@ def parse_kv_file(path):
     return KVFile(path, pairs)
 
 
-def _floats(text, path, key):
-    """The one number parser: comma or space separated floats, else ParseError."""
-    try:
-        return [float(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"{path}: key {key!r} is not a list of numbers: {text!r}")
-
-
-def _number(text, path, key):
-    """Exactly one number, read by `_floats`."""
-    vals = _floats(text, path, key)
-    if len(vals) != 1:
-        raise ParseError(f"{path}: key {key!r} is not a number: {text!r}")
-    return vals[0]
-
-
-def _integer(val, path, key):
-    """A number read for an integer key, as an int; ParseError if it is not one."""
-    if not float(val).is_integer():
-        raise ParseError(f"{path}: key {key!r} is not an integer: {val!r}")
-    return int(val)
-
-
 def load_model(path):
     """Model file: keys n, m and A_1..A_m as row-major re,im pairs."""
     kv = parse_kv_file(path)
-    try:
-        n = int(kv.require("n"))
-        m = int(kv.require("m"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: n and m must be integers ({exc})")
+    n, m = kv.count("n"), kv.count("m")
     mats = np.empty((m, n, n), complex)
     for k in range(m):
-        flat = _floats(kv.require(f"A_{k + 1}"), path, f"A_{k + 1}")
+        flat = kv.floats(f"A_{k + 1}")
         if len(flat) != 2 * n * n:
             raise ParseError(
                 f"{path}: A_{k + 1} needs {n * n} re,im pairs, got {len(flat) / 2:g}"
             )
         arr = np.asarray(flat).reshape(n * n, 2)
         mats[k] = (arr[:, 0] + 1j * arr[:, 1]).reshape(n, n)
+    kv.refuse_unread()
     try:
         return QuadraticModel(mats)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}")
 
 
+_BODY_ROWS = {"polytope": ("vertex", polytope_body), "cone": ("generator", cone_body)}
+
+
 def load_body(path):
     """Body file: kind plus its parameters (interval, box, segment,
     polytope with vertex= lines, cone with generator= lines)."""
     kv = parse_kv_file(path)
-    kind = kv.require("kind")
+    kind = kv.text("kind")
     try:
         if kind == "interval":
-            return interval_body(_number(kv.require("lo"), path, "lo"),
-                                 _number(kv.require("hi"), path, "hi"))
-        if kind == "box":
-            lo = _floats(kv.require("lo"), path, "lo")
-            hi = _floats(kv.require("hi"), path, "hi")
-            return box_body(lo, hi)
-        if kind == "segment":
-            return segment_body(
-                _floats(kv.require("a"), path, "a"), _floats(kv.require("b"), path, "b")
-            )
-        if kind == "polytope":
-            rows = [_floats(v, path, "vertex") for v in kv.getall("vertex")]
+            body = interval_body(kv.flt("lo"), kv.flt("hi"))
+        elif kind == "box":
+            body = box_body(kv.floats("lo"), kv.floats("hi"))
+        elif kind == "segment":
+            body = segment_body(kv.floats("a"), kv.floats("b"))
+        elif kind in _BODY_ROWS:
+            key, build = _BODY_ROWS[kind]
+            rows = kv.rows(key)
             if not rows:
-                raise ParseError(f"{path}: polytope needs vertex= lines")
-            return polytope_body(np.asarray(rows))
-        if kind == "cone":
-            rows = [_floats(v, path, "generator") for v in kv.getall("generator")]
-            if not rows:
-                raise ParseError(f"{path}: cone needs generator= lines")
-            return cone_body(np.asarray(rows))
+                raise ParseError(f"{path}: {kind} needs {key}= lines")
+            body = build(np.asarray(rows))
+        else:
+            raise ParseError(f"{path}: unknown body kind {kind!r}")
     except ValueError as exc:  # a constructor's refusal, such as an empty interval
         raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: unknown body kind {kind!r}")
+    kv.refuse_unread()
+    return body
 
 
 def load_profile(path, body):
     """Profile file: a shaped density on the body (shape=bump for now).
 
-    The density lives on the body's box, so a body that is not a polytope
-    is a ParseError naming the profile and the body's kind.
+    nodes and steepness default to `bump_profile`'s own.  The density lives
+    on the body's box, so a body that is not a polytope is a ParseError
+    naming the profile and the body's kind.
     """
     kv = parse_kv_file(path)
     shape = kv.get("shape", "bump")
-    nodes = _integer(_number(kv.get("nodes", "96"), path, "nodes"), path, "nodes")
-    steep = _number(kv.get("steepness", "4.0"), path, "steepness")
-    scale = _number(kv.get("scale", "1.0"), path, "scale")
+    bump_kw = kv.given(nodes="count", steepness="flt")
+    scale = kv.flt("scale", 1.0)
     if shape != "bump":
         raise ParseError(f"{path}: unknown profile shape {shape!r}")
+    kv.refuse_unread()
     if body.kind != "polytope":
         raise ParseError(f"{path}: a profile needs a polytope body, not a {body.kind}")
-    bump = bump_profile(body, nodes=nodes, steepness=steep)
+    bump = bump_profile(body, **bump_kw)
     return replace(bump, values=scale * bump.values, psi=lambda lams: scale * bump.psi(lams))
 
 
-class Scenario:
-    """One parsed scenario: raw keys plus typed, path-resolving accessors."""
+class Scenario(KVFile):
+    """One parsed scenario: a KVFile whose file references resolve against
+    the scenario's directory."""
 
     def __init__(self, path):
-        self.path = path
-        self.kv = parse_kv_file(path)
+        super().__init__(path, parse_kv_file(path).pairs)
         self.dir = os.path.dirname(os.path.abspath(path))
-        self.name = self.kv.get("name", os.path.splitext(os.path.basename(path))[0])
-        for key in self.kv.keys():
-            if key.startswith("tol"):
-                if self.flt(key) <= 0.0:
-                    raise ParseError(f"{path}: tolerance {key} must be positive")
-
-    def get(self, key, default=None):
-        return self.kv.get(key, default)
-
-    def flt(self, key, default=None):
-        val = self.kv.get(key)
-        if val is None:
-            if default is None:
-                raise ParseError(f"{self.path}: missing required key {key!r}")
-            return float(default)
-        return _number(val, self.path, key)
-
-    def integer(self, key, default=None):
-        return _integer(self.flt(key, default), self.path, key)
-
-    def vec(self, key, m, default=None):
-        """The key's m numbers as an array; one number stands for all m."""
-        raw = self.kv.get(key, default)
-        if raw is None:
-            raise ParseError(f"{self.path}: missing required key {key!r}")
-        vals = _floats(raw, self.path, key)
-        if len(vals) == 1:
-            vals = vals * m
-        if len(vals) != m:
-            raise ParseError(f"{self.path}: key {key!r} needs {m} numbers")
-        return np.asarray(vals)
-
-    def numbers(self, key):
-        """The number on each line of a repeated key, in order."""
-        return [_number(raw, self.path, key) for raw in self.kv.getall(key)]
+        for key in self.keys():
+            if key.startswith("tol") and self.flt(key) <= 0.0:
+                raise ParseError(f"{path}: tolerance {key} must be positive")
+        # a tolerance counts as read where a check reads it, not here
+        self.read_keys.clear()
+        self.name = self.get("name", os.path.splitext(os.path.basename(path))[0])
 
     def resolve(self, key):
-        rel = self.kv.require(key)
+        rel = self.text(key)
         path = rel if os.path.isabs(rel) else os.path.join(self.dir, rel)
         if not os.path.isfile(path):
             raise MissingReferenceError(f"{self.path}: {key} -> no such file: {path}")
@@ -253,6 +272,7 @@ def load_scenarios(path):
     kv = parse_kv_file(path)
     refs = kv.getall("scenario")
     if refs:
+        kv.refuse_unread()
         base = os.path.dirname(os.path.abspath(path))
         out = []
         for rel in refs:

@@ -420,10 +420,13 @@ def cone_inequality_constant(body, directions=181):
     directions filtered to the polar cone (every generator pairs
     nonnegatively); `directions` sets the size of both scans.  The returned
     value is the infimum over the scan, an upper bound for the sharp
-    constant that converges as the grids refine.
+    constant that converges as the grids refine.  The sphere grid of h is
+    built for m <= 3, so a cone in more dimensions is a ValueError.
     """
     if body.kind != "cone":
         raise ValueError("the cone inequality is about cone bodies")
+    if body.m > 3:
+        raise ValueError(f"the direction scan covers m <= 3, not m = {body.m}")
     lam_dirs = _body_directions(body, directions)
     if lam_dirs.shape[0] == 0:
         raise ValueError("cannot scan the trivial cone")

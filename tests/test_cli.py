@@ -63,17 +63,23 @@ def test_reruns_are_byte_identical(tmp_path):
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-@pytest.mark.parametrize("sub, name", [("extend", "extend_heis1"), ("split", "split_flat12"),
-                                       ("split", "split_pair22"),
-                                       ("convex", "convex_quadrant")])
+# every shipped scenario file but plancherel_deg21, the slow one (16 s); the
+# subcommand is the name's first word, and the empty index runs as spectral
+SHIPPED = [("spectral" if path.stem == "empty" else path.stem.split("_")[0], path.stem)
+           for path in sorted(SCENARIOS.glob("*.scenario")) if path.stem != "plancherel_deg21"]
+
+
+@pytest.mark.parametrize("sub, name", SHIPPED)
 def test_shipped_scenarios_pass_and_rerun_byte_identical(tmp_path, sub, name):
+    path = SCENARIOS / f"{name}.scenario"
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert main([sub, "--scenario", str(SCENARIOS / f"{name}.scenario"),
-                     "--out", str(out)]) == EXIT_OK
-    files = sorted(path.name for path in a.iterdir())
-    assert files == [f"{name}_{sub}.csv", f"{name}_{sub}_summary.json"]
-    assert files == sorted(path.name for path in b.iterdir())
+        assert main([sub, "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    # an empty index writes nothing, not even its directory
+    files = sorted(p.name for p in a.iterdir()) if a.exists() else []
+    assert files == sorted(f"{scn.name}_{sub}{tail}" for scn in load_scenarios(str(path))
+                           for tail in (".csv", "_summary.json"))
+    assert files == (sorted(p.name for p in b.iterdir()) if b.exists() else [])
     for fname in files:
         assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
@@ -222,6 +228,26 @@ def test_seed_flag_overrides_scenario_seed(tmp_path):
     assert "# seed = 99" in (out / "demo_spectral.csv").read_text()
 
 
+def test_a_flag_reads_any_case(tmp_path):
+    # control = True once skipped the control check without a word
+    tree = tmp_path / "scenarios"
+    shutil.copytree(SCENARIOS, tree)
+    scn = tree / "crcheck_heis1.scenario"
+    scn.write_text(scn.read_text().replace("\ncontrol = 1", "\ncontrol = True"))
+    assert main(["crcheck", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "crcheck_heis1_crcheck_summary.json").read_text())
+    assert "control_not_cr" in [c["name"] for c in summary["checks"]]
+
+
+def test_flags_do_not_hide_the_seed_and_out_keys(tmp_path):
+    # --seed and --out override the file's keys, which are still read and checked
+    scn = _write_spectral(tmp_path, "out = elsewhere\n")
+    argv = ["spectral", "--scenario", str(scn), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    scn.write_text(scn.read_text().replace("seed = 4", "seed = 4.5"))
+    assert main(argv) == EXIT_PARSE
+
+
 def test_parse_error_exit_code(tmp_path):
     scn = tmp_path / "bad.scenario"
     scn.write_text("this line has no equals sign\n")
@@ -291,6 +317,17 @@ REFUSED_VALUES = {
                             "order = 3\nlam_nodes = 8", "lam_nodes, xbox: route A with 8"),
     "split a cone": ("split", "split_flat12", "split_flat12.scenario", "bodies/seg.body",
                      "bodies/halfline.body", "body: splitting needs a polytope"),
+    # a count below its least value names its own key, not the handler's
+    "negative degree": ("plancherel", "plancherel_heis1", "plancherel_heis1.scenario",
+                        "degree = 12", "degree = -1", "key 'degree' must be at least 0, got -1"),
+    "no points": ("extend", "extend_heis1", "extend_heis1.scenario", "points = 200",
+                  "points = 0", "key 'points' must be at least 1, got 0"),
+    "control spelled badly": ("crcheck", "crcheck_heis1", "crcheck_heis1.scenario",
+                              "\ncontrol = 1", "\ncontrol = on",
+                              "key 'control' is not true/false, yes/no or 1/0: 'on'"),
+    "misspelled tolerance": ("crcheck", "crcheck_heis1", "crcheck_heis1.scenario",
+                             "tol_mass = 1e-4", "tol_mas = 1e-4",
+                             "no reader asks for 'tol_mas'"),
 }
 
 
@@ -305,6 +342,16 @@ def test_a_value_the_library_refuses_is_a_parse_error(tmp_path, capsys, case):
     scn = tree / f"{name}.scenario"
     assert main([sub, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
     assert f"{tree / edited}: {said}" in capsys.readouterr().err
+
+
+def test_a_cone_the_constant_scan_cannot_cover_is_a_parse_error(tmp_path, capsys):
+    tree = tmp_path / "scenarios"
+    shutil.copytree(SCENARIOS, tree)
+    (tree / "bodies" / "quadrant.body").write_text(
+        "kind = cone\n" + "".join(f"generator = {' '.join(map(str, r))}\n" for r in np.eye(4)))
+    scn = tree / "convex_quadrant.scenario"
+    assert main(["convex", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert f"{scn}: cone: the direction scan covers m <= 3, not m = 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", ["windows", "extend", "crcheck"])

@@ -32,7 +32,7 @@ def test_kv_duplicate_scalar_key_rejected(tmp_path):
     p = tmp_path / "a.conf"
     p.write_text("k = 1\nk = 2\n")
     kv = cio.parse_kv_file(str(p))
-    with pytest.raises(ParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="key 'k' given 2 times"):
         kv.get("k")
     assert kv.getall("k") == ["1", "2"]
 
@@ -43,6 +43,60 @@ def test_model_round_trip(tmp_path):
     model = cio.load_model(str(p))
     want = np.array([[1.0, -0.5j], [0.5j, 2.0]])
     assert np.allclose(model.A[0], want)
+
+
+def test_model_reads_integers_as_numbers(tmp_path):
+    # n and m go through the one number reader, like every other count
+    p = tmp_path / "m.model"
+    p.write_text("n = 1.0\nm = 1e0\nA_1 = 1,0\n")
+    assert cio.load_model(str(p)).A.shape == (1, 1, 1)
+    p.write_text("n = 1.5\nm = 1\nA_1 = 1,0\n")
+    with pytest.raises(ParseError, match="key 'n' is not an integer"):
+        cio.load_model(str(p))
+
+
+@pytest.mark.parametrize(
+    "name,text,extra",
+    [
+        ("m.model", "n = 1\nm = 1\nA_1 = 1,0\nA_2 = 2,0\n", "A_2"),
+        ("b.body", "kind = interval\nlo = 1\nhi = 2\nvertex = 3\n", "vertex"),
+        ("p.profile", "shape = bump\nnodes = 8\nsteepnes = 2\n", "steepnes"),
+    ],
+)
+def test_loaders_refuse_keys_no_reader_asks_for(tmp_path, name, text, extra):
+    (tmp_path / "k.body").write_text("kind = interval\nlo = 1\nhi = 2\n")
+    p = tmp_path / name
+    p.write_text(text)
+    load = {
+        "m.model": cio.load_model,
+        "b.body": cio.load_body,
+        "p.profile": lambda path: cio.load_profile(path, cio.load_body(str(tmp_path / "k.body"))),
+    }[name]
+    with pytest.raises(ParseError, match=f"{name}: no reader asks for '{extra}'"):
+        load(str(p))
+
+
+def test_kv_accessors(tmp_path):
+    p = tmp_path / "a.conf"
+    p.write_text("a = TRUE\nb = no\nc = 1\nd = True!\nx = 2.5\nn = 0\nv = 1, 2\n"
+                 "row = 1 2\nrow = 3\n")
+    kv = cio.parse_kv_file(str(p))
+    assert [kv.flag(k) for k in "abc"] == [True, False, True]
+    assert kv.flag("missing") is False
+    with pytest.raises(ParseError, match="key 'd' is not true/false, yes/no or 1/0"):
+        kv.flag("d")
+    assert kv.integer("n") == 0 and kv.integer("gone", 7) == 7
+    with pytest.raises(ParseError, match="key 'n' must be at least 1, got 0"):
+        kv.count("n")
+    assert kv.vec("v", 2).tolist() == [1.0, 2.0] and kv.vec("x", 3).tolist() == [2.5] * 3
+    assert kv.rows("row") == [[1.0, 2.0], [3.0]] and kv.numbers("x") == [2.5]
+    # given reads only what the file sets, so a library call keeps its own defaults
+    assert kv.given(x="flt", n="integer", absent="flt") == {"x": 2.5, "n": 0}
+    kv.refuse_unread()
+    fresh = cio.parse_kv_file(str(p))
+    fresh.given(x="flt", absent="flt")
+    with pytest.raises(ParseError, match="no reader asks for 'a', 'b', 'c', 'd', 'n', 'v', 'row'"):
+        fresh.refuse_unread()
 
 
 def test_model_wrong_entry_count(tmp_path):
@@ -132,6 +186,9 @@ def test_scenario_name_and_tolerance_validation(tmp_path):
     q.write_text("tol_y = -1\n")
     with pytest.raises(ParseError, match="tol_y"):
         cio.Scenario(str(q))
+    # the positivity check reads every tolerance; only a check's read counts
+    with pytest.raises(ParseError, match="no reader asks for 'tol_x'"):
+        scn.refuse_unread()
 
 
 def test_scenario_missing_reference(tmp_path):
@@ -156,6 +213,10 @@ def test_scenario_index_and_empty_list(tmp_path):
     broken.write_text("scenario = ghost.scenario\n")
     with pytest.raises(MissingReferenceError):
         cio.load_scenarios(str(broken))
+    # an index holds scenario= lines and nothing else
+    idx.write_text("scenario = a.scenario\nseed = 3\n")
+    with pytest.raises(ParseError, match="no reader asks for 'seed'"):
+        cio.load_scenarios(str(idx))
 
 
 def test_csv_formatting_is_full_precision(tmp_path):

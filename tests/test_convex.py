@@ -260,6 +260,12 @@ def test_cone_constant_quadrant():
     assert 0.99 <= c <= 1.05
 
 
+def test_cone_constant_refuses_m_above_three():
+    # the h scan is a circle or a latitude-longitude sphere, nothing in m = 4
+    with pytest.raises(ValueError, match="covers m <= 3, not m = 4"):
+        cone_inequality_constant(cone_body(np.eye(4).tolist()))
+
+
 def _cone_constant_direction_by_direction(body, count):
     """The scan of `cone_inequality_constant` with one `boundary_distance`
     call, and so one polar cone, per lam direction."""
