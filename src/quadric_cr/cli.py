@@ -403,6 +403,17 @@ _HANDLERS = {
 }
 
 
+def _seed(text):
+    """--seed's value: an integer of at least 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="quadric-cr",
@@ -411,7 +422,7 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_HANDLERS))
     parser.add_argument("--scenario", required=True, help="scenario file or index of scenario= lines")
     parser.add_argument("--out", default=None, help="output directory (default: alongside the scenario)")
-    parser.add_argument("--seed", type=int, default=None, help="overrides the scenario seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="overrides the scenario seed")
     args = parser.parse_args(argv)
 
     try:

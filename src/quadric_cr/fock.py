@@ -32,10 +32,12 @@ Im axis reversed), so mu_k < 0 reads the factor with Im negated, and takes
 the sign (-1)^(a-b) when w is negated (Cahill & Glauber; Folland, Harmonic
 Analysis in Phase Space (1989), ch. 1).  The rules are symmetric, so W is
 built only on the quadrant {Re > 0, Im > 0} of the first mode's nodes, times
-all N^2 nodes of each other mode, P/4 of the P = N^(2K) points, and kept as
-four real arrays: Re W and Im W, each split by sigma = (-1)^(|alpha| - |beta|).
-Each layer folds fhat onto the quadrant through its mirrored views and
-contracts it in four real GEMMs.
+all N^2 nodes of each other mode, P/4 of the P = N^(2K) points, as real arrays
+Re W and Im W; fhat is folded onto the quadrant through its mirrored views
+into four parts, one for each of Re W and Im W and sigma = (-1)^(|alpha| -
+|beta|).  The shared clip table is kept split by sigma; the owned tables, of
+the unclipped and the multi-mode layers, are built together, one
+`_mode_blocks` call a mode for all of a batch's owned layers.
 
 One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
 takes a frame's layers (the same eigenvectors and radical) and source
@@ -44,11 +46,16 @@ batches that fit `BATCH_STATE_BYTES`, and takes each batch's fhat on the
 source grid a radical chunk at a time through one `central_transform` for
 all its frequencies: a spectral form in closed form on the central box, any
 other f sampled on the grid's central rule (fnodes matters only there).
-Each layer interpolates that fhat onto its own clipped Gauss-Legendre nodes
-(tensor-product barycentric Lagrange, only on modes whose half-width differs
-from the source's) before the one layer contraction; it builds no grid.
-`pi_of_f_batch` is a frame of one layer whose source half-widths are its
-own, so nothing is interpolated.  `plancherel_residual` passes ebox on
+A batch (`_Batch`) holds its layers' state stacked on a leading layer axis,
+so a chunk costs the same numpy calls however many layers it holds: one
+batched interpolation of the clipped layers onto their own clipped
+Gauss-Legendre nodes (tensor-product barycentric Lagrange, only on modes
+whose half-width differs from the source's), one fold, one GEMM per part of
+the shared clip table for all its one-mode clipped layers, one batched
+matmul per part for the owned tables, and one contraction for the masses
+and tails; no layer builds a grid.  `pi_of_f_batch` is a frame of one layer
+whose source half-widths are its own, so nothing is interpolated, and it
+runs the same code as a batch of one.  `plancherel_residual` passes ebox on
 every mode, so f is sampled once per batch rather than once per layer, and
 reads the lhs ||f||^2 of a sampled f off the first batch's samples: its
 rule is the first frame's unclipped grid, the box turned by the frame's
@@ -105,17 +112,18 @@ PHI_CUT = 40.0
 
 # Bytes one Plancherel batch holds across its radical chunks (see
 # `_run_layers`): each layer's kept state and one radical chunk, its source
-# points and the batch's fhat on them, which is as large as the kept state
-# leaves room for.  A larger budget means fewer batches, so f is sampled
-# fewer times, and larger chunks, at the cost of resident memory.  At the
-# criterion-01 degenerate size a layer keeps 5.0 MB, so this holds six of
-# its 41 layers with 16 radical points a chunk, and f is sampled 7 times, not
-# 41; on a 2-core Xeon, one BLAS thread, that run took 18.0 s (median of 3)
-# at this budget and 29.7 s (one run), in 14 batches, at 16 MiB.  The
-# plancherel-deg21 benchmark fits its 21 layers in one batch with 18 radical
-# points a chunk: peak RSS 67.7 MB and run_s 0.92 s (medians of 10 runs on a
-# 2-core box); at 16 MiB it takes 2 batches and its pass read 1.35 s against
-# 1.01 s (medians of 8 passes, fresh processes).
+# points, the batch's fhat on them and the stacked buffer it is folded into,
+# which are as large as the kept state leaves room for.  A larger budget
+# means fewer batches, so f is sampled fewer times, and larger chunks, at the
+# cost of resident memory.  At the criterion-01 degenerate size a layer keeps
+# 5.0 MB, so this holds six of its 41 layers with 9 radical points a chunk
+# (27 in the last batch of five), and f is sampled 7 times, not 41; on a
+# 2-core Xeon, one BLAS thread, that run took 16.0 s and peaked at 61.9 MB
+# RSS (medians of 3 fresh processes; 15.3 s and 65.5 MB when the chunk
+# counted fhat alone, 16 radical points).  The plancherel-deg21 benchmark
+# fits its 21 layers in one batch with 9 radical points a chunk: peak RSS
+# 59.6 MB and run_s 0.861 s, against 61.3 MB and 0.851 s with 18 when fhat
+# alone was counted (medians of 6 alternating pairs, BENCH_29.json).
 BATCH_STATE_BYTES = 32 * 2**20
 
 # How far a layer's Plancherel certificate may pass 1 before it is reported
@@ -129,9 +137,12 @@ BATCH_STATE_BYTES = 32 * 2**20
 # failure.
 CAPTURED_TOL = 1e-6
 
-# `_clip_factor`'s entries by (enodes, degree, kdim, mode), at most four: each
-# the four read-only arrays of `_mode_factor` at mu = PHI_CUT / 2, read by
-# both signs of mu.  An unclipped mode's factor depends on lam and is not kept
+# `_clip_factor`'s entries by (enodes, degree), at most four: each the four
+# read-only (n, N_0) sigma parts of a one-mode `_mode_factor` at mu =
+# PHI_CUT / 2, read by both signs of mu, 1.08 MB at the degenerate
+# criterion's degree 12 on 40 nodes.  An unclipped mode's factor depends on
+# lam and is not kept, nor is a multi-mode layer's, which its batch builds
+# with its owned tables
 _CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
@@ -188,11 +199,14 @@ def eval_basis(fb, w):
 
 
 def _mode_blocks(mu, wz, degree):
-    """Single-mode shift matrices for shifts wz (P,), shape (P, D+1, D+1).
+    """Single-mode shift matrices for shifts wz, as their real and imaginary
+    planes: shape (2, D+1, D+1) + wz.shape.
 
     Entry [a, b] is <pi(z) e_b, e_a> for the one-variable normalized
-    monomials, a displacement-operator matrix element.  With
-    beta = conj(sqrt(2 mu) wz) and s = |beta|^2 it is
+    monomials, a displacement-operator matrix element.  mu is the mode's
+    eigenvalue, one number or one per point (broadcast against wz), so one
+    call serves the points of many layers.  With beta = conj(sqrt(2 mu) wz)
+    and s = |beta|^2 it is
 
         a >= b:  sqrt(b!/a!) beta^(a-b) L_b^(a-b)(s) exp(-s/2),
         a <  b:  the same with (a, b) swapped and beta -> -conj(beta).
@@ -200,34 +214,54 @@ def _mode_blocks(mu, wz, degree):
     For each k = a - b the normalized Laguerre values
     g_b = sqrt(b! k!/(b+k)!) L_b^k(s) follow the three-term recurrence in b,
     and c_k = beta^k exp(-s/2)/sqrt(k!) is a running product; exp(-s/2) is
-    split evenly between g and c so neither overflows at large shifts.
+    split evenly between g and c so neither overflows at large shifts.  The
+    points sit on the last axes, so each step of the recurrence is one
+    operation over all of them, and g is real, so each plane is written on
+    its own and no complex table is formed.
     """
-    beta = np.conj(math.sqrt(2.0 * mu) * np.asarray(wz, complex))
+    beta = np.conj(np.sqrt(2.0 * np.asarray(mu, float)) * np.asarray(wz, complex))
     s = np.abs(beta) ** 2
     half = np.exp(-0.25 * s)
-    k = np.arange(degree + 1)
-    steps = np.concatenate([half[:, None], beta[:, None] / np.sqrt(k[1:])], axis=1)
-    c = np.cumprod(steps, axis=1)  # beta^k exp(-s/4) / sqrt(k!)
-    c_up = (-1.0) ** k * np.conj(c)  # the same for -conj(beta)
-    out = np.empty((beta.size, degree + 1, degree + 1), complex)
-    g_prev = np.zeros((beta.size, degree + 1))
-    g = np.repeat(half[:, None], degree + 1, axis=1)  # g_0 exp(-s/4)
+    k = np.arange(degree + 1).reshape((-1,) + (1,) * beta.ndim)
+    c = np.concatenate([half[None], beta[None] / np.sqrt(k[1:])], axis=0)
+    np.cumprod(c, axis=0, out=c)  # beta^k exp(-s/4) / sqrt(k!)
+    sign = (-1.0) ** k
+    # Re and Im of c, then of the same for -conj(beta), (-1)^k conj(c)
+    low, up = (c.real, c.imag), (sign * c.real, -sign * c.imag)
+    out = np.empty((2, degree + 1, degree + 1) + beta.shape)
+    g_prev = np.zeros((degree + 1,) + beta.shape)
+    g = np.repeat(half[None], degree + 1, axis=0)  # g_0 exp(-s/4)
     for b in range(degree + 1):
         n = degree + 1 - b
-        out[:, b:, b] = c[:, :n] * g[:, :n]  # a = b + k
-        out[:, b, b + 1 :] = c_up[:, 1:n] * g[:, 1:n]  # the mirrored a < b entries
+        for plane, lo, hi in zip(out, low, up):
+            np.multiply(lo[:n], g[:n], out=plane[b:, b])  # a = b + k
+            np.multiply(hi[1:n], g[1:n], out=plane[b, b + 1 :])  # the mirrored a < b entries
         kk = k[: n - 1]
-        g_next = ((2 * b + 1 + kk - s[:, None]) * g[:, : n - 1]
-                  - np.sqrt(b * (b + kk)) * g_prev[:, : n - 1]) / np.sqrt((b + 1) * (b + 1 + kk))
-        g_prev, g = g[:, : n - 1], g_next
+        g_next = (2 * b + 1 + kk) - s
+        g_next *= g[: n - 1]
+        g_next -= np.sqrt(b * (b + kk)) * g_prev[: n - 1]
+        g_next /= np.sqrt((b + 1) * (b + 1 + kk))
+        g_prev, g = g[: n - 1], g_next
     return out
 
 
 def _gathered(fb, k, blocks):
-    """Mode k's blocks (N, D+1, D+1) gathered onto the basis pairs, shape (N, B*B):
-    pair [alpha, beta] reads entry [alpha_k, beta_k]."""
+    """Mode k's blocks (2, D+1, D+1, ...) gathered onto the basis pairs, shape
+    (2, B*B, ...): pair [alpha, beta] reads entry [alpha_k, beta_k].  A one-mode
+    basis is the mode's monomials in order, so its blocks are the table as they
+    stand."""
+    shape = (2, fb.size**2) + blocks.shape[3:]
+    if fb.sd.kdim == 1:
+        return blocks.reshape(shape)
     al = fb.alphas[:, k]
-    return blocks[:, al[:, None], al[None, :]].reshape(blocks.shape[0], -1)
+    return blocks[:, al[:, None], al[None, :]].reshape(shape)
+
+
+def _complex(planes):
+    """The complex array of a (2, ...) pair of real and imaginary planes."""
+    out = np.empty(planes.shape[1:], complex)
+    out.real, out.imag = planes
+    return out
 
 
 def _shift_matrices(fb, wz):
@@ -236,13 +270,13 @@ def _shift_matrices(fb, wz):
     The kernel factorizes across modes, so the full matrix is the entrywise
     product of the per-mode blocks, each gathered onto the degree-truncated
     index set.  `rep_apply` calls it for one point; the layer runner builds
-    its shifts per mode instead (`_weighted_shifts`).
+    its shifts per mode instead (`_Batch.tables`).
     """
     mu = np.abs(fb.sd.eigenvalues)
-    out = np.ones((wz.shape[0], fb.size**2), complex)
+    out = np.ones((fb.size**2, wz.shape[0]), complex)
     for k in range(fb.sd.kdim):
-        out *= _gathered(fb, k, _mode_blocks(mu[k], wz[:, k], fb.degree))
-    return out.reshape(-1, fb.size, fb.size)
+        out *= _complex(_gathered(fb, k, _mode_blocks(mu[k], wz[:, k], fb.degree)))
+    return out.T.reshape(-1, fb.size, fb.size)
 
 
 def _tau_dot(tau, r):
@@ -298,11 +332,19 @@ def _tau_phases(taus, rn, rw):
 
 
 @functools.lru_cache(maxsize=16)
+def _alphas(kdim, degree):
+    """`multi_indices`, read-only: the one basis that every layer of a batch reads."""
+    alphas = multi_indices(kdim, degree)
+    alphas.flags.writeable = False
+    return alphas
+
+
+@functools.lru_cache(maxsize=16)
 def _sigma_columns(kdim, degree):
     """The flat basis pairs [alpha, beta] whose sign sigma = (-1)^(|alpha| - |beta|)
     is +1 (the shift-matrix entries that negating every w keeps), those where it
     is -1, and the order that takes pairs so split back to the basis's, read-only."""
-    deg = multi_indices(kdim, degree).sum(axis=1)
+    deg = _alphas(kdim, degree).sum(axis=1)
     odd = ((deg[:, None] + deg[None, :]) % 2).reshape(-1) == 1
     plus, minus = np.flatnonzero(~odd), np.flatnonzero(odd)
     cols = plus, minus, np.argsort(np.concatenate((plus, minus)))
@@ -311,11 +353,12 @@ def _sigma_columns(kdim, degree):
     return cols
 
 
-def _split(fb, table):
-    """Re and Im of a complex (Q, B*B) table, each split into its sigma = +1 and
-    -1 columns (`_sigma_columns`): four read-only real arrays (Re+, Re-, Im+, Im-)."""
-    cols = _sigma_columns(fb.sd.kdim, fb.degree)[:2]
-    parts = tuple(part[:, c] for part in (table.real, table.imag) for c in cols)
+def _split(fb, planes):
+    """The real and imaginary planes (2, B*B, ...) of a table, each split into its
+    sigma = +1 and -1 rows (`_sigma_columns`): four read-only real arrays (Re+,
+    Re-, Im+, Im-)."""
+    rows = _sigma_columns(fb.sd.kdim, fb.degree)[:2]
+    parts = tuple(plane[r] for plane in planes for r in rows)
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -336,26 +379,29 @@ def _quadrant(rule):
 
 def _mode_factor(fb, k, mu, enodes):
     """Mode k's weighted shift factor over s_k^2 at its scaled eigenvalue
-    mu = |mu_k| s_k^2, as `_split`'s four read-only real arrays; where mu_k < 0
-    the factor is the conjugate, read with Im negated.  The mode's rule is the
-    reference rule times s_k and sqrt(2|mu_k|) s_k = sqrt(2 mu), so this is the
-    blocks of mu on the reference complex nodes (the first mode's on their
-    quadrant, `_quadrant`), gathered onto the basis, times the reference weights."""
+    mu = |mu_k| s_k^2, as real and imaginary planes (2, B*B, N_k), or
+    (2, B*B, L, N_k) for mu (L,) of L layers at once; where mu_k < 0 the factor
+    is the conjugate.  The mode's
+    rule is the reference rule times s_k and sqrt(2|mu_k|) s_k = sqrt(2 mu), so
+    this is the blocks of mu on the reference complex nodes (the first mode's
+    on their N_0 = ceil(N/2)^2 quadrant nodes, `_quadrant`), gathered onto the
+    basis, times the reference weights."""
     rule = _reference_rule(enodes)
     nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
-    table = _gathered(fb, k, _mode_blocks(mu, nodes, fb.degree))
-    table *= w[:, None]
-    return _split(fb, table)
+    table = _gathered(fb, k, _mode_blocks(np.asarray(mu)[..., None], nodes, fb.degree))
+    table *= w
+    return table
 
 
-def _clip_factor(fb, k, enodes):
-    """`_mode_factor` of clipped mode k: its mu is PHI_CUT / 2 whatever the layer,
-    so it is kept in `_CLIP_TABLES` (at most four, the oldest dropped first)
-    unless larger than `BATCH_STATE_BYTES`."""
-    key = (enodes, fb.degree, fb.sd.kdim, k)
+def _clip_factor(fb, enodes):
+    """`_split`'s four (B*B, N_0) parts of a clipped one-mode layer's `_mode_factor`:
+    its mu is PHI_CUT / 2 whatever the layer, so it is kept in `_CLIP_TABLES`
+    (at most four, the oldest dropped first) unless larger than
+    `BATCH_STATE_BYTES`, and every such layer of either sign reads it."""
+    key = (enodes, fb.degree)
     parts = _CLIP_TABLES.get(key)
     if parts is None:
-        parts = _mode_factor(fb, k, 0.5 * PHI_CUT, enodes)
+        parts = _split(fb, _mode_factor(fb, 0, 0.5 * PHI_CUT, enodes))
         if sum(part.nbytes for part in parts) <= BATCH_STATE_BYTES:
             if len(_CLIP_TABLES) == 4:
                 del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
@@ -363,67 +409,35 @@ def _clip_factor(fb, k, enodes):
     return parts
 
 
-def _joined(fb, parts, im_sign):
-    """The complex (Q, B*B) table of `_split`'s four parts, its Im times im_sign."""
-    out = np.empty((parts[0].shape[0], fb.size**2), complex)
-    for cols, re, im in zip(_sigma_columns(fb.sd.kdim, fb.degree)[:2], parts[:2], parts[2:]):
-        out.real[:, cols] = re
-        out.imag[:, cols] = im_sign * im
-    return out
-
-
-def _weighted_shifts(fb, halves, grid):
-    """A layer's weighted shift matrices on its first mode's quadrant, as (scale,
-    im_sign, parts): W = scale (Re + i im_sign Im) over `_split`'s four parts.
-
-    halves are its half-widths per mode.  Every mode reads its factor off
-    `_mode_factor` (a clipped mode, s_k < ebox, off its memo `_clip_factor`),
-    puts s_k^2 in the scale and its sign in im_sign; a one-mode layer's parts
-    are that factor itself.  The first mode's factor is on the ceil(N/2)^2
-    nodes of its quadrant, every other mode's on all N^2; the rest of the grid
-    is the quadrant's mirror images, which `_BatchLayer.add` folds onto it
-    (`_fold`).  The factors are multiplied out over the tensor grid, the last
-    mode fastest; a layer with no mode has the one-point rule, W = 1.
-    """
-    scale, out = 1.0, np.ones((1, fb.size**2), complex)
-    for k, (s, mu) in enumerate(zip(halves, fb.sd.eigenvalues)):
-        im_sign = 1.0 if mu > 0 else -1.0
-        scale *= s * s
-        parts = (_clip_factor(fb, k, grid.enodes) if s < grid.ebox
-                 else _mode_factor(fb, k, abs(mu) * s * s, grid.enodes))
-        if fb.sd.kdim == 1:
-            return scale, im_sign, parts
-        block = _joined(fb, parts, im_sign)
-        # the first block starts the product: multiplying it into ones would
-        # cost one more (N^2, B*B) temporary
-        out = block if k == 0 else (out[:, None, :] * block[None, :, :]).reshape(-1, fb.size**2)
-    return scale, 1.0, _split(fb, out)
-
-
 def _fold(fhat, kdim, num):
-    """fhat (P, X) on a layer's tensor grid of num nodes an axis, folded onto its
-    first mode's quadrant: the four parts (Q, X) that `_BatchLayer.add` meets
-    with Re W+, Re W-, Im W+ and Im W- (`_weighted_shifts`).
+    """fhat (L, P, X) of L layers on their tensor grids of num nodes an axis,
+    folded onto the first mode's quadrant: the four parts (Q, L*X), point by
+    point, that meet Re W+, Re W-, Im W+ and Im W- (`_Batch.tables`).
 
     With a, b, c and d the values at p, at conj p (every Im axis reversed), at
     -p and at -conj p (every Re axis reversed), W(conj p) = conj W(p) and
     W(-p) = sigma W(p), so the orbit of a quadrant point p contributes
     (a + b + sigma (c + d)) Re W + i (a - b + sigma (c - d)) Im W.  The
-    mirrors are reversed views of fhat.  A layer with no mode has one point,
-    its own orbit under the one-point rule: each part is fhat itself.
+    mirrors are reversed views of fhat, read layer by layer and written
+    point by point.  A layer with no mode has one point, its own orbit under
+    the one-point rule: each part is fhat itself.
     """
+    L, X = fhat.shape[0], fhat.shape[-1]
     if kdim == 0:
-        return (fhat,) * 4
-    v = fhat.reshape((num,) * (2 * kdim) + (-1,))
-    # each axis kept or reversed, the first mode's cut to the quadrant's half
+        return (fhat.reshape(1, L * X),) * 4
+    v = fhat.reshape((L,) + (num,) * (2 * kdim) + (X,))
+    # each axis kept or reversed, the first mode's cut to the quadrant's half,
+    # and the layer axis moved behind the point axes
     half = slice(num // 2, None), slice(num - num // 2 - 1, None, -1)
     whole = slice(None), slice(None, None, -1)
-    a, b, c, d = (v[(half[re], half[im]) + (whole[re], whole[im]) * (kdim - 1)]
-                  for re, im in ((0, 0), (0, 1), (1, 1), (1, 0)))
-    ac, bd, a_c, b_d = a + c, b + d, a - c, b - d
+    behind = tuple(range(1, 2 * kdim + 1)) + (0, 2 * kdim + 1)
+    a, b, c, d = (v[(slice(None), half[re], half[im]) + (whole[re], whole[im]) * (kdim - 1)]
+                  .transpose(behind) for re, im in ((0, 0), (0, 1), (1, 1), (1, 0)))
+    ac, bd = np.add(a, c, order="C"), np.add(b, d, order="C")
+    a_c, b_d = np.subtract(a, c, order="C"), np.subtract(b, d, order="C")
     # the two sums first, then the differences in place of what they read last
     parts = ac + bd, a_c + b_d, np.subtract(ac, bd, out=ac), np.subtract(a_c, b_d, out=a_c)
-    return tuple(part.reshape(-1, v.shape[-1]) for part in parts)
+    return tuple(part.reshape(-1, L * X) for part in parts)
 
 
 def _tail_warning(part, whole, text, *lam):
@@ -455,9 +469,9 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
     taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
-    [((layer,), warnings, _)] = _run_layers(f, [sd], fb.degree, grid,
-                                            _half_widths(sd, grid.ebox), taus)
-    return layer.share.reshape(-1, fb.size, fb.size), warnings
+    [(batch, warnings, _)] = _run_layers(f, [sd], fb.degree, grid, _half_widths(sd, grid.ebox),
+                                         taus)
+    return batch.share(0).reshape(-1, fb.size, fb.size), warnings
 
 
 def group_convolve(f, g, grid=None):
@@ -603,118 +617,246 @@ class PlancherelReport:
     warnings: tuple
 
 
-def _interp_matrix(src, dst):
-    """Barycentric Lagrange matrix from values at nodes src to nodes dst.
-
-    Shape (len(dst), len(src)).  A dst node equal to a src node gets the
-    exact unit row, so src -> src is exactly the identity.  The barycentric
-    weights are scaled by the interval length so their products stay in
-    range at any node count.
-    """
-    diff = (src[:, None] - src[None, :]) * (4.0 / (src[-1] - src[0]))
+@functools.lru_cache(maxsize=16)
+def _barycentric(num):
+    """The read-only barycentric weights of the num-node reference rule, scaled by
+    the interval length so their products stay in range at any node count."""
+    x = _reference_rule(num)[0]
+    diff = (x[:, None] - x[None, :]) * (4.0 / (x[-1] - x[0]))
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / np.prod(diff, axis=1)
-    gap = dst[:, None] - src[None, :]
+    bary.flags.writeable = False
+    return bary
+
+
+def _interp_matrix(src, dst):
+    """Barycentric Lagrange matrices from values at nodes src to nodes dst (..., M),
+    shape (..., M, len(src)).
+
+    src is a Gauss-Legendre rule (`gauss_legendre`), an affine image of its
+    node count's reference rule, so its barycentric weights are the
+    reference rule's (`_barycentric`) up to one factor, which the rows'
+    normalisation cancels.  A dst node equal to a src node gets the exact
+    unit row, so src -> src is exactly the identity.
+    """
+    gap = dst[..., :, None] - src
     hit = gap == 0.0
     gap[hit] = 1.0
-    mat = bary / gap
-    mat /= mat.sum(axis=1, keepdims=True)
-    rows = hit.any(axis=1)
+    mat = _barycentric(src.size) / gap
+    mat /= mat.sum(axis=-1, keepdims=True)
+    rows = hit.any(axis=-1)
     mat[rows] = hit[rows]
     return mat
 
 
-def _interpolate(fhat, mats):
-    """Apply mats[a] along leading real axis a of fhat (N^A, R); None is the identity."""
-    if all(m is None for m in mats):
-        return fhat
-    num = next(m for m in mats if m is not None).shape[0]
-    # the real and imaginary parts side by side, so every step is a real GEMM
-    # on a C-ordered view that leaves the axes in place
-    out = np.ascontiguousarray(fhat).view(float)
-    for ax, m in enumerate(mats):
-        if m is not None:
-            out = m @ out.reshape(num**ax, num, -1)
-    return out.reshape(fhat.shape[0], -1).view(complex)
+def _interpolate(fhat, mats, out):
+    """Write into out (L, P, X) the layers' fhat (L, P, X) moved from the source
+    grid onto their own: mats[l, k] (N, N) along both real axes of mode k of
+    layer l.
+
+    Each axis is one batched real matmul, Re and Im side by side, that leaves
+    the axes in place.  The steps write into one temporary and into out by
+    turns, the last (an odd step: there are 2K) into out, so out may be fhat
+    itself: the first step is the last read of fhat.
+    """
+    L, K, num = mats.shape[0], mats.shape[1], mats.shape[-1]
+    v = fhat.view(float)
+    bufs = np.empty_like(v), out.view(float)
+    for ax in range(2 * K):
+        v = np.matmul(mats[:, ax // 2, None], v.reshape(L, num**ax, num, -1),
+                      out=bufs[ax % 2].reshape(L, num**ax, num, -1))
 
 
-class _BatchLayer:
-    """One layer of a batch: its half-widths, its damping and what it accumulates."""
+class _Batch:
+    """The layers of one batch, run together: their tables, damping and
+    interpolation matrices, and what they accumulate, stacked on a leading
+    layer axis.
 
-    def __init__(self, sd, degree, grid, src_halves, pmask, taus):
-        self.fb, self.grid = fock_basis(sd, degree), grid
-        self.halves = _half_widths(sd, grid.ebox)
-        # the layer's rule has the source rule's tensor layout, so the source's
-        # boundary mask pmask is its own
-        self.pmask = pmask
+    sds[i] for i in idx are the batch's layers, with src_halves the source
+    grid's half-widths, and index their positions in sds in the batch's own
+    order: the one-mode clipped layers first, which read the one shared
+    clip table (`_clip_factor`), then the owned, the unclipped one-mode
+    layers and every multi-mode layer, whose tables are built together
+    (`tables`); in each group the layers interpolated from the source grid
+    (a half-width differs from the source's) come first.  Both callers keep
+    the interpolated layers a prefix: `plancherel_residual` clips every
+    shared layer, and `pi_of_f_batch` runs one layer.
+    """
+
+    def __init__(self, sds, idx, degree, grid, src_halves, pmask, taus):
+        L, K = len(idx), sds[idx[0]].kdim
+        halves = np.array([_half_widths(sds[i], grid.ebox) for i in idx]).reshape(L, K)
+        shared = (halves < grid.ebox).all(axis=1) & (K == 1)
+        interp = (halves != np.asarray(src_halves)).any(axis=1)
+        order = np.lexsort((~interp, ~shared))
+        self.index, self.sds = idx[order], [sds[i] for i in idx[order]]
+        halves, interp = halves[order], interp[order]
+        self.n_shared, n_interp = int(shared.sum()), int(interp.sum())
+        assert interp[:n_interp].all(), "the interpolated layers are not a prefix"
+        # one basis: every layer of a frame has the same kdim and degree
+        self.fb = FockBasis(sd=self.sds[0], degree=degree, alphas=_alphas(K, degree))
+        self.grid, self.pmask = grid, pmask
+        eig = np.array([sd.eigenvalues for sd in self.sds]).reshape(L, K)
+        scaled = np.abs(eig) * halves * halves  # |mu_k| s_k^2
+        # the scaled eigenvalue each table reads: PHI_CUT / 2 on a clipped mode
+        self.mu = np.where(halves < grid.ebox, 0.5 * PHI_CUT, scaled)
+        self.sign = np.where(eig > 0, 1.0, -1.0)
+        self.scale = np.prod(halves * halves, axis=1)
+        # an owned table carries its modes' signs; the shared one takes the sign
+        # of its layer's mu after the GEMM
+        self.im_sign = np.ones(L)
+        if self.n_shared:
+            self.im_sign[: self.n_shared] = self.sign[: self.n_shared, 0]
         # e^(-phi_lam/2) |w| of the tail diagnostics but for each axis's s_k,
         # common to every point: the tensor product of each real axis's
         # e^(-mu x^2/2) w(x) on the reference rule, the last mode's Im axis fastest
         x, w = _reference_rule(grid.enodes)
-        self.damp = np.ones(1)
-        for s, mu in zip(self.halves, np.abs(sd.eigenvalues)):
-            axis = np.exp(-0.5 * (mu * s * s) * x * x) * w
-            self.damp = np.multiply.outer(np.multiply.outer(self.damp, axis), axis).reshape(-1)
-        # one matrix per real axis, the same for Re and Im of a mode; None where
-        # the half-width is the source's.  It depends only on their ratio
-        mode_mats = [None if s == t else _interp_matrix(x, x * (s / t))
-                     for s, t in zip(self.halves, src_halves)]
-        self.mats = [mat for mat in mode_mats for _ in range(2)]
-        self.wshift = None  # `_weighted_shifts`, kept only while more radical chunks remain
-        # pi(f) so far, its sigma = +1 pairs first (`_sigma_columns`)
-        self.acc = np.zeros((taus.shape[0], self.fb.size ** 2), complex)
-        self.tail_all = self.tail_w = self.mass = 0.0
+        axis = np.exp(-0.5 * scaled[:, :, None] * x * x) * w  # (L, K, N)
+        self.damp = np.ones((L, 1))
+        for k in range(2 * K):
+            self.damp = (self.damp[:, :, None] * axis[:, k // 2, None, :]).reshape(L, -1)
+        # the interpolated layers' matrices (L_c, K, N, N), one per mode for its
+        # Re and Im axes; it depends only on the half-widths' ratio
+        self.mats = (_interp_matrix(x, x * (halves[:n_interp] / src_halves)[..., None])
+                     if n_interp else None)
+        self.owned = None  # `tables`' owned part, kept only while more radical chunks remain
+        self.pending = []  # (tphase, scaled product) of the chunks not yet in acc
+        # pi(f) so far, each layer's (T, B^2) with its sigma = +1 pairs first
+        self.acc = np.zeros((L, taus.shape[0], self.fb.size**2), complex)
+        # |fhat| mass and the two sides of the zeta-tail diagnostic: the damped
+        # mass on the whole grid and on its boundary
+        self.mass, self.tails = np.zeros(L), np.zeros((L, 2))
 
-    @property
-    def share(self):
-        """pi(f) so far, (T, B*B) in the basis's pair order."""
-        return self.acc[:, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[2]]
+    def __len__(self):
+        return len(self.sds)
 
-    def add(self, fhat_src, src_w, tphase, rabs, rmask, last):
-        """Add one radical chunk from fhat (P, R_c) on the source grid.
+    def share(self, i):
+        """Layer i's pi(f) so far, (T, B*B) in the basis's pair order."""
+        return self.acc[i][:, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[2]]
+
+    def warnings(self):
+        """Each layer's zeta-tail warning, naming its lam."""
+        return sum((_tail_warning(part, whole, _ZETA_TAIL, sd.lam)
+                    for (whole, part), sd in zip(self.tails, self.sds)), ())
+
+    def tables(self):
+        """The weighted shift tables on the first mode's quadrant, each layer's
+        W = scale (Re + i im_sign Im): the shared clip table's four (n, Q) real
+        parts (Re+, Re-, Im+, Im-) split by sigma (`_split`), or None, and the
+        owned layers' real and imaginary planes (2, B*B, L_o, Q), or None.  The
+        owned planes are not split, so they are never held twice.
+
+        The owned parts are built together, one `_mode_factor` a mode over all
+        owned layers: each mode's factor at the layers' scaled eigenvalues,
+        conjugated where mu_k < 0, the first mode's on its quadrant's N_0
+        nodes and every other mode's on all N^2, multiplied out over the
+        tensor grid, the last mode fastest; the rest of the grid is the
+        quadrant's mirror images, which `add` folds onto it (`_fold`).  A
+        layer with no mode has the one-point rule, W = 1.
+        """
+        s, L = self.n_shared, len(self)
+        shared = _clip_factor(self.fb, self.grid.enodes) if s else None
+        if self.owned is None and s < L:
+            table = np.zeros((2, self.fb.size**2, L - s, 1))
+            table[0] = 1.0
+            for k in range(self.fb.sd.kdim):
+                factor = _mode_factor(self.fb, k, self.mu[s:, k], self.grid.enodes)
+                factor[1] *= self.sign[s:, k, None]
+                if k == 0:
+                    # the first factor starts the product: multiplying it into
+                    # ones would cost one more temporary of the table's size
+                    table = factor
+                    continue
+                (re, im), (fre, fim) = table[..., None], factor[..., None, :]
+                table = np.stack([re * fre - im * fim, re * fim + im * fre]).reshape(
+                    table.shape[:3] + (-1,))
+            table.flags.writeable = False
+            self.owned = table
+        return shared, self.owned
+
+    def add(self, fhat, src_w, tphase, rabs, last):
+        """Add one radical chunk from its central transform fhat (P*R_c, L) on
+        the source grid, the layers in the batch's order; fhat is overwritten.
 
         tphase (R_c, T) carries the radical weights and tau phases, rabs
-        (R_c,) the radical weights of the tail diagnostics.  The layer's terms
-        of pi(f), the chain scale tphase^T fhat^T W, are multiplied in their
+        (R_c, 2) the absolute radical weights, and those on the radical grid's
+        boundary, of the mass and the tail diagnostics.  The interpolated
+        layers are moved onto their own grids in place.  The layers' terms of
+        pi(f), the chain scale tphase^T fhat^T W, are multiplied in their
         cheaper order: tau-phases first when there are fewer tau than radical
         points, the shift contraction first otherwise; the scale goes on the
-        small tphase.  What meets W, fhat or its product with the phases, is
-        folded onto the first mode's quadrant (`_fold`), and four real GEMMs
-        on its rows take it through Re and Im of W, each split by sigma.
+        tphase that comes first, or else on the chunk's product.  What meets
+        W, fhat or its product with the phases, is
+        folded onto the first mode's quadrant (`_fold`) for all layers at
+        once, and each part meets its table in one GEMM for all the shared
+        layers and one batched matmul for the owned ones, on all pairs of
+        their planes.
         """
-        shifts = self.wshift or _weighted_shifts(self.fb, self.halves, self.grid)
-        self.wshift = None if last else shifts
-        scale, im_sign, parts = shifts
-        abs_src = np.abs(fhat_src)
-        self.mass += float(src_w @ abs_src**2 @ rabs)
-        fhat = _interpolate(fhat_src, self.mats)
-        phases = scale * tphase
-        first = phases.shape[1] < phases.shape[0]
+        L, P = len(self), src_w.size
+        # the tables first, while the chunk's working arrays do not exist yet
+        shared, owned = self.tables()
+        self.owned = None if last else owned
+        fhat = fhat.T.reshape(L, P, -1)  # the transform writes each layer's column contiguous
+        radical = fhat.shape[2]
+        absf = np.abs(fhat)
+        self.mass += (np.square(absf).reshape(-1, radical) @ rabs[:, 0]).reshape(L, P) @ src_w
+        if self.mats is not None:
+            moved = fhat[: self.mats.shape[0]]
+            _interpolate(moved, self.mats, out=moved)
+            np.abs(moved, out=absf[: moved.shape[0]])
+        # each point's radical sums, on the whole radical grid and its boundary;
+        # a point on the perpendicular boundary counts all of its sum
+        sums = (absf.reshape(-1, radical) @ rabs).reshape(L, P, 2)
+        del absf
+        np.copyto(sums[..., 1], sums[..., 0], where=self.pmask)
+        self.tails += np.einsum("lp,lpk->lk", self.damp, sums)
+        del sums
+        phases = self.scale[:, None, None] * tphase  # (L, R_c, T)
+        first = phases.shape[2] < phases.shape[1]
         folded = _fold(fhat @ phases if first else fhat, self.fb.sd.kdim, self.grid.enodes)
-        # a complex part (Q, X) is a real (Q, 2X) one, Re and Im side by side,
-        # so each GEMM gives (n, X) complex: the Re W and Im W products, the
-        # sigma = +1 columns first
-        plus = parts[0].shape[1]
-        rows = slice(None, plus), slice(plus, None)
-        prod = np.empty((2, self.fb.size**2, 2 * folded[0].shape[1]))
-        for k, (table, part) in enumerate(zip(parts, folded)):
-            np.matmul(table.T, part.view(float), out=prod[k // 2, rows[k % 2]])
-        re_w, im_w = prod.view(complex)
-        im_w *= 1j * im_sign
-        total = np.add(re_w, im_w, out=re_w)  # (B^2, X)
-        self.acc += total.T if first else phases.T @ total.T
-        # no axis interpolated: fhat is the source chunk itself
-        absf = abs_src if fhat is fhat_src else np.abs(fhat)
-        full = absf @ rabs
-        edge = absf[:, rmask] @ rabs[rmask]
-        self.tail_all += float(self.damp @ full)
-        self.tail_w += float(self.damp @ np.where(self.pmask, full, edge))
+        # a complex part (Q, L*X) is a real (Q, L, 2X) one, Re and Im side by
+        # side, so each product gives (n, L, X) complex: the Re W and Im W
+        # products, the sigma = +1 rows first
+        s, sigma = self.n_shared, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[:2]
+        rows = slice(None, sigma[0].size), slice(sigma[0].size, None)
+        width = 2 * folded[0].shape[1] // L  # 2X
+        prod = np.empty((2, self.fb.size**2, L * width))
+        for k, part in enumerate(folded):
+            real, out = part.view(float), prod[k // 2, rows[k % 2]]
+            if s:
+                np.matmul(shared[k], real[:, : s * width], out=out[:, : s * width])
+            if s < L:
+                # every pair's product on the owned plane, of which the part's
+                # sigma keeps its own rows
+                owns = real[:, s * width :].reshape(real.shape[0], L - s, width)
+                full = owned[k // 2].transpose(1, 0, 2) @ owns.transpose(1, 0, 2)
+                out[:, s * width :] = full[:, sigma[k % 2]].transpose(1, 0, 2).reshape(
+                    out.shape[0], owns.shape[1] * width)
+        re_w, im_w = prod.reshape(2, -1, L, width).view(complex)
+        im_w *= 1j * self.im_sign[:, None]
+        total = np.add(re_w, im_w, out=re_w).transpose(1, 2, 0)  # (L, X, B^2)
+        if first:
+            self.acc += total
+            return
+        # the tau phases meet the products of several chunks at once: a
+        # product is B^2 per layer and radical point, far less than fhat's P,
+        # so acc, L T B^2, is rewritten once per CHUNK_ELEMENTS of them
+        self.pending.append((tphase, total * self.scale[:, None, None]))
+        if last or sum(t.size for _, t in self.pending) >= CHUNK_ELEMENTS:
+            tphase = np.concatenate([p for p, _ in self.pending])
+            total = np.concatenate([t for _, t in self.pending], axis=1)
+            self.pending = []
+            # in blocks of layers whose (T, B^2) terms fit CHUNK_ELEMENTS, so
+            # the product does not hold a second acc while it is added
+            block = max(1, CHUNK_ELEMENTS // self.acc[0].size)
+            for lo in range(0, L, block):
+                self.acc[lo : lo + block] += tphase.T @ total[lo : lo + block]
 
 
 def _run_layers(f, sds, degree, grid, src_halves, taus):
     """Plan and run the layers of one frame (equal eigenvectors and radical).
 
-    Yields, one batch at a time, its layers, its warnings (each layer's
+    Yields, one batch at a time, the `_Batch`, its warnings (each layer's
     zeta-tail warning, naming its lam, then the batch's x-tail warning) and
     the integral of |f|^2 over the source grid (None for a spectral form).
     The source grid, of half-width src_halves[k] on mode k, and the radical
@@ -723,15 +865,19 @@ def _run_layers(f, sds, degree, grid, src_halves, taus):
     chunk of one radical point (`np.array_split` evens them out).  It
     samples f on the source grid a radical chunk at a time, with one central
     transform for all its frequencies; a chunk holds as many radical points
-    as its source points (16 bytes a coordinate) and the batch's fhat on
-    them (16 bytes a layer) can take of the budget the kept state leaves,
-    and at least one.  Each layer interpolates the chunk onto its own
-    clipped grid on the modes whose half-width differs from the source's.
+    as its source points (16 bytes a coordinate), the batch's fhat on them
+    and the stacked working buffer that `_Batch.add` folds it into (16 bytes
+    a layer each) can take of the budget the kept state leaves, and at least
+    one.  The batch interpolates each chunk onto its layers' own clipped
+    grids on the modes whose half-width differs from the source's.
     """
     pn, src_w = _perp_rule(src_halves, grid.enodes)
     rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sds[0].d)  # on the function's box
     zperp, zrad = pn @ sds[0].eigenvectors.T, rn @ sds[0].radical.T
     pmask, rmask = boundary_mask(pn), boundary_mask(rn)
+    # the absolute radical weights, and those on the radical grid's boundary
+    rabs = np.abs(rw)[:, None] * np.array([1.0, 0.0])
+    rabs[rmask, 1] = rabs[rmask, 0]
     P, R, n = zperp.shape[0], zrad.shape[0], zperp.shape[1]
     # what a layer keeps across radical chunks: its (T, B^2) share and, when
     # there is more than one radical point, its weighted shifts, counted as a
@@ -740,13 +886,12 @@ def _run_layers(f, sds, degree, grid, src_halves, taus):
     # reference to the shared table, so this over-counts both (ROADMAP item 5)
     side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
     kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
-    size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 16 * P))
+    size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 32 * P))
     for idx in np.array_split(np.arange(len(sds)), -(-len(sds) // size)):
-        batch = [sds[i] for i in idx]
-        L = len(batch)
-        layers = [_BatchLayer(sd, degree, grid, src_halves, pmask, taus) for sd in batch]
-        step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (L + n)))
-        transform = central_transform(f, np.array([sd.lam for sd in batch]), grid.fbox,
+        L = len(idx)
+        batch = _Batch(sds, idx, degree, grid, src_halves, pmask, taus)
+        step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (2 * L + n)))
+        transform = central_transform(f, np.array([sd.lam for sd in batch.sds]), grid.fbox,
                                       grid.fnodes)
         xtot = xtail = 0.0
         norm_sq = None if f.spectral is not None else 0.0
@@ -757,14 +902,9 @@ def _run_layers(f, sds, degree, grid, src_halves, taus):
             xtail += tail
             if norm_sq is not None:
                 norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
-            fhat = fhat.T.reshape(L, P, -1)
-            tphase = _tau_phases(taus, rn[sl], rw[sl])
-            for lay, fh in zip(layers, fhat):
-                lay.add(fh, src_w, tphase, np.abs(rw[sl]), rmask[sl], lo + step >= R)
-        del fhat, fh  # the last chunk's fhat, so the next batch's first does not sit beside it
-        warnings = sum((_tail_warning(lay.tail_w, lay.tail_all, _ZETA_TAIL, lay.fb.sd.lam)
-                        for lay in layers), ()) + _tail_warning(xtail, xtot, _X_TAIL)
-        yield layers, warnings, norm_sq
+            batch.add(fhat, src_w, _tau_phases(taus, rn[sl], rw[sl]), rabs[sl], lo + step >= R)
+        del fhat  # the last chunk's, so the next batch's first does not sit beside it
+        yield batch, batch.warnings() + _tail_warning(xtail, xtot, _X_TAIL), norm_sq
 
 
 def plancherel_residual(model, f, cfg):
@@ -843,14 +983,16 @@ def plancherel_residual(model, f, cfg):
     results = {}
     warnings = set()
     for frame in frames:
-        nodes = iter(frame)  # the batches hold the frame's layers in order
-        for layers, warns, norm_sq in _run_layers(f, [sd for sd, _ in frame], cfg.degree, grid,
+        for batch, warns, norm_sq in _run_layers(f, [sd for sd, _ in frame], cfg.degree, grid,
                                                   [grid.ebox] * frame[0][0].kdim, taus):
             lhs = norm_sq if lhs is None else lhs
             warnings.update(warns)
-            for lay, (sd, j) in zip(layers, nodes):
-                # the HS norm does not depend on the pairs' order
-                results[j] = (sd, float(tau_w @ np.sum(np.abs(lay.acc) ** 2, axis=1)), lay.mass)
+            # every layer's tau integral of its HS norm, which does not depend
+            # on the pairs' order, in one contraction
+            layer = np.sum(np.abs(batch.acc) ** 2, axis=2) @ tau_w
+            for i, value, mass in zip(batch.index, layer, batch.mass):
+                sd, j = frame[i]
+                results[j] = (sd, float(value), float(mass))
     if lhs is None:  # a spectral form's norm is closed, and so is f's when no batch ran
         lhs = l2_norm(f, grid) ** 2
 

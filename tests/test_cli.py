@@ -328,20 +328,30 @@ REFUSED_VALUES = {
     "misspelled tolerance": ("crcheck", "crcheck_heis1", "crcheck_heis1.scenario",
                              "tol_mass = 1e-4", "tol_mas = 1e-4",
                              "no reader asks for 'tol_mas'"),
+    # a flag's value is a usage error that names the flag; no file is edited
+    "negative seed flag": ("spectral", "spectral_heis1", None, None, None,
+                           "argument --seed: must be at least 0, got -1", "--seed", "-1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_VALUES))
 def test_a_value_the_library_refuses_is_a_parse_error(tmp_path, capsys, case):
-    sub, name, edited, old, new, said = REFUSED_VALUES[case]
+    sub, name, edited, old, new, said, *flags = REFUSED_VALUES[case]
     tree = tmp_path / "scenarios"
     shutil.copytree(Path(__file__).resolve().parents[1] / "scenarios", tree)
-    text = (tree / edited).read_text()
-    assert old in text
-    (tree / edited).write_text(text.replace(old, new))
+    if edited is not None:
+        text = (tree / edited).read_text()
+        assert old in text
+        (tree / edited).write_text(text.replace(old, new))
+        said = f"{tree / edited}: {said}"
     scn = tree / f"{name}.scenario"
-    assert main([sub, "--scenario", str(scn), "--out", str(tmp_path / "out")]) == EXIT_PARSE
-    assert f"{tree / edited}: {said}" in capsys.readouterr().err
+    argv = [sub, "--scenario", str(scn), "--out", str(tmp_path / "out"), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends a usage error itself
+        code = exc.code
+    assert code == EXIT_PARSE
+    assert said in capsys.readouterr().err
 
 
 def test_a_cone_the_constant_scan_cannot_cover_is_a_parse_error(tmp_path, capsys):

@@ -438,9 +438,10 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
         # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24.
         # The budget holds the layer's kept state (B^2 = 49, T = 3, P = 144)
         # and a chunk of 40 radical points: their 144 source points each, 16
-        # bytes a coordinate (n = 2), and the layer's fhat on them, 16 bytes
+        # bytes a coordinate (n = 2), and the layer's fhat on them and its
+        # folded copy, 16 bytes each
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
-                            16 * 49 * (3 + 144) + 16 * 144 * (1 + 2) * 40)
+                            16 * 49 * (3 + 144) + 16 * 144 * (2 * 1 + 2) * 40)
         build = fock.central_transform
 
         def spy(*args):
@@ -519,18 +520,31 @@ SHIFT_TABLE_CASES = {
 }
 
 
+def layer_shifts(sd, degree, grid):
+    """One layer's weighted shift tables as a batch of one builds them on the
+    layer's own clipped grid: (scale, im_sign, parts), W = scale (Re + i im_sign
+    Im), with the four real parts (Re+, Re-, Im+, Im-) each (n, Q)."""
+    halves = fock._half_widths(sd, grid.ebox)
+    pmask = quadrature.boundary_mask(fock._perp_rule(halves, grid.enodes)[0])
+    batch = fock._Batch([sd], np.arange(1), degree, grid, halves, pmask, np.zeros((1, 2 * sd.d)))
+    shared, owned = batch.tables()
+    assert (shared is None) != (owned is None) and (owned is None or not owned.flags.writeable)
+    parts = shared if batch.n_shared else fock._split(batch.fb, owned[:, :, 0])
+    return batch.scale[0], batch.im_sign[0], parts
+
+
 def expand_quadrant(fb, shifts, num):
     """A layer's weighted shift matrices (P, B*B) on its whole tensor grid, from
-    `_weighted_shifts`'s arrays on its first mode's quadrant through the two
+    its tables on its first mode's quadrant (`layer_shifts`) through the two
     symmetries W(conj p) = conj W(p) and W(-p) = sigma W(p), with the zero
     lines of an odd rule put back at full weight."""
     scale, im_sign, (re_p, re_m, im_p, im_m) = shifts
     kdim, pairs = fb.sd.kdim, fb.size**2
     deg = fb.alphas.sum(axis=1)
     sigma = ((-1.0) ** (deg[:, None] - deg[None, :])).reshape(-1)
-    quad = np.empty((re_p.shape[0], pairs), complex)
-    quad[:, sigma > 0] = re_p + 1j * im_sign * im_p
-    quad[:, sigma < 0] = re_m + 1j * im_sign * im_m
+    quad = np.empty((re_p.shape[1], pairs), complex)
+    quad[:, sigma > 0] = (re_p + 1j * im_sign * im_p).T
+    quad[:, sigma < 0] = (re_m + 1j * im_sign * im_m).T
     half, side = num // 2, num - num // 2
     quad = scale * quad.reshape((side, side) + (num,) * (2 * kdim - 2) + (pairs,))
     if num % 2:
@@ -560,9 +574,9 @@ def test_weighted_shifts_match_the_per_point_path(case):
     zperp = pn @ sd.eigenvectors.T
     want = fock._shift_matrices(fb, sd.w_coords(zperp)).reshape(zperp.shape[0], -1)
     want *= pw[:, None]
-    shifts = fock._weighted_shifts(fb, halves, grid)
+    shifts = layer_shifts(sd, degree, grid)
     side = -(-grid.enodes // 2)
-    assert all(part.shape[0] == side**2 * grid.enodes ** (2 * sd.kdim - 2)
+    assert all(part.shape[1] == side**2 * grid.enodes ** (2 * sd.kdim - 2)
                and not part.flags.writeable for part in shifts[2])
     got = expand_quadrant(fb, shifts, grid.enodes)
     assert got.shape == want.shape == (grid.enodes ** (2 * sd.kdim), fb.size**2)
@@ -573,25 +587,29 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     # 41 HEIS1 layers on [-8, 8]: the clip bites past |lam| = 1.25 on ebox 4,
     # on both signs; one table is built, and every clipped layer of either
     # sign reads that one cached entry, the negative ones with Im negated.
-    # An unclipped layer builds its own on the ceil(13/2)^2 = 49 nodes of its
-    # quadrant, not on all 169
+    # The unclipped layers build theirs together, each on the ceil(13/2)^2 =
+    # 49 nodes of its quadrant, not on all 169
     grid = GridSpec(ebox=4.0, enodes=13, fbox=4.0, fnodes=16)
     cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
-    calls, tables = [], {True: [], False: []}
-    blocks, shifts = fock._mode_blocks, fock._weighted_shifts
+    calls, read, batches = [], [], []
+    blocks, clip, run_batch = fock._mode_blocks, fock._clip_factor, fock._run_layers
 
     def spy(mu, wz, degree):
-        calls.append((mu, wz.size))
+        calls.append(np.broadcast(mu, wz).shape)
         return blocks(mu, wz, degree)
 
-    def spy_shifts(fb, halves, grid):
-        scale, im_sign, parts = shifts(fb, halves, grid)
-        if halves[0] < grid.ebox:
-            tables[bool(fb.sd.eigenvalues[0] > 0)].append((im_sign, parts))
-        return scale, im_sign, parts
+    def spy_clip(fb, enodes):
+        read.append(clip(fb, enodes))
+        return read[-1]
+
+    def spy_batch(f, sds, *args):
+        for batch in run_batch(f, sds, *args):
+            batches.append(batch[0])
+            yield batch
 
     monkeypatch.setattr(fock, "_mode_blocks", spy)
-    monkeypatch.setattr(fock, "_weighted_shifts", spy_shifts)
+    monkeypatch.setattr(fock, "_clip_factor", spy_clip)
+    monkeypatch.setattr(fock, "_run_layers", spy_batch)
     fock._CLIP_TABLES.clear()
     rep = plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
     monkeypatch.undo()
@@ -599,13 +617,17 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     unclipped = int(np.sum(np.sqrt(fock.PHI_CUT / (2.0 * np.abs(lams))) >= grid.ebox))
     assert len(rep.rows) == 41 and 0 < unclipped < 41
     assert (lams < -1.25).any() and (lams > 1.25).any()
-    assert len(calls) == unclipped + 1 and all(size == 49 for _, size in calls)
-    assert len(tables[True]) + len(tables[False]) == 41 - unclipped
-    shared = fock._CLIP_TABLES[13, 4, 1, 0]
-    assert list(fock._CLIP_TABLES) == [(13, 4, 1, 0)]
-    for positive, seen in tables.items():
-        assert seen and all(parts is shared and im_sign == (1.0 if positive else -1.0)
-                            for im_sign, parts in seen)
+    assert sorted(calls) == sorted([(49,), (unclipped, 49)])
+    [batch] = batches
+    assert batch.n_shared == 41 - unclipped
+    shared = fock._CLIP_TABLES[13, 4]
+    assert list(fock._CLIP_TABLES) == [(13, 4)]
+    assert read and all(parts is shared for parts in read)
+    # the shared layers take their own sign after the GEMM, the owned none
+    signs = np.sign([sd.lam[0] for sd in batch.sds])
+    assert (signs[: batch.n_shared] > 0).any() and (signs[: batch.n_shared] < 0).any()
+    assert np.array_equal(batch.im_sign[: batch.n_shared], signs[: batch.n_shared])
+    assert (batch.im_sign[batch.n_shared :] == 1.0).all()
     assert not any(part.flags.writeable for part in shared)
 
     # the memo stays bounded: read-only entries within the batch budget, at
@@ -613,14 +635,14 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     # B^2 = 25 pairs, Re and Im
     fb = fock_basis(spectral_data(HEIS1, np.array([3.0])), 4)
     monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 16 * 25 * 8 * 2 - 1)
-    big = fock._clip_factor(fb, 0, 8)
+    big = fock._clip_factor(fb, 8)
     assert sum(part.nbytes for part in big) == 16 * 25 * 8 * 2
-    assert (8, 4, 1, 0) not in fock._CLIP_TABLES
+    assert (8, 4) not in fock._CLIP_TABLES
     monkeypatch.undo()
     fock._CLIP_TABLES.clear()
-    keys = [(enodes, 4, 1, 0) for enodes in (4, 5, 6, 7, 8)]
-    for enodes, *_ in keys:
-        fock._clip_factor(fb, 0, enodes)
+    keys = [(enodes, 4) for enodes in (4, 5, 6, 7, 8)]
+    for enodes, _ in keys:
+        fock._clip_factor(fb, enodes)
     assert list(fock._CLIP_TABLES) == keys[1:]
 
 
@@ -646,18 +668,17 @@ def test_memoized_rules_and_tables_are_safe():
     for lam in (3.0, -3.0, 0.7):
         sd = spectral_data(HEIS1, np.array([lam]))
         fb = fock_basis(sd, 6)
-        halves = fock._half_widths(sd, grid.ebox)
-        first = fock._weighted_shifts(fb, halves, grid)[2]
+        first = layer_shifts(sd, 6, grid)[2]
         want = [part.copy() for part in first]
         # every layer's arrays are read-only; a clipped layer's are the memo's
         for part in first:
             with pytest.raises(ValueError):
                 part[:] = np.nan
-        again = fock._weighted_shifts(fb, halves, grid)[2]
+        again = layer_shifts(sd, 6, grid)[2]
         assert all(np.array_equal(a, b) for a, b in zip(again, want))
-    table = fock._CLIP_TABLES[12, 6, 1, 0]
+    table = fock._CLIP_TABLES[12, 6]
     assert not any(part.flags.writeable for part in table)
-    assert fock._clip_factor(fb, 0, 12) is table
+    assert fock._clip_factor(fb, 12) is table
 
 
 def test_no_layer_builds_a_gauss_rule(monkeypatch):
@@ -689,6 +710,54 @@ def test_no_layer_builds_a_gauss_rule(monkeypatch):
         assert built[0] == built[1], built
 
 
+def test_a_batch_makes_the_same_calls_at_any_layer_count(monkeypatch):
+    # a batch runs its layers stacked: per batch one owned-table build and one
+    # clip-table build (its memo is cleared before each pass), and one fold a
+    # radical chunk, however many layers it holds
+    counts = dict.fromkeys(["_mode_blocks", "_fold", "batches", "chunks"], 0)
+    for name in ("_mode_blocks", "_fold"):
+        def spy(*args, real=getattr(fock, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fock, name, spy)
+    run_batch, build = fock._run_layers, fock.central_transform
+
+    def spy_batch(f, sds, *args):
+        for batch in run_batch(f, sds, *args):
+            counts["batches"] += 1
+            yield batch
+
+    def spy_sample(*args):
+        transform = build(*args)
+
+        def counted(z):
+            counts["chunks"] += 1
+            return transform(z)
+
+        return counted
+
+    monkeypatch.setattr(fock, "_run_layers", spy_batch)
+    monkeypatch.setattr(fock, "central_transform", spy_sample)
+    heis1 = gaussian_function(HEIS1, GridSpec(enodes=16))
+    grid = GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=24)
+    deg21 = SampledFunction(DEG21, lambda z, x: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)
+                                                       - np.sum(x**2, axis=-1)), grid)
+    cases = [(HEIS1, heis1, dict(lam_lo=[-8.0], lam_hi=[8.0], degree=4), (9, 41)),
+             (DEG21, deg21, dict(lam_lo=[-10.0], lam_hi=[10.0], degree=4, tau_nodes=6, grid=grid),
+              (7, 21))]
+    for model, f, kw, layer_counts in cases:
+        per_batch = []
+        for lam_nodes in layer_counts:
+            counts.update(dict.fromkeys(counts, 0))
+            fock._CLIP_TABLES.clear()
+            rep = plancherel_residual(model, f, PlancherelConfig(lam_nodes=lam_nodes, **kw))
+            assert len(rep.rows) == lam_nodes
+            assert counts["_fold"] == counts["chunks"] > 0
+            per_batch.append(counts["_mode_blocks"] / counts["batches"])
+        assert per_batch[0] == per_batch[1] == 2, per_batch
+
+
 def test_plancherel_gaussian_smoke():
     f = gaussian_function(HEIS1)
     cfg = PlancherelConfig(lam_lo=[-4.0], lam_hi=[4.0], lam_nodes=15, degree=8)
@@ -711,20 +780,29 @@ def test_interp_matrix_reproduces_polynomials():
         got = fock._interp_matrix(src, dst) @ legendre.legval(src / 4.0, coef)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert (fock._interp_matrix(src, src) == np.eye(num)).all()
-    # in a layer, an unclipped axis takes no matrix at all, a clipped one does
+    # in a batch only a layer with a clipped axis takes a matrix, and it comes
+    # first; a batch of unclipped layers interpolates nothing
     grid = GridSpec()
     taus = np.zeros((1, 0))
-    layers = []
-    for lam in (0.5, 8.0):
-        sd = spectral_data(HEIS1, np.array([lam]))
-        pn, _ = fock._perp_rule([grid.ebox], grid.enodes)
-        layers.append(fock._BatchLayer(sd, 4, grid, [grid.ebox], quadrature.boundary_mask(pn),
-                                       taus))
-    wide, narrow = layers
-    assert wide.mats == [None, None]
-    assert [m.shape for m in narrow.mats] == [(40, 40), (40, 40)]
-    fhat = np.ones((1600, 3), complex)
-    assert fock._interpolate(fhat, wide.mats) is fhat
+    pmask = quadrature.boundary_mask(fock._perp_rule([grid.ebox], grid.enodes)[0])
+    sds = [spectral_data(HEIS1, np.array([lam])) for lam in (0.5, 8.0)]
+    batch = fock._Batch(sds, np.arange(2), 4, grid, [grid.ebox], pmask, taus)
+    assert list(batch.index) == [1, 0] and batch.mats.shape == (1, 1, 40, 40)
+    assert fock._Batch(sds, np.arange(1), 4, grid, [grid.ebox], pmask, taus).mats is None
+
+
+def test_interpolate_applies_each_layers_matrices_on_every_axis():
+    # one matrix per layer and mode, along both real axes of the mode, written
+    # over its own input; against the tensor contraction, on two modes
+    rng = np.random.default_rng(5)
+    num, L, X = 6, 3, 2
+    mats = rng.standard_normal((L, 2, num, num))
+    fhat = rng.standard_normal((L, num**4, X)) + 1j * rng.standard_normal((L, num**4, X))
+    grid = fhat.reshape(L, num, num, num, num, X)
+    want = np.einsum("lai,lbj,lck,ldm,lijkmx->labcdx", mats[:, 0], mats[:, 0], mats[:, 1],
+                     mats[:, 1], grid).reshape(fhat.shape)
+    fock._interpolate(fhat, mats, out=fhat)
+    assert np.abs(fhat - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_hs_norm_batch():
@@ -1078,6 +1156,10 @@ PLANCHEREL_CASES = {
                     dict(lam_lo=[-6.0, -6.0], lam_hi=[6.0, 6.0], lam_nodes=4, degree=2), 2.0, 2),
     "pair22": (PAIR22, GridSpec(ebox=3.0, enodes=10, fbox=4.5, fnodes=10),
                dict(lam_lo=[0.3, 0.3], lam_hi=[4.0, 4.0], lam_nodes=2, degree=3), 2.0, 4),
+    # odd nodes, one batch: owned unclipped layers beside shared clipped ones
+    # of both signs (13 nodes interpolate too coarsely for degree 6: 1.8e-2)
+    "heis1-odd": (HEIS1, GridSpec(ebox=4.0, enodes=21, fbox=5.0, fnodes=24),
+                  dict(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=6), None, 1),
 }
 
 
@@ -1089,12 +1171,13 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         # batches of 3, 2 and 2 layers (B^2 = 25, T = 16, P = R = 144): each
         # layer keeps 16 * 25 * (16 + 144) bytes, and a chunk holds 144
         # source points a radical point, 16 bytes for each of their n = 2
-        # coordinates and each layer's fhat; the budget leaves three layers
-        # chunks of 6 radical points, two layers 14, and four layers none
+        # coordinates and for each layer's fhat and its folded copy; the
+        # budget leaves three layers chunks of 3 radical points, two layers 9,
+        # and four layers none
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
                             3 * 16 * 25 * (16 + 144) + 16 * 144 * (3 + 2) * 6)
     budget = fock.BATCH_STATE_BYTES
-    seen, radical, sources = [], [], []
+    seen, stacks, radical, sources = [], [], [], []
     run_batch, build, rule = fock._run_layers, fock.central_transform, fock._perp_rule
     kdim = model.n - generic_dimension(model)
     perp = grid.enodes ** (2 * kdim)
@@ -1107,6 +1190,7 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     def spy_batch(f, sds, *args):
         for batch in run_batch(f, sds, *args):
             seen.append(len(batch[0]))
+            stacks.append(batch[0])
             yield batch
 
     def spy_sample(*args):
@@ -1135,14 +1219,18 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
               for sd in (spectral_data(model, row[0]) for row in rep.rows)}
     assert all(sources) and len(sources) == len(frames)
     if case == "deg21":
-        assert sorted(seen) == [2, 2, 3] and len(radical) == 24 + 11 + 11 and max(radical) == 14
+        assert sorted(seen) == [2, 2, 3] and len(radical) == 48 + 16 + 16 and max(radical) == 9
         assert len(frames) == 1  # DEG21's layers of both signs share e_1: one frame, 3 batches
         # the plan: as many layers a batch as fit the budget with a chunk of
         # one radical point, and each batch's chunk from what its layers leave
         P, R, n, kept = 144, 144, 2, 16 * 25 * (16 + 144)
-        assert (budget - 16 * P * n) // (kept + 16 * P) == max(seen) == 3
-        steps = [(budget - L * kept) // (16 * P * (L + n)) for L in seen]
+        assert (budget - 16 * P * n) // (kept + 2 * 16 * P) == max(seen) == 3
+        steps = [(budget - L * kept) // (16 * P * (2 * L + n)) for L in seen]
         assert radical == [min(step, R - lo) for step in steps for lo in range(0, R, step)]
+    if case == "heis1-odd":
+        [batch] = stacks
+        signs = batch.im_sign[: batch.n_shared]
+        assert 0 < batch.n_shared < len(batch) and (signs > 0).any() and (signs < 0).any()
 
     erule = grid.e_rule()
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
