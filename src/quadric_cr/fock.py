@@ -53,13 +53,17 @@ Gauss-Legendre nodes (tensor-product barycentric Lagrange, only on modes
 whose half-width differs from the source's), one fold, one GEMM per part of
 the shared clip table for all its one-mode clipped layers, one batched
 matmul per part for the owned tables, and one contraction for the masses
-and tails; no layer builds a grid.  `pi_of_f_batch` is a frame of one layer
-whose source half-widths are its own, so nothing is interpolated, and it
-runs the same code as a batch of one.  `plancherel_residual` passes ebox on
-every mode, so f is sampled once per batch rather than once per layer, and
-reads the lhs ||f||^2 of a sampled f off the first batch's samples: its
-rule is the first frame's unclipped grid, the box turned by the frame's
-eigenvectors (the box itself where they are coordinate axes, as on DEG21).
+and tails; no layer builds a grid.  A batch of more than one radical chunk
+samples the next chunk on one worker thread, into the one of two fhat
+buffers not being read, while the calling thread contracts the current
+one; a batch of one chunk starts no thread.  `pi_of_f_batch` is a frame of
+one layer whose source half-widths are its own, so nothing is
+interpolated, and it runs the same code as a batch of one.
+`plancherel_residual` passes ebox on every mode, so f is sampled once per
+batch rather than once per layer, and reads the lhs ||f||^2 of a sampled f
+off the first batch's samples: its rule is the first frame's unclipped
+grid, the box turned by the frame's eigenvectors (the box itself where they
+are coordinate axes, as on DEG21).
 Each of its layers reports `captured`, its Hilbert-Schmidt mass over its
 fhat mass on the unclipped grid, which cannot exceed 1 but through
 quadrature error; layers past 1 + `CAPTURED_TOL` are warned about.  Every
@@ -79,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (CHUNK_ELEMENTS, GridSpec, SampledFunction, SpectralForm,
-                        _box_kernel, _check_exponent, central_transform, l2_norm)
+                        _box_kernel, _central_transform, _check_exponent, l2_norm)
 from .quadrature import (_reference_rule, boundary_mask, complex_grid, gauss_legendre,
                          panel_gauss, tensor_rule)
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
@@ -112,18 +116,22 @@ PHI_CUT = 40.0
 
 # Bytes one Plancherel batch holds across its radical chunks (see
 # `_run_layers`): each layer's kept state and one radical chunk, its source
-# points, the batch's fhat on them and the stacked buffer it is folded into,
-# which are as large as the kept state leaves room for.  A larger budget
-# means fewer batches, so f is sampled fewer times, and larger chunks, at the
-# cost of resident memory.  At the criterion-01 degenerate size a layer keeps
-# 5.0 MB, so this holds six of its 41 layers with 9 radical points a chunk
-# (27 in the last batch of five), and f is sampled 7 times, not 41; on a
-# 2-core Xeon, one BLAS thread, that run took 16.0 s and peaked at 61.9 MB
-# RSS (medians of 3 fresh processes; 15.3 s and 65.5 MB when the chunk
-# counted fhat alone, 16 radical points).  The plancherel-deg21 benchmark
-# fits its 21 layers in one batch with 9 radical points a chunk: peak RSS
-# 59.6 MB and run_s 0.861 s, against 61.3 MB and 0.851 s with 18 when fhat
-# alone was counted (medians of 6 alternating pairs, BENCH_29.json).
+# points and what each layer holds of it, which are as large as the kept
+# state leaves room for: the batch's fhat and the stacked buffer it is
+# folded into and, where a frame can have a second chunk, the sums the fold
+# is made from and the fhat buffer a worker thread fills with the next chunk
+# meanwhile (the worker's own temporaries are bounded by CHUNK_ELEMENTS).
+# A larger budget means fewer batches, so f is sampled fewer times, and
+# larger chunks, at the cost of resident memory.  At the criterion-01
+# degenerate size a layer keeps 5.0 MB, so this holds six of its 41 layers
+# with 5 radical points a chunk (15 in the last batch of five), and f is
+# sampled 7 times, not 41; on a 2-core Xeon, one BLAS thread, that run took
+# 12.4 s and peaked at 63.4 MB RSS (medians of 3 fresh processes; 15.9 s
+# and 62.6 MB with 9 radical points a chunk and no worker).  The
+# plancherel-deg21 benchmark fits its 21 layers in one batch with 4 radical
+# points a chunk: peak RSS 59.1 MB and run_s 0.594 s, against 59.7 MB and
+# 0.852 s with 9 and no worker (medians of 20 alternating pairs,
+# BENCH_30.json).
 BATCH_STATE_BYTES = 32 * 2**20
 
 # How far a layer's Plancherel certificate may pass 1 before it is reported
@@ -440,11 +448,21 @@ def _fold(fhat, kdim, num):
     return tuple(part.reshape(-1, L * X) for part in parts)
 
 
+@functools.lru_cache(maxsize=1024)
+def _lam_text(raw):
+    """A lam, given as its float64 bytes, as every warning prints it:
+    np.array2string at 4 digits.  That takes about 66 us a call, and a pass
+    warns of the same layers each time, so each lam is formatted once (under
+    the print options in force then)."""
+    return np.array2string(np.frombuffer(raw), precision=4)
+
+
 def _tail_warning(part, whole, text, *lam):
     """(text with the layer's lam, where given, and the fraction part/whole filled
     in,) past 1e-6, else ()."""
     if whole > 0 and part / whole > 1e-6:
-        return (text.format(*(np.array2string(v, precision=4) for v in lam), part / whole),)
+        return (text.format(*(_lam_text(np.asarray(v, float).tobytes()) for v in lam),
+                            part / whole),)
     return ()
 
 
@@ -539,7 +557,7 @@ def group_convolve(f, g, grid=None):
     J = lambdas.shape[0]
     qexp = -(model.phi(zq) @ lambdas.T)  # (Q, J)
     _check_exponent(qexp, "the q-factor of kernel frequencies outside the pairing cone")
-    fhat = central_transform(f, lambdas, grid.fbox, grid.fnodes)(zq)[0]  # (Q, J)
+    fhat = _central_transform(f, lambdas, grid.fbox, grid.fnodes, False)(zq)[0]  # (Q, J)
     H = (eweights[:, None] * fhat * np.exp(qexp)).T.reshape(J, N ** (axes - 1), N)
     alam = np.tensordot(lambdas, model.A, axes=1)  # (J, n, n)
     # a point takes J N^(axes-1) complex elements here, 32 KB on HEIS1 at 64
@@ -811,9 +829,9 @@ class _Batch:
         np.copyto(sums[..., 1], sums[..., 0], where=self.pmask)
         self.tails += np.einsum("lp,lpk->lk", self.damp, sums)
         del sums
-        phases = self.scale[:, None, None] * tphase  # (L, R_c, T)
-        first = phases.shape[2] < phases.shape[1]
-        folded = _fold(fhat @ phases if first else fhat, self.fb.sd.kdim, self.grid.enodes)
+        first = tphase.shape[1] < tphase.shape[0]
+        folded = _fold(fhat @ (self.scale[:, None, None] * tphase) if first else fhat,
+                       self.fb.sd.kdim, self.grid.enodes)
         # a complex part (Q, L*X) is a real (Q, L, 2X) one, Re and Im side by
         # side, so each product gives (n, L, X) complex: the Re W and Im W
         # products, the sigma = +1 rows first
@@ -853,23 +871,35 @@ class _Batch:
                 self.acc[lo : lo + block] += tphase.T @ total[lo : lo + block]
 
 
-def _run_layers(f, sds, degree, grid, src_halves, taus):
+def _run_layers(f, sds, degree, grid, src_halves, taus, norm=False):
     """Plan and run the layers of one frame (equal eigenvectors and radical).
 
     Yields, one batch at a time, the `_Batch`, its warnings (each layer's
-    zeta-tail warning, naming its lam, then the batch's x-tail warning) and
-    the integral of |f|^2 over the source grid (None for a spectral form).
-    The source grid, of half-width src_halves[k] on mode k, and the radical
-    grid are built once.  A batch holds as many layers as fit
+    zeta-tail warning, naming its lam, then the batch's x-tail warning) and,
+    where norm is true, the first batch's integral of |f|^2 over the source
+    grid (None for every other batch and for a spectral form, whose norm is
+    closed).  The source grid, of half-width src_halves[k] on mode k, and
+    the radical grid are built once.  A batch holds as many layers as fit
     `BATCH_STATE_BYTES` with what each keeps across radical chunks and a
     chunk of one radical point (`np.array_split` evens them out).  It
     samples f on the source grid a radical chunk at a time, with one central
     transform for all its frequencies; a chunk holds as many radical points
-    as its source points (16 bytes a coordinate), the batch's fhat on them
-    and the stacked working buffer that `_Batch.add` folds it into (16 bytes
-    a layer each) can take of the budget the kept state leaves, and at least
-    one.  The batch interpolates each chunk onto its layers' own clipped
-    grids on the modes whose half-width differs from the source's.
+    as its source points (16 bytes a coordinate) and what each layer holds
+    of it (16 bytes a point for each of `live` complex arrays) can take of
+    the budget the kept state leaves, and at least one.  The batch
+    interpolates each chunk onto its layers' own clipped grids on the modes
+    whose half-width differs from the source's.
+
+    A batch of more than one chunk samples the next chunk on one worker
+    thread while `_Batch.add` takes the current one on the calling thread:
+    the first chunk is sampled on the calling thread, and the worker writes
+    each later one into the one of two fhat buffers, allocated here, that
+    `add` is not reading, in the caller's context (so f sees the caller's
+    np.errstate).  f is called by one thread at a time, `add` takes the
+    chunks in order and the x-sums are summed in order, so the results do
+    not depend on the timing; the worker stops before the batch is yielded,
+    and an error of f's reaches the caller as raised.  A batch of one chunk
+    starts no thread.
     """
     pn, src_w = _perp_rule(src_halves, grid.enodes)
     rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sds[0].d)  # on the function's box
@@ -886,24 +916,59 @@ def _run_layers(f, sds, degree, grid, src_halves, taus):
     # reference to the shared table, so this over-counts both (ROADMAP item 5)
     side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
     kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
-    size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 32 * P))
-    for idx in np.array_split(np.arange(len(sds)), -(-len(sds) // size)):
+    # the complex arrays a layer holds per point of a chunk: its fhat and the
+    # stacked buffer the fold writes, and where there can be a second chunk,
+    # the fhat the worker fills meanwhile and the sums the fold is made from
+    live = 4 if R > 1 else 2
+    size = max(1, (BATCH_STATE_BYTES - 16 * P * n) // (kept + 16 * live * P))
+    for b, idx in enumerate(np.array_split(np.arange(len(sds)), -(-len(sds) // size))):
         L = len(idx)
         batch = _Batch(sds, idx, degree, grid, src_halves, pmask, taus)
-        step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (2 * L + n)))
-        transform = central_transform(f, np.array([sd.lam for sd in batch.sds]), grid.fbox,
-                                      grid.fnodes)
+        step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (live * L + n)))
+        starts = range(0, R, step)
+        squares = norm and b == 0 and f.spectral is None
+        transform = _central_transform(f, np.array([sd.lam for sd in batch.sds]), grid.fbox,
+                                       grid.fnodes, squares)
+        # the tables before the first chunk is sampled, so no fhat sits beside their build
+        batch.tables()
+        bufs = [np.empty(L * P * min(step, R), complex) for _ in starts[:2]]
+
+        def job(k):
+            """Chunk k's transform, written into its buffer, as a call."""
+            z = (zperp[:, None, :] + zrad[None, starts[k] : starts[k] + step, :]).reshape(-1, n)
+            out = bufs[k % 2][: L * z.shape[0]].reshape(L, -1).T  # each layer's column contiguous
+            return functools.partial(transform, z, out)
+
         xtot = xtail = 0.0
-        norm_sq = None if f.spectral is not None else 0.0
-        for lo in range(0, R, step):
-            sl = slice(lo, lo + step)
-            fhat, tot, tail, xsq = transform((zperp[:, None, :] + zrad[None, sl, :]).reshape(-1, n))
-            xtot += tot
-            xtail += tail
-            if norm_sq is not None:
-                norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
-            batch.add(fhat, src_w, _tau_phases(taus, rn[sl], rw[sl]), rabs[sl], lo + step >= R)
-        del fhat  # the last chunk's, so the next batch's first does not sit beside it
+        norm_sq = 0.0 if squares else None
+        worker = None
+        if len(starts) > 1:
+            # imported only where a batch has a second chunk: concurrent.futures
+            # adds 4-5 ms to the package's import
+            import contextvars
+            from concurrent.futures import ThreadPoolExecutor
+            worker = ThreadPoolExecutor(1)
+        try:
+            result = job(0)()
+            for k, lo in enumerate(starts):
+                fhat, tot, tail, xsq = result
+                last = k + 1 == len(starts)
+                if not last:
+                    future = worker.submit(contextvars.copy_context().run, job(k + 1))
+                sl = slice(lo, lo + step)
+                xtot += tot
+                xtail += tail
+                if squares:
+                    norm_sq += float(src_w @ xsq.reshape(P, -1) @ rw[sl])
+                batch.add(fhat, src_w, _tau_phases(taus, rn[sl], rw[sl]), rabs[sl], last)
+                if not last:
+                    result = future.result()
+        finally:
+            if worker is not None:
+                worker.shutdown(cancel_futures=True)
+        # the last chunk's buffers, so the next batch's do not sit beside them
+        del fhat, result, xsq
+        bufs.clear()
         yield batch, batch.warnings() + _tail_warning(xtail, xtot, _X_TAIL), norm_sq
 
 
@@ -984,7 +1049,8 @@ def plancherel_residual(model, f, cfg):
     warnings = set()
     for frame in frames:
         for batch, warns, norm_sq in _run_layers(f, [sd for sd, _ in frame], cfg.degree, grid,
-                                                  [grid.ebox] * frame[0][0].kdim, taus):
+                                                  [grid.ebox] * frame[0][0].kdim, taus,
+                                                  lhs is None):
             lhs = norm_sq if lhs is None else lhs
             warnings.update(warns)
             # every layer's tau integral of its HS norm, which does not depend
@@ -1005,7 +1071,7 @@ def plancherel_residual(model, f, cfg):
         source = mass / (2.0 * np.pi) ** model.m
         captured = term / source if source > 0 else (0.0 if term == 0 else np.inf)
         if captured > 1.0 + CAPTURED_TOL:
-            warnings.add(f"layer lam = {np.array2string(sd.lam, precision=4)} captures "
+            warnings.add(f"layer lam = {_lam_text(sd.lam.tobytes())} captures "
                          f"{captured:.7g} of its fhat mass, past 1 + {CAPTURED_TOL:g}: "
                          "its zeta grid does not resolve pi(f)")
         rows.append((sd.lam.copy(), sd.pfaffian, layer, captured))

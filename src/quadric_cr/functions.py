@@ -21,7 +21,9 @@ closed form, a product of 2 sin(kappa xbox)/kappa, so no central rule is
 built; any other function is sampled on a tensor Gauss-Legendre rule, and
 the box's node count matters only there.  The sampled path also returns
 the x-sums of |f| that the tail diagnostics read and each point's
-x-integral of |f|^2, so one sampling serves a norm too.  `l2_norm` closes
+x-integral of |f|^2, so one sampling serves a norm too; the library's own
+callers integrate |f|^2 only where they read it, `l2_norm` and a Plancherel
+pass's first batch.  `l2_norm` closes
 its x-integral the same way: a spectral form's is a Gram form of the same
 box integrals, and a sampled function's is that |f|^2 integral of the
 central transform.
@@ -249,11 +251,13 @@ def l2_norm(f, grid=None):
 def central_transform(f, lambdas, xbox, xnodes):
     """Central Fourier transform on the box [-xbox, xbox]^m, as a function of z.
 
-    lambdas is (J, m).  Returns transform(z) -> (fhat (Z, J), xtot, xtail,
-    xsq) for z (Z, n), with fhat(z, lam) = integral of f(z, x) e^(-i <lam, x>)
-    over the box, the x-sums of |f| over the whole box and over its
-    boundary nodes (`boundary_mask`), the two sides of an x-tail diagnostic,
-    and xsq (Z,), each point's integral of |f(z, x)|^2 over the box.
+    lambdas is (J, m).  Returns transform(z, out=None) -> (fhat (Z, J), xtot,
+    xtail, xsq) for z (Z, n), with fhat(z, lam) = integral of f(z, x)
+    e^(-i <lam, x>) over the box, the x-sums of |f| over the whole box and
+    over its boundary nodes (`boundary_mask`), the two sides of an x-tail
+    diagnostic, and xsq (Z,), each point's integral of |f(z, x)|^2 over the
+    box.  fhat is written into out where one is given, any (Z, J) complex
+    array, else into a new one with each frequency's column contiguous.
     Everything that depends only on the frequencies is built once, here,
     and the returned function applies it to chunks of z.
 
@@ -273,6 +277,13 @@ def central_transform(f, lambdas, xbox, xnodes):
     real GEMM and xsq a GEMV of |f|^2.  xnodes matters only for sampled
     functions.
     """
+    return _central_transform(f, lambdas, xbox, xnodes, True)
+
+
+def _central_transform(f, lambdas, xbox, xnodes, squares):
+    """`central_transform`, whose sampled path integrates |f|^2 only where
+    squares is true and otherwise returns xsq None: of the library's
+    callers only `l2_norm` and a Plancherel pass's first batch read it."""
     J = lambdas.shape[0]
     spectral = f.spectral  # the form the returned transform applies
     if spectral is not None:
@@ -280,8 +291,9 @@ def central_transform(f, lambdas, xbox, xnodes):
         box = _box_kernel(kappa, xbox)  # (Jf, J)
         step = max(1, SPECTRAL_CHUNK_ELEMENTS // max(box.shape))
 
-        def transform(z):
-            out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
+        def transform(z, out=None):
+            if out is None:
+                out = np.empty((J, z.shape[0]), complex).T  # each frequency's column contiguous
             for lo in range(0, z.shape[0], step):
                 out[lo : lo + step] = spectral.coeff(z[lo : lo + step]) @ box
             return out, 0.0, 0.0, None
@@ -293,9 +305,10 @@ def central_transform(f, lambdas, xbox, xnodes):
     xabs = np.stack([np.abs(xw), np.abs(xw) * boundary_mask(xn)], axis=1)  # (X, 2)
     step = max(1, CHUNK_ELEMENTS // xn.shape[0])
 
-    def transform(z):
-        out = np.empty((J, z.shape[0]), complex).T
-        xsq = np.empty(z.shape[0])
+    def transform(z, out=None):
+        if out is None:
+            out = np.empty((J, z.shape[0]), complex).T
+        xsq = np.empty(z.shape[0]) if squares else None
         xtot = xtail = 0.0
         for lo in range(0, z.shape[0], step):
             chunk = out[lo : lo + step]
@@ -309,7 +322,8 @@ def central_transform(f, lambdas, xbox, xnodes):
             tot, tail = np.sum(absf @ xabs, axis=0)
             xtot += float(tot)
             xtail += float(tail)
-            np.matmul(np.square(absf, out=absf), xw, out=xsq[lo : lo + step])
+            if squares:
+                np.matmul(np.square(absf, out=absf), xw, out=xsq[lo : lo + step])
         return out, xtot, xtail, xsq
 
     return transform

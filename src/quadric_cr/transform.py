@@ -45,7 +45,8 @@ import numpy as np
 
 from .convex import ConvexBody, contains, empty_body, erode, support
 from .fock import fock_basis, group_convolve, pi_of_f_batch
-from .functions import GridSpec, SampledFunction, SpectralForm, _check_exponent, central_transform
+from .functions import (GridSpec, SampledFunction, SpectralForm, _central_transform,
+                        _check_exponent)
 from .quadrature import gauss_legendre, tensor_rule
 from .spectral import (generic_dimension, is_exceptional, layer_invariants,
                        plancherel_constant, spectral_data)
@@ -336,7 +337,7 @@ def extend_by_resynthesis(f, body, z, u, xbox=LONG_XBOX, lam_nodes=64):
     # resynthesis kernel e^{i<lam, u - i Phi(z)>}: the Phi shift makes the
     # boundary slice u = x + i Phi(z) collapse back to plain e^{i<lam,x>}
     resynth = np.exp(_check_exponent(1j * ((u - 1j * model.phi(z)) @ lams.T), "route A's kernel"))
-    fhat = central_transform(f, lams, xbox, LONG_XNODES)(z)[0]  # (P, J)
+    fhat = _central_transform(f, lams, xbox, LONG_XNODES, False)(z)[0]  # (P, J)
     return (fhat * resynth) @ lw / (2.0 * np.pi) ** model.m
 
 
@@ -463,7 +464,7 @@ def spectrum_support(f, lam_grid, body=None):
     rng = np.random.default_rng(0)
     seeded = 0.5 * (rng.standard_normal((2, model.n)) + 1j * rng.standard_normal((2, model.n)))
     zs = np.concatenate([np.zeros((1, model.n), complex), seeded])
-    fhat = central_transform(f, lam_grid, LONG_XBOX, LONG_XNODES)(zs)[0]
+    fhat = _central_transform(f, lam_grid, LONG_XBOX, LONG_XNODES, False)(zs)[0]
     mass = np.abs(fhat).max(axis=0)
     out = {"lambdas": lam_grid, "mass": mass}
     if body is not None:

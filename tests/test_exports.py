@@ -55,7 +55,10 @@ _WORKLOAD_PATHS = """
     from quadric_cr import cli, convex, fock, functions, model, transform
 
     def scipy_loaded(where):
-        names = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        # and concurrent.futures, which only a Plancherel batch of several
+        # radical chunks needs
+        names = sorted(m for m in sys.modules
+                       if m in ("scipy", "concurrent") or m.startswith(("scipy.", "concurrent.")))
         print(where, names[:3])
 
     scipy_loaded("import")
@@ -94,7 +97,9 @@ _WORKLOAD_PATHS = """
 
 def test_no_workload_path_imports_scipy(tmp_path):
     # scipy.optimize and scipy.spatial take longer to import than most runs
-    # take; only polytope hulls, erosion and nnls membership load them
+    # take; only polytope hulls, erosion and nnls membership load them.
+    # concurrent.futures adds 4-5 ms to the import, and none of these paths
+    # has a second radical chunk to sample on a worker
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     out = _run_fresh(_WORKLOAD_PATHS, tmp_path, str(scenarios))
     lines = out.splitlines()

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -438,22 +440,23 @@ def test_pi_of_f_batch_matches_layer_oracle(case, monkeypatch):
         # 144 perpendicular points, 40 radical points a chunk: 40, 40, 40, 24.
         # The budget holds the layer's kept state (B^2 = 49, T = 3, P = 144)
         # and a chunk of 40 radical points: their 144 source points each, 16
-        # bytes a coordinate (n = 2), and the layer's fhat on them and its
-        # folded copy, 16 bytes each
+        # bytes a coordinate (n = 2), and the four complex arrays the layer
+        # holds on them (its fhat, the fold's buffer and sums, and the fhat the
+        # worker fills meanwhile), 16 bytes each
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
-                            16 * 49 * (3 + 144) + 16 * 144 * (2 * 1 + 2) * 40)
-        build = fock.central_transform
+                            16 * 49 * (3 + 144) + 16 * 144 * (4 * 1 + 2) * 40)
+        build = fock._central_transform
 
         def spy(*args):
             transform = build(*args)
 
-            def counted(z):
+            def counted(z, out=None):
                 chunks.append(z.shape[0] // 144)
-                return transform(z)
+                return transform(z, out)
 
             return counted
 
-        monkeypatch.setattr(fock, "central_transform", spy)
+        monkeypatch.setattr(fock, "_central_transform", spy)
     got, warns = pi_of_f_batch(fb, f, taus=taus)
     monkeypatch.undo()
     want, want_warns = layer_oracle(fb, f, taus, grid)
@@ -721,7 +724,7 @@ def test_a_batch_makes_the_same_calls_at_any_layer_count(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(fock, name, spy)
-    run_batch, build = fock._run_layers, fock.central_transform
+    run_batch, build = fock._run_layers, fock._central_transform
 
     def spy_batch(f, sds, *args):
         for batch in run_batch(f, sds, *args):
@@ -731,14 +734,14 @@ def test_a_batch_makes_the_same_calls_at_any_layer_count(monkeypatch):
     def spy_sample(*args):
         transform = build(*args)
 
-        def counted(z):
+        def counted(z, out=None):
             counts["chunks"] += 1
-            return transform(z)
+            return transform(z, out)
 
         return counted
 
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
-    monkeypatch.setattr(fock, "central_transform", spy_sample)
+    monkeypatch.setattr(fock, "_central_transform", spy_sample)
     heis1 = gaussian_function(HEIS1, GridSpec(enodes=16))
     grid = GridSpec(ebox=3.5, enodes=12, fbox=4.5, fnodes=24)
     deg21 = SampledFunction(DEG21, lambda z, x: np.exp(-np.sum(np.abs(z) ** 2, axis=-1)
@@ -1171,14 +1174,15 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         # batches of 3, 2 and 2 layers (B^2 = 25, T = 16, P = R = 144): each
         # layer keeps 16 * 25 * (16 + 144) bytes, and a chunk holds 144
         # source points a radical point, 16 bytes for each of their n = 2
-        # coordinates and for each layer's fhat and its folded copy; the
-        # budget leaves three layers chunks of 3 radical points, two layers 9,
-        # and four layers none
+        # coordinates and for each of the four complex arrays a layer holds
+        # on them (its fhat, the fold's buffer and sums, and the fhat the
+        # worker fills meanwhile); the budget leaves three layers chunks of 2
+        # radical points, two layers 5, and four layers none
         monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
                             3 * 16 * 25 * (16 + 144) + 16 * 144 * (3 + 2) * 6)
     budget = fock.BATCH_STATE_BYTES
     seen, stacks, radical, sources = [], [], [], []
-    run_batch, build, rule = fock._run_layers, fock.central_transform, fock._perp_rule
+    run_batch, build, rule = fock._run_layers, fock._central_transform, fock._perp_rule
     kdim = model.n - generic_dimension(model)
     perp = grid.enodes ** (2 * kdim)
 
@@ -1196,15 +1200,15 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
     def spy_sample(*args):
         transform = build(*args)
 
-        def counted(z):
+        def counted(z, out=None):
             # the runner samples perp x radical-chunk points at a time
             radical.append(z.shape[0] // perp)
-            return transform(z)
+            return transform(z, out)
 
         return counted
 
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
-    monkeypatch.setattr(fock, "central_transform", spy_sample)
+    monkeypatch.setattr(fock, "_central_transform", spy_sample)
     monkeypatch.setattr(fock, "_perp_rule", spy_rule)
     points = []
     f = counted_gaussian(model, grid, points, width)
@@ -1219,13 +1223,13 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
               for sd in (spectral_data(model, row[0]) for row in rep.rows)}
     assert all(sources) and len(sources) == len(frames)
     if case == "deg21":
-        assert sorted(seen) == [2, 2, 3] and len(radical) == 48 + 16 + 16 and max(radical) == 9
+        assert sorted(seen) == [2, 2, 3] and len(radical) == 72 + 29 + 29 and max(radical) == 5
         assert len(frames) == 1  # DEG21's layers of both signs share e_1: one frame, 3 batches
         # the plan: as many layers a batch as fit the budget with a chunk of
         # one radical point, and each batch's chunk from what its layers leave
         P, R, n, kept = 144, 144, 2, 16 * 25 * (16 + 144)
-        assert (budget - 16 * P * n) // (kept + 2 * 16 * P) == max(seen) == 3
-        steps = [(budget - L * kept) // (16 * P * (2 * L + n)) for L in seen]
+        assert (budget - 16 * P * n) // (kept + 4 * 16 * P) == max(seen) == 3
+        steps = [(budget - L * kept) // (16 * P * (4 * L + n)) for L in seen]
         assert radical == [min(step, R - lo) for step in steps for lo in range(0, R, step)]
     if case == "heis1-odd":
         [batch] = stacks
@@ -1313,6 +1317,138 @@ def test_plancherel_samples_f_once_per_batch(case, monkeypatch):
     assert max(points) <= CHUNK_ELEMENTS
     norm_sq = l2_norm(f, grid) ** 2
     assert abs(rep.lhs - norm_sq) <= 1e-13 * norm_sq
+
+
+# DEG21 on 144 source and 144 radical points, and budgets that cut its frames
+# into radical chunks of 40 points (40, 40, 40, 24): pi_of_f_batch's one
+# layer (B^2 = 49, T = 3) and plancherel_residual's seven layers in one batch
+# (B^2 = 25, T = 16), each keeping its state and holding four complex arrays
+# a source point of a chunk (see test_plancherel_layers_match_per_layer_oracle)
+CHUNKED_GRID = GridSpec(ebox=2.5, enodes=12, fbox=3.0, fnodes=24)
+CHUNKED_TAUS = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]])
+CHUNKED_CFG = PlancherelConfig(lam_lo=[-10.0], lam_hi=[10.0], lam_nodes=7, degree=4,
+                               tau_nodes=4, grid=CHUNKED_GRID)
+CHUNKED_BUDGETS = {"pi_of_f_batch": 16 * 49 * (3 + 144) + 16 * 144 * (4 * 1 + 2) * 40,
+                   "plancherel": 7 * 16 * 25 * (16 + 144) + 16 * 144 * (4 * 7 + 2) * 40}
+
+
+def thread_recording(f, threads):
+    """f, whose evaluator appends the thread of each call to threads."""
+
+    def ev(z, x):
+        threads.append(threading.current_thread())
+        return f.evaluate(z, x)
+
+    return dataclasses.replace(f, evaluate=ev)
+
+
+def test_a_chunked_frame_matches_one_chunk(monkeypatch):
+    # later chunks are sampled on the worker while the batch takes the
+    # current one; every entry, row and side agrees with a run whose frame is
+    # one chunk (a budget of 2^40 bytes), sampled on the calling thread
+    fb = fock_basis(spectral_data(DEG21, np.array([1.1])), 6)
+    runs = {}
+    for budget in ("chunked", "one"):
+        threads, chunks = [], []
+        f = thread_recording(off_centre_gaussian(DEG21, CHUNKED_GRID), threads)
+        build = fock._central_transform
+
+        def spy(*args):
+            transform = build(*args)
+
+            def counted(z, out=None):
+                chunks.append(z.shape[0] // 144)
+                return transform(z, out)
+
+            return counted
+
+        monkeypatch.setattr(fock, "_central_transform", spy)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads take turns as often as they can
+        try:
+            for name, run in (("pi_of_f_batch", lambda: pi_of_f_batch(fb, f, taus=CHUNKED_TAUS)[0]),
+                              ("plancherel", lambda: plancherel_residual(DEG21, f, CHUNKED_CFG))):
+                monkeypatch.setattr(fock, "BATCH_STATE_BYTES",
+                                    CHUNKED_BUDGETS[name] if budget == "chunked" else 2**40)
+                got.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        on_main = {t is threading.main_thread() for t in threads}
+        if budget == "chunked":
+            assert chunks == [40, 40, 40, 24] * 2 and on_main == {True, False}
+        else:
+            assert chunks == [144, 144] and on_main == {True}
+        runs[budget] = got
+    (mat, rep), (want, want_rep) = runs["chunked"], runs["one"]
+    assert (np.abs(mat - want) <= 1e-13 * np.abs(want).max()).all()
+    assert len(rep.rows) == len(want_rep.rows) == 7 and rep.warnings == want_rep.warnings
+    for row, want_row in zip(rep.rows, want_rep.rows):
+        assert np.array_equal(row[0], want_row[0])
+        assert abs(row[2] - want_row[2]) <= 1e-13 * want_row[2]
+        assert abs(row[3] - want_row[3]) <= 1e-13 * want_row[3]
+    for side in ("lhs", "rhs"):
+        assert abs(getattr(rep, side) - getattr(want_rep, side)) <= 1e-13 * getattr(want_rep, side)
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+def test_an_error_on_a_later_chunk_reaches_the_caller(monkeypatch):
+    # f fails once it is past the first chunk's 40 * 144 points, on the
+    # worker: the caller gets f's own exception, and no thread is left behind
+    monkeypatch.setattr(fock, "BATCH_STATE_BYTES", CHUNKED_BUDGETS["pi_of_f_batch"])
+    failure, seen = _ChunkFailure("past the first chunk"), []
+    base = off_centre_gaussian(DEG21, CHUNKED_GRID)
+
+    def ev(z, x):
+        seen.append(z.shape[0])
+        if sum(seen) > 40 * 144:
+            raise failure
+        return base.evaluate(z, x)
+
+    fb = fock_basis(spectral_data(DEG21, np.array([1.1])), 6)
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as info:
+        pi_of_f_batch(fb, dataclasses.replace(base, evaluate=ev), taus=CHUNKED_TAUS)
+    assert info.value is failure
+    assert threading.active_count() == before
+
+
+def test_a_one_chunk_frame_samples_on_the_calling_thread():
+    # a frame with no second chunk starts no thread: d = 0 has one radical
+    # point, and the default budget takes the small DEG21 frame whole
+    threads = []
+    heis1 = thread_recording(gaussian_function(HEIS1, GridSpec(enodes=16)), threads)
+    deg21 = thread_recording(off_centre_gaussian(DEG21, CHUNKED_GRID), threads)
+    before = threading.active_count()
+    pi_of_f_batch(fock_basis(spectral_data(HEIS1, np.array([0.7])), 4), heis1)
+    plancherel_residual(HEIS1, heis1, PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=5,
+                                                       degree=4))
+    pi_of_f_batch(fock_basis(spectral_data(DEG21, np.array([1.1])), 6), deg21, taus=CHUNKED_TAUS)
+    plancherel_residual(DEG21, deg21, CHUNKED_CFG)
+    assert threads and all(t is threading.main_thread() for t in threads)
+    assert threading.active_count() == before
+
+
+def test_later_chunks_keep_the_callers_error_state(monkeypatch):
+    # f overflows on every chunk but the first, which the worker samples: the
+    # caller's np.errstate(over="raise") holds there, so the overflow raises
+    monkeypatch.setattr(fock, "BATCH_STATE_BYTES", CHUNKED_BUDGETS["pi_of_f_batch"])
+    seen = []
+    base = off_centre_gaussian(DEG21, CHUNKED_GRID)
+
+    def ev(z, x):
+        seen.append(z.shape[0])
+        if sum(seen) > 40 * 144:
+            np.exp(np.full(1, 800.0))
+        return base.evaluate(z, x)
+
+    fb = fock_basis(spectral_data(DEG21, np.array([1.1])), 6)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        pi_of_f_batch(fb, dataclasses.replace(base, evaluate=ev), taus=CHUNKED_TAUS)
 
 
 def test_plancherel_x_tail_warning_reads_the_shared_samples():
