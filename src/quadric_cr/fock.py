@@ -35,9 +35,11 @@ built only on the quadrant {Re > 0, Im > 0} of the first mode's nodes, times
 all N^2 nodes of each other mode, P/4 of the P = N^(2K) points, as real arrays
 Re W and Im W; fhat is folded onto the quadrant through its mirrored views
 into four parts, one for each of Re W and Im W and sigma = (-1)^(|alpha| -
-|beta|).  The shared clip table is kept split by sigma; the owned tables, of
-the unclipped and the multi-mode layers, are built together, one
-`_mode_blocks` call a mode for all of a batch's owned layers.
+|beta|).  Every table keeps its basis pairs in one order, the sigma = +1
+pairs first (`_pair_order`), so each part meets a row slice of its Re or Im
+plane: of the shared clip table and of the owned tables, of the unclipped
+and the multi-mode layers, built together, one `_mode_blocks` call a mode
+for all of a batch's owned layers.
 
 One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
 takes a frame's layers (the same eigenvectors and radical) and source
@@ -145,12 +147,11 @@ BATCH_STATE_BYTES = 32 * 2**20
 # failure.
 CAPTURED_TOL = 1e-6
 
-# `_clip_factor`'s entries by (enodes, degree), at most four: each the four
-# read-only (n, N_0) sigma parts of a one-mode `_mode_factor` at mu =
-# PHI_CUT / 2, read by both signs of mu, 1.08 MB at the degenerate
-# criterion's degree 12 on 40 nodes.  An unclipped mode's factor depends on
-# lam and is not kept, nor is a multi-mode layer's, which its batch builds
-# with its owned tables
+# `_clip_factor`'s entries by (enodes, degree), at most four: each one
+# read-only (2, B*B, N_0) one-mode `_mode_factor` at mu = PHI_CUT / 2, read
+# by both signs of mu, 1.08 MB at the degenerate criterion's degree 12 on
+# 40 nodes.  An unclipped mode's factor depends on lam and is not kept, nor
+# is a multi-mode layer's, which its batch builds with its owned table
 _CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
@@ -208,7 +209,8 @@ def eval_basis(fb, w):
 
 def _mode_blocks(mu, wz, degree):
     """Single-mode shift matrices for shifts wz, as their real and imaginary
-    planes: shape (2, D+1, D+1) + wz.shape.
+    planes: shape (2, (D+1)^2) + wz.shape, the pairs [a, b] in the order of
+    `_pair_order(1, D)`, a table as it stands.
 
     Entry [a, b] is <pi(z) e_b, e_a> for the one-variable normalized
     monomials, a displacement-operator matrix element.  mu is the mode's
@@ -224,8 +226,10 @@ def _mode_blocks(mu, wz, degree):
     and c_k = beta^k exp(-s/2)/sqrt(k!) is a running product; exp(-s/2) is
     split evenly between g and c so neither overflows at large shifts.  The
     points sit on the last axes, so each step of the recurrence is one
-    operation over all of them, and g is real, so each plane is written on
-    its own and no complex table is formed.
+    operation over all of them, and g is real, so the planes are written
+    apart and no complex table is formed.  The pair order keeps the entries
+    of each b and sign (-1)^(a-b) together, the a >= b ones first, so a step
+    writes each sign's entries of both planes as two slices.
     """
     beta = np.conj(np.sqrt(2.0 * np.asarray(mu, float)) * np.asarray(wz, complex))
     s = np.abs(beta) ** 2
@@ -235,15 +239,20 @@ def _mode_blocks(mu, wz, degree):
     np.cumprod(c, axis=0, out=c)  # beta^k exp(-s/4) / sqrt(k!)
     sign = (-1.0) ** k
     # Re and Im of c, then of the same for -conj(beta), (-1)^k conj(c)
-    low, up = (c.real, c.imag), (sign * c.real, -sign * c.imag)
-    out = np.empty((2, degree + 1, degree + 1) + beta.shape)
+    low = np.stack([c.real, c.imag])
+    up = low * np.stack([sign, -sign])
+    row = _pair_order(1, degree)[2].reshape(degree + 1, degree + 1).tolist()
+    out = np.empty((2, (degree + 1) ** 2) + beta.shape)
     g_prev = np.zeros((degree + 1,) + beta.shape)
     g = np.repeat(half[None], degree + 1, axis=0)  # g_0 exp(-s/4)
     for b in range(degree + 1):
         n = degree + 1 - b
-        for plane, lo, hi in zip(out, low, up):
-            np.multiply(lo[:n], g[:n], out=plane[b:, b])  # a = b + k
-            np.multiply(hi[1:n], g[1:n], out=plane[b, b + 1 :])  # the mirrored a < b entries
+        for p in range(min(2, n)):  # a = b + k, then the mirrored a < b, for k of parity p
+            start = row[b + p][b]
+            mid = start + len(range(p, n, 2))
+            end = mid + len(range(2 - p, n, 2))
+            np.multiply(low[:, p:n:2], g[p:n:2], out=out[:, start:mid])
+            np.multiply(up[:, 2 - p : n : 2], g[2 - p : n : 2], out=out[:, mid:end])
         kk = k[: n - 1]
         g_next = (2 * b + 1 + kk) - s
         g_next *= g[: n - 1]
@@ -254,15 +263,16 @@ def _mode_blocks(mu, wz, degree):
 
 
 def _gathered(fb, k, blocks):
-    """Mode k's blocks (2, D+1, D+1, ...) gathered onto the basis pairs, shape
-    (2, B*B, ...): pair [alpha, beta] reads entry [alpha_k, beta_k].  A one-mode
-    basis is the mode's monomials in order, so its blocks are the table as they
-    stand."""
-    shape = (2, fb.size**2) + blocks.shape[3:]
+    """Mode k's blocks (`_mode_blocks`) gathered onto the basis pairs in their
+    order (`_pair_order`), shape (2, B*B, ...): pair [alpha, beta] reads entry
+    [alpha_k, beta_k].  A one-mode basis is the mode's monomials in order, so
+    its blocks are the table as they stand."""
     if fb.sd.kdim == 1:
-        return blocks.reshape(shape)
+        return blocks
+    order = _pair_order(fb.sd.kdim, fb.degree)[0]
+    row = _pair_order(1, fb.degree)[2].reshape(fb.degree + 1, fb.degree + 1)
     al = fb.alphas[:, k]
-    return blocks[:, al[:, None], al[None, :]].reshape(shape)
+    return blocks[:, row[al[order // fb.size], al[order % fb.size]]]
 
 
 def _complex(planes):
@@ -277,14 +287,14 @@ def _shift_matrices(fb, wz):
 
     The kernel factorizes across modes, so the full matrix is the entrywise
     product of the per-mode blocks, each gathered onto the degree-truncated
-    index set.  `rep_apply` calls it for one point; the layer runner builds
-    its shifts per mode instead (`_Batch.tables`).
+    index set, and put back in the basis's pair order.  `rep_apply` calls it
+    for one point; the layer runner builds its shifts per mode (`_Batch`).
     """
     mu = np.abs(fb.sd.eigenvalues)
     out = np.ones((fb.size**2, wz.shape[0]), complex)
     for k in range(fb.sd.kdim):
         out *= _complex(_gathered(fb, k, _mode_blocks(mu[k], wz[:, k], fb.degree)))
-    return out.T.reshape(-1, fb.size, fb.size)
+    return out[_pair_order(fb.sd.kdim, fb.degree)[2]].T.reshape(-1, fb.size, fb.size)
 
 
 def _tau_dot(tau, r):
@@ -348,28 +358,21 @@ def _alphas(kdim, degree):
 
 
 @functools.lru_cache(maxsize=16)
-def _sigma_columns(kdim, degree):
-    """The flat basis pairs [alpha, beta] whose sign sigma = (-1)^(|alpha| - |beta|)
-    is +1 (the shift-matrix entries that negating every w keeps), those where it
-    is -1, and the order that takes pairs so split back to the basis's, read-only."""
+def _pair_order(kdim, degree):
+    """The one order of the flat basis pairs [alpha, beta], basis indices [i, j],
+    that every shift table and pi(f) share keeps: those whose sign sigma =
+    (-1)^(|alpha| - |beta|) is +1 (the entries that negating every w keeps)
+    first, then the rest, each by min(i, j), then i >= j first, then |i - j|,
+    so `_mode_blocks` writes its runs in place.  Returns the order, the count
+    of sigma = +1 pairs and the inverse order, which takes pairs so ordered
+    back to the basis's; the arrays are read-only."""
     deg = _alphas(kdim, degree).sum(axis=1)
-    odd = ((deg[:, None] + deg[None, :]) % 2).reshape(-1) == 1
-    plus, minus = np.flatnonzero(~odd), np.flatnonzero(odd)
-    cols = plus, minus, np.argsort(np.concatenate((plus, minus)))
-    for c in cols:
-        c.flags.writeable = False
-    return cols
-
-
-def _split(fb, planes):
-    """The real and imaginary planes (2, B*B, ...) of a table, each split into its
-    sigma = +1 and -1 rows (`_sigma_columns`): four read-only real arrays (Re+,
-    Re-, Im+, Im-)."""
-    rows = _sigma_columns(fb.sd.kdim, fb.degree)[:2]
-    parts = tuple(plane[r] for plane in planes for r in rows)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+    i, j = np.indices((deg.size, deg.size)).reshape(2, -1)
+    odd = (deg[i] + deg[j]) % 2
+    order = np.lexsort((np.abs(i - j), i < j, np.minimum(i, j), odd))
+    back = np.argsort(order)
+    order.flags.writeable = back.flags.writeable = False
+    return order, odd.size - int(odd.sum()), back
 
 
 def _quadrant(rule):
@@ -393,7 +396,7 @@ def _mode_factor(fb, k, mu, enodes):
     rule is the reference rule times s_k and sqrt(2|mu_k|) s_k = sqrt(2 mu), so
     this is the blocks of mu on the reference complex nodes (the first mode's
     on their N_0 = ceil(N/2)^2 quadrant nodes, `_quadrant`), gathered onto the
-    basis, times the reference weights."""
+    basis pairs in their order, times the reference weights."""
     rule = _reference_rule(enodes)
     nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
     table = _gathered(fb, k, _mode_blocks(np.asarray(mu)[..., None], nodes, fb.degree))
@@ -402,25 +405,26 @@ def _mode_factor(fb, k, mu, enodes):
 
 
 def _clip_factor(fb, enodes):
-    """`_split`'s four (B*B, N_0) parts of a clipped one-mode layer's `_mode_factor`:
+    """A clipped one-mode layer's `_mode_factor`, (2, B*B, N_0) and read-only:
     its mu is PHI_CUT / 2 whatever the layer, so it is kept in `_CLIP_TABLES`
     (at most four, the oldest dropped first) unless larger than
     `BATCH_STATE_BYTES`, and every such layer of either sign reads it."""
     key = (enodes, fb.degree)
-    parts = _CLIP_TABLES.get(key)
-    if parts is None:
-        parts = _split(fb, _mode_factor(fb, 0, 0.5 * PHI_CUT, enodes))
-        if sum(part.nbytes for part in parts) <= BATCH_STATE_BYTES:
+    table = _CLIP_TABLES.get(key)
+    if table is None:
+        table = _mode_factor(fb, 0, 0.5 * PHI_CUT, enodes)
+        table.flags.writeable = False
+        if table.nbytes <= BATCH_STATE_BYTES:
             if len(_CLIP_TABLES) == 4:
                 del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
-            _CLIP_TABLES[key] = parts
-    return parts
+            _CLIP_TABLES[key] = table
+    return table
 
 
 def _fold(fhat, kdim, num):
     """fhat (L, P, X) of L layers on their tensor grids of num nodes an axis,
     folded onto the first mode's quadrant: the four parts (Q, L*X), point by
-    point, that meet Re W+, Re W-, Im W+ and Im W- (`_Batch.tables`).
+    point, that meet Re W+, Re W-, Im W+ and Im W- (`_Batch.add`).
 
     With a, b, c and d the values at p, at conj p (every Im axis reversed), at
     -p and at -conj p (every Re axis reversed), W(conj p) = conj W(p) and
@@ -694,11 +698,23 @@ class _Batch:
     grid's half-widths, and index their positions in sds in the batch's own
     order: the one-mode clipped layers first, which read the one shared
     clip table (`_clip_factor`), then the owned, the unclipped one-mode
-    layers and every multi-mode layer, whose tables are built together
-    (`tables`); in each group the layers interpolated from the source grid
+    layers and every multi-mode layer, whose table is built for all of them
+    together; in each group the layers interpolated from the source grid
     (a half-width differs from the source's) come first.  Both callers keep
     the interpolated layers a prefix: `plancherel_residual` clips every
     shared layer, and `pi_of_f_batch` runs one layer.
+
+    Both tables are built here, before any chunk is sampled, each layer's
+    W = scale (Re + i im_sign Im) on the first mode's quadrant: `shared`, the
+    clip table's read-only Re and Im planes (2, B*B, Q), and `owned`, the
+    owned layers' (2, B*B, L_o, Q), which `add` drops after the last chunk
+    (or None).  Their rows are the basis pairs in order (`_pair_order`), so
+    each folded part meets a row slice of a plane.  The owned table is each
+    mode's `_mode_factor` at the layers' scaled eigenvalues, conjugated
+    where mu_k < 0, the first mode's on its quadrant's N_0 nodes and every
+    other mode's on all N^2, multiplied out over the tensor grid, the last
+    mode fastest; `add` folds the grid's mirror images onto the quadrant
+    (`_fold`).  A layer with no mode has the one-point rule, W = 1.
     """
 
     def __init__(self, sds, idx, degree, grid, src_halves, pmask, taus):
@@ -709,7 +725,8 @@ class _Batch:
         order = np.lexsort((~interp, ~shared))
         self.index, self.sds = idx[order], [sds[i] for i in idx[order]]
         halves, interp = halves[order], interp[order]
-        self.n_shared, n_interp = int(shared.sum()), int(interp.sum())
+        self.n_shared = s = int(shared.sum())
+        n_interp = int(interp.sum())
         assert interp[:n_interp].all(), "the interpolated layers are not a prefix"
         # one basis: every layer of a frame has the same kdim and degree
         self.fb = FockBasis(sd=self.sds[0], degree=degree, alphas=_alphas(K, degree))
@@ -717,14 +734,14 @@ class _Batch:
         eig = np.array([sd.eigenvalues for sd in self.sds]).reshape(L, K)
         scaled = np.abs(eig) * halves * halves  # |mu_k| s_k^2
         # the scaled eigenvalue each table reads: PHI_CUT / 2 on a clipped mode
-        self.mu = np.where(halves < grid.ebox, 0.5 * PHI_CUT, scaled)
-        self.sign = np.where(eig > 0, 1.0, -1.0)
+        mu = np.where(halves < grid.ebox, 0.5 * PHI_CUT, scaled)
+        sign = np.where(eig > 0, 1.0, -1.0)
         self.scale = np.prod(halves * halves, axis=1)
         # an owned table carries its modes' signs; the shared one takes the sign
         # of its layer's mu after the GEMM
         self.im_sign = np.ones(L)
-        if self.n_shared:
-            self.im_sign[: self.n_shared] = self.sign[: self.n_shared, 0]
+        if s:
+            self.im_sign[:s] = sign[:s, 0]
         # e^(-phi_lam/2) |w| of the tail diagnostics but for each axis's s_k,
         # common to every point: the tensor product of each real axis's
         # e^(-mu x^2/2) w(x) on the reference rule, the last mode's Im axis fastest
@@ -737,49 +754,20 @@ class _Batch:
         # Re and Im axes; it depends only on the half-widths' ratio
         self.mats = (_interp_matrix(x, x * (halves[:n_interp] / src_halves)[..., None])
                      if n_interp else None)
-        self.owned = None  # `tables`' owned part, kept only while more radical chunks remain
         self.pending = []  # (tphase, scaled product) of the chunks not yet in acc
-        # pi(f) so far, each layer's (T, B^2) with its sigma = +1 pairs first
+        # pi(f) so far, each layer's (T, B^2) in the tables' pair order
         self.acc = np.zeros((L, taus.shape[0], self.fb.size**2), complex)
         # |fhat| mass and the two sides of the zeta-tail diagnostic: the damped
         # mass on the whole grid and on its boundary
         self.mass, self.tails = np.zeros(L), np.zeros((L, 2))
-
-    def __len__(self):
-        return len(self.sds)
-
-    def share(self, i):
-        """Layer i's pi(f) so far, (T, B*B) in the basis's pair order."""
-        return self.acc[i][:, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[2]]
-
-    def warnings(self):
-        """Each layer's zeta-tail warning, naming its lam."""
-        return sum((_tail_warning(part, whole, _ZETA_TAIL, sd.lam)
-                    for (whole, part), sd in zip(self.tails, self.sds)), ())
-
-    def tables(self):
-        """The weighted shift tables on the first mode's quadrant, each layer's
-        W = scale (Re + i im_sign Im): the shared clip table's four (n, Q) real
-        parts (Re+, Re-, Im+, Im-) split by sigma (`_split`), or None, and the
-        owned layers' real and imaginary planes (2, B*B, L_o, Q), or None.  The
-        owned planes are not split, so they are never held twice.
-
-        The owned parts are built together, one `_mode_factor` a mode over all
-        owned layers: each mode's factor at the layers' scaled eigenvalues,
-        conjugated where mu_k < 0, the first mode's on its quadrant's N_0
-        nodes and every other mode's on all N^2, multiplied out over the
-        tensor grid, the last mode fastest; the rest of the grid is the
-        quadrant's mirror images, which `add` folds onto it (`_fold`).  A
-        layer with no mode has the one-point rule, W = 1.
-        """
-        s, L = self.n_shared, len(self)
-        shared = _clip_factor(self.fb, self.grid.enodes) if s else None
-        if self.owned is None and s < L:
+        self.shared = _clip_factor(self.fb, grid.enodes) if s else None
+        self.owned = None
+        if s < L:
             table = np.zeros((2, self.fb.size**2, L - s, 1))
             table[0] = 1.0
-            for k in range(self.fb.sd.kdim):
-                factor = _mode_factor(self.fb, k, self.mu[s:, k], self.grid.enodes)
-                factor[1] *= self.sign[s:, k, None]
+            for k in range(K):
+                factor = _mode_factor(self.fb, k, mu[s:, k], grid.enodes)
+                factor[1] *= sign[s:, k, None]
                 if k == 0:
                     # the first factor starts the product: multiplying it into
                     # ones would cost one more temporary of the table's size
@@ -790,7 +778,18 @@ class _Batch:
                     table.shape[:3] + (-1,))
             table.flags.writeable = False
             self.owned = table
-        return shared, self.owned
+
+    def __len__(self):
+        return len(self.sds)
+
+    def share(self, i):
+        """Layer i's pi(f) so far, (T, B*B) in the basis's pair order."""
+        return self.acc[i][:, _pair_order(self.fb.sd.kdim, self.fb.degree)[2]]
+
+    def warnings(self):
+        """Each layer's zeta-tail warning, naming its lam."""
+        return sum((_tail_warning(part, whole, _ZETA_TAIL, sd.lam)
+                    for (whole, part), sd in zip(self.tails, self.sds)), ())
 
     def add(self, fhat, src_w, tphase, rabs, last):
         """Add one radical chunk from its central transform fhat (P*R_c, L) on
@@ -806,14 +805,13 @@ class _Batch:
         tphase that comes first, or else on the chunk's product.  What meets
         W, fhat or its product with the phases, is
         folded onto the first mode's quadrant (`_fold`) for all layers at
-        once, and each part meets its table in one GEMM for all the shared
-        layers and one batched matmul for the owned ones, on all pairs of
-        their planes.
+        once, and each part meets its rows of the tables in one GEMM for all
+        the shared layers and one batched matmul for the owned ones.
         """
         L, P = len(self), src_w.size
-        # the tables first, while the chunk's working arrays do not exist yet
-        shared, owned = self.tables()
-        self.owned = None if last else owned
+        owned = self.owned
+        if last:
+            self.owned = None  # so the next batch's is not built beside it
         fhat = fhat.T.reshape(L, P, -1)  # the transform writes each layer's column contiguous
         radical = fhat.shape[2]
         absf = np.abs(fhat)
@@ -834,22 +832,22 @@ class _Batch:
                        self.fb.sd.kdim, self.grid.enodes)
         # a complex part (Q, L*X) is a real (Q, L, 2X) one, Re and Im side by
         # side, so each product gives (n, L, X) complex: the Re W and Im W
-        # products, the sigma = +1 rows first
-        s, sigma = self.n_shared, _sigma_columns(self.fb.sd.kdim, self.fb.degree)[:2]
-        rows = slice(None, sigma[0].size), slice(sigma[0].size, None)
+        # products in the tables' pair order, each part's sigma its own rows
+        s, count = self.n_shared, _pair_order(self.fb.sd.kdim, self.fb.degree)[1]
         width = 2 * folded[0].shape[1] // L  # 2X
         prod = np.empty((2, self.fb.size**2, L * width))
         for k, part in enumerate(folded):
-            real, out = part.view(float), prod[k // 2, rows[k % 2]]
+            rows = slice(None, count) if k % 2 == 0 else slice(count, None)
+            real, out = part.view(float), prod[k // 2, rows]
             if s:
-                np.matmul(shared[k], real[:, : s * width], out=out[:, : s * width])
+                np.matmul(self.shared[k // 2, rows], real[:, : s * width],
+                          out=out[:, : s * width])
             if s < L:
-                # every pair's product on the owned plane, of which the part's
-                # sigma keeps its own rows
-                owns = real[:, s * width :].reshape(real.shape[0], L - s, width)
-                full = owned[k // 2].transpose(1, 0, 2) @ owns.transpose(1, 0, 2)
-                out[:, s * width :] = full[:, sigma[k % 2]].transpose(1, 0, 2).reshape(
-                    out.shape[0], owns.shape[1] * width)
+                # one product a layer, written into its own columns of prod
+                n = out.shape[0]
+                np.matmul(owned[k // 2, rows].transpose(1, 0, 2),
+                          real[:, s * width :].reshape(-1, L - s, width).transpose(1, 0, 2),
+                          out=out[:, s * width :].reshape(n, L - s, width).transpose(1, 0, 2))
         re_w, im_w = prod.reshape(2, -1, L, width).view(complex)
         im_w *= 1j * self.im_sign[:, None]
         total = np.add(re_w, im_w, out=re_w).transpose(1, 2, 0)  # (L, X, B^2)
@@ -911,9 +909,10 @@ def _run_layers(f, sds, degree, grid, src_halves, taus, norm=False):
     P, R, n = zperp.shape[0], zrad.shape[0], zperp.shape[1]
     # what a layer keeps across radical chunks: its (T, B^2) share and, when
     # there is more than one radical point, its weighted shifts, counted as a
-    # complex (P, B^2) table.  An owned table is four real arrays on about P/4
-    # rows, a quarter of that, and a one-mode clipped layer keeps only a
-    # reference to the shared table, so this over-counts both (ROADMAP item 5)
+    # complex (P, B^2) table.  An owned table is its real and imaginary planes
+    # on about P/4 points, a quarter of that, and a one-mode clipped layer
+    # keeps only a reference to the shared table, so this over-counts both
+    # (ROADMAP item 2)
     side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
     kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
     # the complex arrays a layer holds per point of a chunk: its fhat and the
@@ -929,8 +928,6 @@ def _run_layers(f, sds, degree, grid, src_halves, taus, norm=False):
         squares = norm and b == 0 and f.spectral is None
         transform = _central_transform(f, np.array([sd.lam for sd in batch.sds]), grid.fbox,
                                        grid.fnodes, squares)
-        # the tables before the first chunk is sampled, so no fhat sits beside their build
-        batch.tables()
         bufs = [np.empty(L * P * min(step, R), complex) for _ in starts[:2]]
 
         def job(k):

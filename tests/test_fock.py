@@ -202,6 +202,26 @@ def test_rep_shift_blocks_match_mpmath(degree, mu):
         assert np.triu(err, 1).max() <= 1e-13, (s, "a < b")
 
 
+@pytest.mark.parametrize("mu", [0.05, 1.0, fock.PHI_CUT / 2])
+@pytest.mark.parametrize("degree", [8, 24, 48])
+def test_mode_blocks_mirror_across_the_diagonal(degree, mu):
+    # D(w)^dagger = D(-w) and D(-w)_ab = (-1)^(a-b) D(w)_ab, so every block
+    # has W(b, a) = sigma conj W(a, b), sigma = (-1)^(a-b): Re[b, a] =
+    # sigma Re[a, b] and Im[b, a] = -sigma Im[a, b], entry by entry and
+    # exactly, on seeded shifts with |beta|^2 from 0 to 400; the planes are
+    # read square through their pair order
+    rng = np.random.default_rng(31)
+    r = np.sqrt(rng.uniform(0.0, 400.0, 50) / (2.0 * mu))
+    wz = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 50))
+    row = fock._pair_order(1, degree)[2].reshape(degree + 1, degree + 1)
+    re, im = fock._mode_blocks(mu, wz, degree)[:, row]
+    a = np.arange(degree + 1)
+    sigma = ((-1.0) ** (a[:, None] - a[None, :]))[..., None]
+    assert np.isfinite(re).all() and np.isfinite(im).all() and np.abs(im).max() > 0
+    assert np.array_equal(re.transpose(1, 0, 2), sigma * re)
+    assert np.array_equal(im.transpose(1, 0, 2), -sigma * im)
+
+
 def test_rep_far_shifts_vanish():
     # lam = 4, z = 40 is |beta|^2 = 12800: far outside every basis function
     for degree in (8, 12, 24, 48):
@@ -530,9 +550,10 @@ def layer_shifts(sd, degree, grid):
     halves = fock._half_widths(sd, grid.ebox)
     pmask = quadrature.boundary_mask(fock._perp_rule(halves, grid.enodes)[0])
     batch = fock._Batch([sd], np.arange(1), degree, grid, halves, pmask, np.zeros((1, 2 * sd.d)))
-    shared, owned = batch.tables()
-    assert (shared is None) != (owned is None) and (owned is None or not owned.flags.writeable)
-    parts = shared if batch.n_shared else fock._split(batch.fb, owned[:, :, 0])
+    assert (batch.shared is None) != (batch.owned is None)
+    planes = batch.shared if batch.n_shared else batch.owned[:, :, 0]
+    count = fock._pair_order(sd.kdim, degree)[1]
+    parts = tuple(plane[rows] for plane in planes for rows in (slice(count), slice(count, None)))
     return batch.scale[0], batch.im_sign[0], parts
 
 
@@ -545,9 +566,11 @@ def expand_quadrant(fb, shifts, num):
     kdim, pairs = fb.sd.kdim, fb.size**2
     deg = fb.alphas.sum(axis=1)
     sigma = ((-1.0) ** (deg[:, None] - deg[None, :])).reshape(-1)
+    order, count = fock._pair_order(kdim, fb.degree)[:2]
+    assert (sigma[order[:count]] > 0).all() and (sigma[order[count:]] < 0).all()
     quad = np.empty((re_p.shape[1], pairs), complex)
-    quad[:, sigma > 0] = (re_p + 1j * im_sign * im_p).T
-    quad[:, sigma < 0] = (re_m + 1j * im_sign * im_m).T
+    quad[:, order[:count]] = (re_p + 1j * im_sign * im_p).T
+    quad[:, order[count:]] = (re_m + 1j * im_sign * im_m).T
     half, side = num // 2, num - num // 2
     quad = scale * quad.reshape((side, side) + (num,) * (2 * kdim - 2) + (pairs,))
     if num % 2:
@@ -647,6 +670,69 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     for enodes, _ in keys:
         fock._clip_factor(fb, enodes)
     assert list(fock._CLIP_TABLES) == keys[1:]
+
+
+def test_both_tables_keep_one_pair_order(monkeypatch):
+    # the 41-layer HEIS1 batch above: the shared clip table and the owned
+    # table are each one read-only (2, B^2, ...) array with the sigma = +1
+    # pairs first, the rows of the per-point shift matrices in the basis's
+    # order, weighted and permuted; the owned table is dropped after the
+    # last chunk, and share(i) puts each layer's pi(f) back in the basis's
+    # order: the radial gaussian and the square grid keep the quarter turns
+    # w -> i w, so entry [a, b] vanishes unless 4 divides a - b
+    grid = GridSpec(ebox=4.0, enodes=13, fbox=4.0, fnodes=16)
+    cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
+    seen, batches = [], []
+    add, run_batch = fock._Batch.add, fock._run_layers
+
+    def spy_add(self, *args):
+        seen.append((self.shared, self.owned))
+        return add(self, *args)
+
+    def spy_batch(f, sds, *args):
+        for batch in run_batch(f, sds, *args):
+            batches.append(batch[0])
+            yield batch
+
+    monkeypatch.setattr(fock._Batch, "add", spy_add)
+    monkeypatch.setattr(fock, "_run_layers", spy_batch)
+    plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
+    monkeypatch.undo()
+    [batch] = batches
+    [(shared, owned)] = seen
+    s, side, pairs = batch.n_shared, 25, 7**2
+    assert 0 < s < 41 and batch.owned is None
+    assert shared.shape == (2, side, pairs) and owned.shape == (2, side, 41 - s, pairs)
+    assert not shared.flags.writeable and not owned.flags.writeable
+
+    order, count, back = fock._pair_order(1, 4)
+    assert not (order.flags.writeable or back.flags.writeable)
+    a = np.arange(5)
+    sigma = ((-1.0) ** (a[:, None] - a[None, :])).reshape(-1)
+    assert count == 13
+    assert (sigma[order[:count]] == 1).all() and (sigma[order[count:]] == -1).all()
+    assert np.array_equal(order[back], np.arange(side))
+    # each table's rows against the shift matrices on the quadrant's
+    # reference nodes at its scaled eigenvalue, in the basis's order
+    nodes, w = fock._quadrant(quadrature._reference_rule(grid.enodes))
+
+    def rows(mu):
+        fb = fock_basis(spectral_data(HEIS1, np.array([mu])), 4)
+        table = fock._shift_matrices(fb, nodes[:, None]).reshape(pairs, side).T * w
+        return np.stack([table.real, table.imag])[:, order]
+
+    assert np.allclose(shared, rows(fock.PHI_CUT / 2), rtol=0.0, atol=1e-15)
+    for i, sd in enumerate(batch.sds[s:]):
+        want = rows(abs(sd.eigenvalues[0]) * grid.ebox * grid.ebox)
+        want[1] *= np.sign(sd.eigenvalues[0])
+        assert np.allclose(owned[:, :, i], want, rtol=0.0, atol=1e-15)
+
+    for i in range(41):
+        got = batch.share(i)
+        assert np.array_equal(got[:, order], batch.acc[i])
+        mat = np.abs(got.reshape(5, 5))
+        turns = (a[:, None] - a[None, :]) % 4 == 0
+        assert mat[~turns].max() <= 1e-12 * mat.max() and (np.diag(mat) > 0).all()
 
 
 def test_memoized_rules_and_tables_are_safe():
