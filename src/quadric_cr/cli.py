@@ -6,7 +6,8 @@ JSON summary with one pass/fail entry per check, plus a `warnings` list
 when the run has any: a synthesized function's profile nodes outside the
 positivity cone, and `plancherel`'s report (which always has the key).
 All randomness comes from one seed recorded in both outputs; reruns are
-byte-identical.
+byte-identical.  Each handler reads every key it takes and refuses any
+other (`KVFile.refuse_unread`) before it computes.
 
 Exit codes: 0 all checks pass, 2 parse/usage error, 3 missing referenced
 file, 4 tolerance violation.
@@ -94,6 +95,8 @@ def _sample_ambient(model, rng, count):
 def _run_spectral(scn, seed, rng):
     model = scn.model()
     grid = _lam_table(scn, model.m)
+    tol_basis = scn.flt("tol_basis", 1e-10)
+    scn.refuse_unread()
     gen_d = generic_dimension(model)
     rows = []
     worst = 0.0
@@ -115,7 +118,7 @@ def _run_spectral(scn, seed, rng):
         "radical_dim", "pfaffian", "mu_min", "mu_max", "basis_residual", "exceptional",
     ]
     checks = [
-        _check("basis_orthonormality", worst, scn.flt("tol_basis", 1e-10)),
+        _check("basis_orthonormality", worst, tol_basis),
         _check("pfaffian_positive", minpf, 0.0, kind="min"),
     ]
     meta = {"generic_radical_dim": gen_d, "layers": len(rows)}
@@ -156,6 +159,8 @@ def _run_plancherel(scn, seed, rng):
         grid=grid,
         **scn.given(degree="integer", tau_box="flt", tau_nodes="count"),
     )
+    tol_residual = scn.flt("tol_residual")
+    scn.refuse_unread()
     try:
         rep = plancherel_residual(model, f, cfg)
     except ValueError as exc:  # its only refusal: no lambda rule from these keys
@@ -171,7 +176,7 @@ def _run_plancherel(scn, seed, rng):
         "skipped": rep.skipped,
         "warnings": list(f.warnings) + list(rep.warnings),
     }
-    checks = [_check("plancherel_residual", rep.residual, scn.flt("tol_residual"))]
+    checks = [_check("plancherel_residual", rep.residual, tol_residual)]
     return meta, cols, rows, checks
 
 
@@ -179,6 +184,8 @@ def _run_rockland(scn, seed, rng):
     model = scn.model()
     lam = scn.vec("lam", model.m, default=1)
     degree = scn.integer("degree", 10)
+    tol_spectrum, tol_ground = scn.flt("tol_spectrum", 1e-8), scn.flt("tol_ground", 1e-8)
+    scn.refuse_unread()
     sd = spectral_data(model, lam)
     fb = fock_basis(sd, degree)
     spec = rockland_spectrum(fb)
@@ -195,8 +202,8 @@ def _run_rockland(scn, seed, rng):
     cols = ["alpha", "assembled", "closed_form", "abs_diff"]
     meta = {"block_size": mat.shape[0], "kept": len(rows)}
     checks = [
-        _check("spectrum_match", float((diffs / scale).max()), scn.flt("tol_spectrum", 1e-8)),
-        _check("ground_overlap", float(ground), 1.0 - scn.flt("tol_ground", 1e-8), kind="min"),
+        _check("spectrum_match", float((diffs / scale).max()), tol_spectrum),
+        _check("ground_overlap", float(ground), 1.0 - tol_ground, kind="min"),
     ]
     return meta, cols, rows, checks
 
@@ -207,12 +214,14 @@ def _run_extend(scn, seed, rng):
     prof = scn.profile(body)
     count = scn.count("points", 200)
     order = scn.integer("order", 3)
+    lam_kw, xbox_kw = scn.given(lam_nodes="count"), scn.given(xbox="flt")
+    tol_routes, tol_boundary = scn.flt("tol_routes", 1e-5), scn.flt("tol_boundary", 1e-6)
+    scn.refuse_unread()
     z, u = _sample_ambient(model, rng, count)
     f = inverse_FN(model, prof)
-    lam_kw = scn.given(lam_nodes="count")
     try:
         vb = extend_profile(model, prof, z, u, **lam_kw)
-        va = extend_by_resynthesis(f, body, z, u, **lam_kw, **scn.given(xbox="flt"))
+        va = extend_by_resynthesis(f, body, z, u, **lam_kw, **xbox_kw)
     except ValueError as exc:  # lam_nodes or xbox: rho = h > 0 passes the exponent check
         raise cio.ParseError(f"{scn.path}: lam_nodes, xbox: {exc}") from exc
     rel = np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)
@@ -230,8 +239,8 @@ def _run_extend(scn, seed, rng):
     cols = ["point", "routeB_re", "routeB_im", "routeA_re", "routeA_im", "rel_gap", "margin"]
     meta = _with_warnings({"order": order}, f)
     checks = [
-        _check("routes_agree", float(rel.max()), scn.flt("tol_routes", 1e-5)),
-        _check("boundary_restriction", brel, scn.flt("tol_boundary", 1e-6)),
+        _check("routes_agree", float(rel.max()), tol_routes),
+        _check("boundary_restriction", brel, tol_boundary),
         _check("margins_finite", finite, 1.0, kind="min"),
     ]
     return meta, cols, rows, checks
@@ -256,24 +265,28 @@ def _run_crcheck(scn, seed, rng):
     model = scn.model()
     body = scn.body()
     prof = scn.profile(body)
-    f = inverse_FN(model, prof)
     count = scn.count("points", 40)
-    resid = _cr_residual(model, f, rng, count)
     lam_grid = _lam_table(scn, model.m)
     support_body = scn.body("support_body") if scn.get("support_body") else body
+    tol_cr, tol_mass = scn.flt("tol_cr", 1e-5), scn.flt("tol_mass", 1e-4)
+    control = scn.flag("control")
+    min_control = scn.flt("min_control", 0.1) if control else None
+    scn.refuse_unread()
+    f = inverse_FN(model, prof)
+    resid = _cr_residual(model, f, rng, count)
     sup = spectrum_support(f, lam_grid, body=support_body)
     rows = [tuple(lam) + (m,) for lam, m in zip(sup["lambdas"], sup["mass"])]
     cols = [f"lam_{k}" for k in range(model.m)] + ["mass"]
     meta = _with_warnings({"cr_residual": resid, "outside_fraction": sup["outside_fraction"]}, f)
     checks = [
-        _check("cr_residual", resid, scn.flt("tol_cr", 1e-5)),
-        _check("outside_mass", sup["outside_fraction"], scn.flt("tol_mass", 1e-4)),
+        _check("cr_residual", resid, tol_cr),
+        _check("outside_mass", sup["outside_fraction"], tol_mass),
     ]
-    if scn.flag("control"):
+    if control:
         ctrl = SampledFunction(model, lambda zz, xx: np.conj(f(zz, xx)), f.grid)
         cres = _cr_residual(model, ctrl, rng, count)
         meta["control_residual"] = cres
-        checks.append(_check("control_not_cr", cres, scn.flt("min_control", 0.1), kind="min"))
+        checks.append(_check("control_not_cr", cres, min_control, kind="min"))
     return meta, cols, rows, checks
 
 
@@ -281,13 +294,15 @@ def _run_windows(scn, seed, rng):
     model = scn.model()
     body = scn.body()
     prof = scn.profile(body, key="profile")
-    f = inverse_FN(model, prof)
     eps_list = scn.numbers("eps") or [0.8, 0.4, 0.2, 0.1]
     samples = scn.count("samples", 400)
+    grid = GridSpec(fbox=scn.flt("fbox", 8.0))
+    tol_sandwich, tol_project = scn.flt("tol_sandwich", 1e-10), scn.flt("tol_project", 1e-3)
+    scn.refuse_unread()
+    f = inverse_FN(model, prof)
     lo, hi = body.points.min(0), body.points.max(0)
     pad = max(eps_list)
     lams = rng.uniform(lo - pad, hi + pad, (samples, model.m))
-    grid = GridSpec(fbox=scn.flt("fbox", 8.0))
     rows = []
     worst_sandwich = 0.0
     errs = []
@@ -315,8 +330,8 @@ def _run_windows(scn, seed, rng):
     cols = ["eps", "sandwich_violation", "l2_error", "empty"]
     meta = _with_warnings({"eps_count": len(eps_list)}, f)
     checks = [
-        _check("window_sandwich", worst_sandwich, scn.flt("tol_sandwich", 1e-10)),
-        _check("projection_error", errs[-1], scn.flt("tol_project", 1e-3)),
+        _check("window_sandwich", worst_sandwich, tol_sandwich),
+        _check("projection_error", errs[-1], tol_project),
     ]
     return meta, cols, rows, checks
 
@@ -324,11 +339,13 @@ def _run_windows(scn, seed, rng):
 def _run_split(scn, seed, rng):
     model = scn.model()
     body = scn.body()
+    samples = scn.count("samples", 64)
+    tol_invariants, tol_hk = scn.flt("tol_invariants", 1e-12), scn.flt("tol_hk", 1e-12)
+    scn.refuse_unread()
     try:
         sp = split(model, body)
     except ValueError as exc:  # its only refusals: a body not a polytope or outside the cone
         raise cio.ParseError(f"{scn.path}: body: {exc}") from exc
-    samples = scn.count("samples", 64)
     res = split_invariants(sp, samples=samples, seed=seed)
     rows = [(k, v) for k, v in sorted(res.items())]
     hk = support_invariance(sp, samples=samples, seed=seed) if sp.phi2 is not None else 0.0
@@ -347,8 +364,8 @@ def _run_split(scn, seed, rng):
             rows.append((f"growth_{k}", v))
     cols = ["quantity", "value"]
     checks = [
-        _check("split_invariants", max(res.values()), scn.flt("tol_invariants", 1e-12)),
-        _check("support_invariance", hk, scn.flt("tol_hk", 1e-12)),
+        _check("split_invariants", max(res.values()), tol_invariants),
+        _check("support_invariance", hk, tol_hk),
     ]
     return meta, cols, rows, checks
 
@@ -356,36 +373,41 @@ def _run_split(scn, seed, rng):
 def _run_convex(scn, seed, rng):
     body = scn.body()
     m = body.m
+    subspaces, directions = scn.integer("subspaces", 8), scn.count("directions", 16)
+    tol_projection = scn.flt("tol_projection", 1e-12)
+    cone = scn.body("cone") if scn.get("cone") else None
+    if cone is not None:
+        d = max(2, int(np.sqrt(scn.count("samples", 10000))))
+        nb = scn.count("bipolar_samples", 1000)
+        tol_bipolar = scn.flt("tol_bipolar", 1e-12)
+    scn.refuse_unread()
     rows = []
     checks = []
     # supporting function commutes with vertex projection onto subspaces
     proj_worst = 0.0
-    for _ in range(scn.integer("subspaces", 8)):
+    for _ in range(subspaces):
         p = rng.integers(1, m + 1) if m > 1 else 1
         q, _ = np.linalg.qr(rng.standard_normal((m, p)))
         pb = project_body(body, q)
-        c = rng.standard_normal((scn.count("directions", 16), p))
+        c = rng.standard_normal((directions, p))
         # equal infinite supports (a cone body) give nan gaps: they agree
         gaps = np.abs(support(body, c @ q.T) - support(pb, c))
         proj_worst = max(proj_worst, float(np.nanmax(gaps, initial=0.0)))
     rows.append(("projection_identity", proj_worst))
-    checks.append(_check("projection_identity", proj_worst, scn.flt("tol_projection", 1e-12)))
-    if scn.get("cone"):
-        cone = scn.body("cone")
-        d = max(2, int(np.sqrt(scn.count("samples", 10000))))
+    checks.append(_check("projection_identity", proj_worst, tol_projection))
+    if cone is not None:
         try:
             const = cone_inequality_constant(cone, directions=d)
         except ValueError as exc:  # its refusals are all about the cone it scans
             raise cio.ParseError(f"{scn.path}: cone: {exc}") from exc
         rows.append(("cone_constant", const))
         # bipolar: the polar of the polar gives back the membership oracle
-        nb = scn.count("bipolar_samples", 1000)
         pts = rng.standard_normal((nb, cone.m)) * 2.0
         double = polar_cone(polar_cone(cone))
         mism = int(np.count_nonzero(contains(cone, pts) != contains(double, pts)))
         frac = mism / nb
         rows.append(("bipolar_mismatch", frac))
-        checks.append(_check("bipolar_agreement", frac, scn.flt("tol_bipolar", 1e-12)))
+        checks.append(_check("bipolar_agreement", frac, tol_bipolar))
     cols = ["quantity", "value"]
     meta = {"body_kind": body.kind}
     return meta, cols, rows, checks
@@ -435,7 +457,6 @@ def main(argv=None):
             outdir = args.out or outdir or os.path.join(scn.dir, "out")
             rng = np.random.default_rng(seed)
             meta, cols, rows, checks = _HANDLERS[args.subcommand](scn, seed, rng)
-            scn.refuse_unread()
             os.makedirs(outdir, exist_ok=True)
             # a handler's warnings go to the summary, not the CSV header
             warnings = meta.pop("warnings", None)

@@ -37,9 +37,7 @@ Re W and Im W; fhat is folded onto the quadrant through its mirrored views
 into four parts, one for each of Re W and Im W and sigma = (-1)^(|alpha| -
 |beta|).  Every table keeps its basis pairs in one order, the sigma = +1
 pairs first (`_pair_order`), so each part meets a row slice of its Re or Im
-plane: of the shared clip table and of the owned tables, of the unclipped
-and the multi-mode layers, built together, one `_mode_blocks` call a mode
-for all of a batch's owned layers.
+plane.
 
 One runner, `_run_layers`, computes every pi(f) and plans every frame.  It
 takes a frame's layers (the same eigenvectors and radical) and source
@@ -48,17 +46,16 @@ batches that fit `BATCH_STATE_BYTES`, and takes each batch's fhat on the
 source grid a radical chunk at a time through one `central_transform` for
 all its frequencies: a spectral form in closed form on the central box, any
 other f sampled on the grid's central rule (fnodes matters only there).
-A batch (`_Batch`) holds its layers' state stacked on a leading layer axis,
-so a chunk costs the same numpy calls however many layers it holds: one
-batched interpolation of the clipped layers onto their own clipped
-Gauss-Legendre nodes (tensor-product barycentric Lagrange, only on modes
-whose half-width differs from the source's), one fold, one GEMM per part of
-the shared clip table for all its one-mode clipped layers, one batched
-matmul per part for the owned tables, and one contraction for the masses
-and tails; no layer builds a grid.  A batch of more than one radical chunk
-samples the next chunk on one worker thread, into the one of two fhat
-buffers not being read, while the calling thread contracts the current
-one; a batch of one chunk starts no thread.  `pi_of_f_batch` is a frame of
+A batch (`_Batch`) holds its layers' state stacked on a leading layer axis:
+a chunk costs one batched interpolation of the clipped layers onto their
+own clipped Gauss-Legendre nodes (tensor-product barycentric Lagrange, only
+on modes whose half-width differs from the source's), one fold and one
+contraction for the masses and tails, and one GEMM per part for each run of
+layers that read one table: the one clip table of every one-mode clipped
+layer, and each other layer's own; no layer builds a grid.  A batch of more
+than one radical chunk samples the next chunk on one worker thread, into
+the one of two fhat buffers not being read, while the calling thread
+contracts the current one; a batch of one chunk starts no thread.  `pi_of_f_batch` is a frame of
 one layer whose source half-widths are its own, so nothing is
 interpolated, and it runs the same code as a batch of one.
 `plancherel_residual` passes ebox on every mode, so f is sampled once per
@@ -146,13 +143,6 @@ BATCH_STATE_BYTES = 32 * 2**20
 # 7e-10 relative.  1e-6 sits well clear of the noise and below that first
 # failure.
 CAPTURED_TOL = 1e-6
-
-# `_clip_factor`'s entries by (enodes, degree), at most four: each one
-# read-only (2, B*B, N_0) one-mode `_mode_factor` at mu = PHI_CUT / 2, read
-# by both signs of mu, 1.08 MB at the degenerate criterion's degree 12 on
-# 40 nodes.  An unclipped mode's factor depends on lam and is not kept, nor
-# is a multi-mode layer's, which its batch builds with its owned table
-_CLIP_TABLES = {}
 
 # the tail-diagnostic warnings, filled in with the layer's lam (zeta) and
 # the boundary's share
@@ -262,17 +252,17 @@ def _mode_blocks(mu, wz, degree):
     return out
 
 
-def _gathered(fb, k, blocks):
-    """Mode k's blocks (`_mode_blocks`) gathered onto the basis pairs in their
-    order (`_pair_order`), shape (2, B*B, ...): pair [alpha, beta] reads entry
-    [alpha_k, beta_k].  A one-mode basis is the mode's monomials in order, so
-    its blocks are the table as they stand."""
-    if fb.sd.kdim == 1:
+def _gathered(kdim, degree, k, blocks):
+    """Mode k's blocks (`_mode_blocks`) gathered onto the pairs of the kdim-mode
+    basis of that degree in their order (`_pair_order`), shape (2, B*B, ...):
+    pair [alpha, beta] reads entry [alpha_k, beta_k].  A one-mode basis is the
+    mode's monomials in order, so its blocks are the table as they stand."""
+    if kdim == 1:
         return blocks
-    order = _pair_order(fb.sd.kdim, fb.degree)[0]
-    row = _pair_order(1, fb.degree)[2].reshape(fb.degree + 1, fb.degree + 1)
-    al = fb.alphas[:, k]
-    return blocks[:, row[al[order // fb.size], al[order % fb.size]]]
+    order = _pair_order(kdim, degree)[0]
+    row = _pair_order(1, degree)[2].reshape(degree + 1, degree + 1)
+    al = _alphas(kdim, degree)[:, k]
+    return blocks[:, row[al[order // al.size], al[order % al.size]]]
 
 
 def _complex(planes):
@@ -293,7 +283,8 @@ def _shift_matrices(fb, wz):
     mu = np.abs(fb.sd.eigenvalues)
     out = np.ones((fb.size**2, wz.shape[0]), complex)
     for k in range(fb.sd.kdim):
-        out *= _complex(_gathered(fb, k, _mode_blocks(mu[k], wz[:, k], fb.degree)))
+        out *= _complex(_gathered(fb.sd.kdim, fb.degree, k,
+                                  _mode_blocks(mu[k], wz[:, k], fb.degree)))
     return out[_pair_order(fb.sd.kdim, fb.degree)[2]].T.reshape(-1, fb.size, fb.size)
 
 
@@ -329,10 +320,11 @@ def hs_norm(mat):
     return np.sqrt(np.sum(np.abs(mat) ** 2, axis=(-2, -1)))
 
 
-def _half_widths(sd, ebox):
-    """A layer's perpendicular half-width per mode, s_k = min(ebox, sqrt(PHI_CUT / (2|mu_k|))):
-    the function's own box, clipped where phi_lam passes `PHI_CUT` inside it."""
-    return [min(ebox, math.sqrt(PHI_CUT / (2.0 * mu))) for mu in np.abs(sd.eigenvalues)]
+def _half_widths(eigenvalues, ebox):
+    """The perpendicular half-width of each mode's eigenvalue mu_k, one layer's or
+    stacked, s_k = min(ebox, sqrt(PHI_CUT / (2|mu_k|))): the function's own box,
+    clipped where phi_lam passes `PHI_CUT` inside it."""
+    return np.minimum(ebox, np.sqrt(PHI_CUT / (2.0 * np.abs(eigenvalues))))
 
 
 def _perp_rule(halves, enodes):
@@ -388,7 +380,7 @@ def _quadrant(rule):
     return complex_grid((nodes[half:], w))
 
 
-def _mode_factor(fb, k, mu, enodes):
+def _mode_factor(kdim, degree, k, mu, enodes):
     """Mode k's weighted shift factor over s_k^2 at its scaled eigenvalue
     mu = |mu_k| s_k^2, as real and imaginary planes (2, B*B, N_k), or
     (2, B*B, L, N_k) for mu (L,) of L layers at once; where mu_k < 0 the factor
@@ -399,25 +391,27 @@ def _mode_factor(fb, k, mu, enodes):
     basis pairs in their order, times the reference weights."""
     rule = _reference_rule(enodes)
     nodes, w = _quadrant(rule) if k == 0 else complex_grid(rule)
-    table = _gathered(fb, k, _mode_blocks(np.asarray(mu)[..., None], nodes, fb.degree))
+    table = _gathered(kdim, degree, k, _mode_blocks(np.asarray(mu)[..., None], nodes, degree))
     table *= w
     return table
 
 
-def _clip_factor(fb, enodes):
+def _clip_factor(enodes, degree):
     """A clipped one-mode layer's `_mode_factor`, (2, B*B, N_0) and read-only:
-    its mu is PHI_CUT / 2 whatever the layer, so it is kept in `_CLIP_TABLES`
-    (at most four, the oldest dropped first) unless larger than
-    `BATCH_STATE_BYTES`, and every such layer of either sign reads it."""
-    key = (enodes, fb.degree)
-    table = _CLIP_TABLES.get(key)
-    if table is None:
-        table = _mode_factor(fb, 0, 0.5 * PHI_CUT, enodes)
-        table.flags.writeable = False
-        if table.nbytes <= BATCH_STATE_BYTES:
-            if len(_CLIP_TABLES) == 4:
-                del _CLIP_TABLES[next(iter(_CLIP_TABLES))]
-            _CLIP_TABLES[key] = table
+    its mu is PHI_CUT / 2 whatever the layer, so every such layer of either
+    sign reads one table, memoized unless its 16 B^2 N_0 bytes pass
+    `BATCH_STATE_BYTES`."""
+    if 16 * (degree + 1) ** 2 * (-(-enodes // 2)) ** 2 > BATCH_STATE_BYTES:
+        return _clip_table.__wrapped__(enodes, degree)
+    return _clip_table(enodes, degree)
+
+
+@functools.lru_cache(maxsize=4)
+def _clip_table(enodes, degree):
+    """`_clip_factor`'s table, built: 1.08 MB at the degenerate criterion's
+    degree 12 on 40 nodes."""
+    table = _mode_factor(1, degree, 0, 0.5 * PHI_CUT, enodes)
+    table.flags.writeable = False
     return table
 
 
@@ -491,8 +485,8 @@ def pi_of_f_batch(fb, f, taus=None, grid=None):
     if taus is None:
         taus = np.zeros((1, 2 * sd.d))
     taus = np.asarray(taus, float).reshape(len(taus), 2 * sd.d)
-    [(batch, warnings, _)] = _run_layers(f, [sd], fb.degree, grid, _half_widths(sd, grid.ebox),
-                                         taus)
+    [(batch, warnings, _)] = _run_layers(f, [sd], fb.degree, grid,
+                                         _half_widths(sd.eigenvalues, grid.ebox), taus)
     return batch.share(0).reshape(-1, fb.size, fb.size), warnings
 
 
@@ -695,50 +689,45 @@ class _Batch:
     layer axis.
 
     sds[i] for i in idx are the batch's layers, with src_halves the source
-    grid's half-widths, and index their positions in sds in the batch's own
-    order: the one-mode clipped layers first, which read the one shared
-    clip table (`_clip_factor`), then the owned, the unclipped one-mode
-    layers and every multi-mode layer, whose table is built for all of them
-    together; in each group the layers interpolated from the source grid
-    (a half-width differs from the source's) come first.  Both callers keep
-    the interpolated layers a prefix: `plancherel_residual` clips every
-    shared layer, and `pi_of_f_batch` runs one layer.
+    grid's half-widths; lams holds their lam (L, m) and index their positions
+    in sds, both in the batch's own order: the one-mode clipped layers first,
+    then the rest, in each group the layers interpolated from the source grid
+    (a half-width differs from the source's) first.  Both callers keep the
+    interpolated layers a prefix: `plancherel_residual` interpolates every
+    clipped layer, and `pi_of_f_batch` runs one layer.
 
-    Both tables are built here, before any chunk is sampled, each layer's
-    W = scale (Re + i im_sign Im) on the first mode's quadrant: `shared`, the
-    clip table's read-only Re and Im planes (2, B*B, Q), and `owned`, the
-    owned layers' (2, B*B, L_o, Q), which `add` drops after the last chunk
-    (or None).  Their rows are the basis pairs in order (`_pair_order`), so
-    each folded part meets a row slice of a plane.  The owned table is each
-    mode's `_mode_factor` at the layers' scaled eigenvalues, conjugated
-    where mu_k < 0, the first mode's on its quadrant's N_0 nodes and every
-    other mode's on all N^2, multiplied out over the tensor grid, the last
-    mode fastest; `add` folds the grid's mirror images onto the quadrant
-    (`_fold`).  A layer with no mode has the one-point rule, W = 1.
+    Each layer's W = scale (Re + i im_sign Im) on the first mode's quadrant,
+    whose mirror images `add` folds onto it (`_fold`), is a table (2, B*B, Q)
+    of Re and Im planes, its rows the basis pairs in order (`_pair_order`).
+    runs lists (table, first layer, end layer), built before any chunk is
+    sampled and dropped by `add` after the last: the memoized clip table
+    (`_clip_factor`) for all the one-mode clipped layers, whose signs im_sign
+    takes after the GEMM, then one view a layer of one table built for the
+    rest, each mode's `_mode_factor` at their scaled eigenvalues with its
+    sign, multiplied out over the tensor grid, the last mode fastest.  A
+    layer with no mode has the one-point rule, W = 1.
     """
 
     def __init__(self, sds, idx, degree, grid, src_halves, pmask, taus):
         L, K = len(idx), sds[idx[0]].kdim
-        halves = np.array([_half_widths(sds[i], grid.ebox) for i in idx]).reshape(L, K)
-        shared = (halves < grid.ebox).all(axis=1) & (K == 1)
+        eig = np.array([sds[i].eigenvalues for i in idx]).reshape(L, K)
+        halves = _half_widths(eig, grid.ebox)
+        clipped = (halves < grid.ebox).all(axis=1) & (K == 1)
         interp = (halves != np.asarray(src_halves)).any(axis=1)
-        order = np.lexsort((~interp, ~shared))
-        self.index, self.sds = idx[order], [sds[i] for i in idx[order]]
-        halves, interp = halves[order], interp[order]
-        self.n_shared = s = int(shared.sum())
-        n_interp = int(interp.sum())
+        order = np.lexsort((~interp, ~clipped))
+        self.index = idx[order]
+        self.lams = np.array([sds[i].lam for i in self.index]).reshape(L, -1)
+        eig, halves, interp = eig[order], halves[order], interp[order]
+        s, n_interp = int(clipped.sum()), int(interp.sum())
         assert interp[:n_interp].all(), "the interpolated layers are not a prefix"
         # one basis: every layer of a frame has the same kdim and degree
-        self.fb = FockBasis(sd=self.sds[0], degree=degree, alphas=_alphas(K, degree))
+        self.kdim, self.degree = K, degree
         self.grid, self.pmask = grid, pmask
-        eig = np.array([sd.eigenvalues for sd in self.sds]).reshape(L, K)
         scaled = np.abs(eig) * halves * halves  # |mu_k| s_k^2
         # the scaled eigenvalue each table reads: PHI_CUT / 2 on a clipped mode
         mu = np.where(halves < grid.ebox, 0.5 * PHI_CUT, scaled)
         sign = np.where(eig > 0, 1.0, -1.0)
         self.scale = np.prod(halves * halves, axis=1)
-        # an owned table carries its modes' signs; the shared one takes the sign
-        # of its layer's mu after the GEMM
         self.im_sign = np.ones(L)
         if s:
             self.im_sign[:s] = sign[:s, 0]
@@ -756,17 +745,16 @@ class _Batch:
                      if n_interp else None)
         self.pending = []  # (tphase, scaled product) of the chunks not yet in acc
         # pi(f) so far, each layer's (T, B^2) in the tables' pair order
-        self.acc = np.zeros((L, taus.shape[0], self.fb.size**2), complex)
+        self.acc = np.zeros((L, taus.shape[0], len(_alphas(K, degree)) ** 2), complex)
         # |fhat| mass and the two sides of the zeta-tail diagnostic: the damped
         # mass on the whole grid and on its boundary
         self.mass, self.tails = np.zeros(L), np.zeros((L, 2))
-        self.shared = _clip_factor(self.fb, grid.enodes) if s else None
-        self.owned = None
+        self.runs = [(_clip_factor(grid.enodes, degree), 0, s)] if s else []
         if s < L:
-            table = np.zeros((2, self.fb.size**2, L - s, 1))
+            table = np.zeros((2, self.acc.shape[2], L - s, 1))
             table[0] = 1.0
             for k in range(K):
-                factor = _mode_factor(self.fb, k, mu[s:, k], grid.enodes)
+                factor = _mode_factor(K, degree, k, mu[s:, k], grid.enodes)
                 factor[1] *= sign[s:, k, None]
                 if k == 0:
                     # the first factor starts the product: multiplying it into
@@ -777,19 +765,19 @@ class _Batch:
                 table = np.stack([re * fre - im * fim, re * fim + im * fre]).reshape(
                     table.shape[:3] + (-1,))
             table.flags.writeable = False
-            self.owned = table
+            self.runs += [(table[:, :, i], s + i, s + i + 1) for i in range(L - s)]
 
     def __len__(self):
-        return len(self.sds)
+        return len(self.lams)
 
     def share(self, i):
         """Layer i's pi(f) so far, (T, B*B) in the basis's pair order."""
-        return self.acc[i][:, _pair_order(self.fb.sd.kdim, self.fb.degree)[2]]
+        return self.acc[i][:, _pair_order(self.kdim, self.degree)[2]]
 
     def warnings(self):
         """Each layer's zeta-tail warning, naming its lam."""
-        return sum((_tail_warning(part, whole, _ZETA_TAIL, sd.lam)
-                    for (whole, part), sd in zip(self.tails, self.sds)), ())
+        return sum((_tail_warning(part, whole, _ZETA_TAIL, lam)
+                    for (whole, part), lam in zip(self.tails, self.lams)), ())
 
     def add(self, fhat, src_w, tphase, rabs, last):
         """Add one radical chunk from its central transform fhat (P*R_c, L) on
@@ -803,15 +791,14 @@ class _Batch:
         cheaper order: tau-phases first when there are fewer tau than radical
         points, the shift contraction first otherwise; the scale goes on the
         tphase that comes first, or else on the chunk's product.  What meets
-        W, fhat or its product with the phases, is
-        folded onto the first mode's quadrant (`_fold`) for all layers at
-        once, and each part meets its rows of the tables in one GEMM for all
-        the shared layers and one batched matmul for the owned ones.
+        W, fhat or its product with the phases, is folded onto the first
+        mode's quadrant (`_fold`) for all layers at once, and each part meets
+        its rows of each run's table in one GEMM.
         """
         L, P = len(self), src_w.size
-        owned = self.owned
+        runs = self.runs
         if last:
-            self.owned = None  # so the next batch's is not built beside it
+            self.runs = []  # so the next batch's tables are not built beside these
         fhat = fhat.T.reshape(L, P, -1)  # the transform writes each layer's column contiguous
         radical = fhat.shape[2]
         absf = np.abs(fhat)
@@ -829,25 +816,19 @@ class _Batch:
         del sums
         first = tphase.shape[1] < tphase.shape[0]
         folded = _fold(fhat @ (self.scale[:, None, None] * tphase) if first else fhat,
-                       self.fb.sd.kdim, self.grid.enodes)
+                       self.kdim, self.grid.enodes)
         # a complex part (Q, L*X) is a real (Q, L, 2X) one, Re and Im side by
         # side, so each product gives (n, L, X) complex: the Re W and Im W
         # products in the tables' pair order, each part's sigma its own rows
-        s, count = self.n_shared, _pair_order(self.fb.sd.kdim, self.fb.degree)[1]
+        count = _pair_order(self.kdim, self.degree)[1]
         width = 2 * folded[0].shape[1] // L  # 2X
-        prod = np.empty((2, self.fb.size**2, L * width))
+        prod = np.empty((2, self.acc.shape[2], L * width))
         for k, part in enumerate(folded):
             rows = slice(None, count) if k % 2 == 0 else slice(count, None)
             real, out = part.view(float), prod[k // 2, rows]
-            if s:
-                np.matmul(self.shared[k // 2, rows], real[:, : s * width],
-                          out=out[:, : s * width])
-            if s < L:
-                # one product a layer, written into its own columns of prod
-                n = out.shape[0]
-                np.matmul(owned[k // 2, rows].transpose(1, 0, 2),
-                          real[:, s * width :].reshape(-1, L - s, width).transpose(1, 0, 2),
-                          out=out[:, s * width :].reshape(n, L - s, width).transpose(1, 0, 2))
+            for table, lo, hi in runs:
+                cols = slice(lo * width, hi * width)
+                np.matmul(table[k // 2, rows], real[:, cols], out=out[:, cols])
         re_w, im_w = prod.reshape(2, -1, L, width).view(complex)
         im_w *= 1j * self.im_sign[:, None]
         total = np.add(re_w, im_w, out=re_w).transpose(1, 2, 0)  # (L, X, B^2)
@@ -909,9 +890,9 @@ def _run_layers(f, sds, degree, grid, src_halves, taus, norm=False):
     P, R, n = zperp.shape[0], zrad.shape[0], zperp.shape[1]
     # what a layer keeps across radical chunks: its (T, B^2) share and, when
     # there is more than one radical point, its weighted shifts, counted as a
-    # complex (P, B^2) table.  An owned table is its real and imaginary planes
-    # on about P/4 points, a quarter of that, and a one-mode clipped layer
-    # keeps only a reference to the shared table, so this over-counts both
+    # complex (P, B^2) table.  A layer's own table is its real and imaginary
+    # planes on about P/4 points, a quarter of that, and a one-mode clipped
+    # layer reads the memoized clip table, so this over-counts both
     # (ROADMAP item 2)
     side = math.comb(degree + sds[0].kdim, degree) ** 2  # B = C(D + K, K) basis functions
     kept = 16 * side * (taus.shape[0] + (P if R > 1 else 0))
@@ -926,8 +907,7 @@ def _run_layers(f, sds, degree, grid, src_halves, taus, norm=False):
         step = max(1, (BATCH_STATE_BYTES - L * kept) // (16 * P * (live * L + n)))
         starts = range(0, R, step)
         squares = norm and b == 0 and f.spectral is None
-        transform = _central_transform(f, np.array([sd.lam for sd in batch.sds]), grid.fbox,
-                                       grid.fnodes, squares)
+        transform = _central_transform(f, batch.lams, grid.fbox, grid.fnodes, squares)
         bufs = [np.empty(L * P * min(step, R), complex) for _ in starts[:2]]
 
         def job(k):
@@ -1026,25 +1006,19 @@ def plancherel_residual(model, f, cfg):
     # every processed layer has the generic radical, so they share one tau rule
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
                               * (2 * gen_d))
-    frames = []  # [(sd, node index)] per frame
+    frames = {}  # [(sd, node index)] per frame, by its eigenvectors' and radical's bytes
     skipped = 0
     for j in range(lam_nodes.shape[0]):
         sd = spectral_data(model, lam_nodes[j])
         if is_exceptional(sd, gen_d):
             skipped += 1
             continue
-        for frame in frames:
-            if (np.array_equal(frame[0][0].eigenvectors, sd.eigenvectors)
-                    and np.array_equal(frame[0][0].radical, sd.radical)):
-                frame.append((sd, j))
-                break
-        else:
-            frames.append([(sd, j)])
+        frames.setdefault((sd.eigenvectors.tobytes(), sd.radical.tobytes()), []).append((sd, j))
 
     lhs = None  # a sampled f's, off the first batch's samples: the first frame's grid
     results = {}
     warnings = set()
-    for frame in frames:
+    for frame in frames.values():
         for batch, warns, norm_sq in _run_layers(f, [sd for sd, _ in frame], cfg.degree, grid,
                                                   [grid.ebox] * frame[0][0].kdim, taus,
                                                   lhs is None):

@@ -354,6 +354,26 @@ def test_a_value_the_library_refuses_is_a_parse_error(tmp_path, capsys, case):
     assert said in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["plancherel_heis1", "plancherel_deg21"])
+def test_an_unread_key_is_refused_before_the_work(tmp_path, capsys, monkeypatch, name):
+    # a misspelled key exits 2 before the handler computes anything: the
+    # Plancherel pass, 16 s on plancherel_deg21, is never started
+    def refused(*args):
+        raise AssertionError("plancherel_residual ran before the keys were checked")
+
+    monkeypatch.setattr(cli, "plancherel_residual", refused)
+    tree = tmp_path / "scenarios"
+    shutil.copytree(SCENARIOS, tree)
+    scn = tree / f"{name}.scenario"
+    text = scn.read_text()
+    assert "degree = 12" in text
+    scn.write_text(text.replace("degree = 12", "degre = 12"))
+    argv = ["plancherel", "--scenario", str(scn), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_PARSE
+    assert f"{scn}: no reader asks for 'degre'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_cone_the_constant_scan_cannot_cover_is_a_parse_error(tmp_path, capsys):
     tree = tmp_path / "scenarios"
     shutil.copytree(SCENARIOS, tree)

@@ -390,7 +390,7 @@ def layer_oracle(fb, f, taus, grid):
     """
     sd = fb.sd
     pn, pw = tensor_rule([complex_grid(gauss_legendre(grid.enodes, -s, s))
-                          for s in fock._half_widths(sd, grid.ebox)])
+                          for s in fock._half_widths(sd.eigenvalues, grid.ebox)])
     rn, rw = tensor_rule([complex_grid(grid.e_rule())] * sd.d)
     zperp, zrad = pn @ sd.eigenvectors.T, rn @ sd.radical.T
     z = (zperp[:, None, :] + zrad[None, :, :]).reshape(-1, zperp.shape[1])
@@ -544,14 +544,14 @@ SHIFT_TABLE_CASES = {
 
 
 def layer_shifts(sd, degree, grid):
-    """One layer's weighted shift tables as a batch of one builds them on the
+    """One layer's weighted shift table as a batch of one builds it on the
     layer's own clipped grid: (scale, im_sign, parts), W = scale (Re + i im_sign
     Im), with the four real parts (Re+, Re-, Im+, Im-) each (n, Q)."""
-    halves = fock._half_widths(sd, grid.ebox)
+    halves = fock._half_widths(sd.eigenvalues, grid.ebox)
     pmask = quadrature.boundary_mask(fock._perp_rule(halves, grid.enodes)[0])
     batch = fock._Batch([sd], np.arange(1), degree, grid, halves, pmask, np.zeros((1, 2 * sd.d)))
-    assert (batch.shared is None) != (batch.owned is None)
-    planes = batch.shared if batch.n_shared else batch.owned[:, :, 0]
+    [(planes, *span)] = batch.runs
+    assert span == [0, 1]
     count = fock._pair_order(sd.kdim, degree)[1]
     parts = tuple(plane[rows] for plane in planes for rows in (slice(count), slice(count, None)))
     return batch.scale[0], batch.im_sign[0], parts
@@ -592,7 +592,7 @@ def test_weighted_shifts_match_the_per_point_path(case):
     model, lam, degree, grid, clip = SHIFT_TABLE_CASES[case]
     sd = spectral_data(model, np.array(lam))
     fb = fock_basis(sd, degree)
-    halves = fock._half_widths(sd, grid.ebox)
+    halves = fock._half_widths(sd.eigenvalues, grid.ebox)
     assert [s < grid.ebox for s in halves] == clip
     if case.startswith("rotated22"):
         assert (sd.eigenvalues < 0).any() and (np.abs(sd.eigenvectors) > 0.1).all()
@@ -624,8 +624,8 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
         calls.append(np.broadcast(mu, wz).shape)
         return blocks(mu, wz, degree)
 
-    def spy_clip(fb, enodes):
-        read.append(clip(fb, enodes))
+    def spy_clip(enodes, degree):
+        read.append(clip(enodes, degree))
         return read[-1]
 
     def spy_batch(f, sds, *args):
@@ -636,7 +636,7 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     monkeypatch.setattr(fock, "_mode_blocks", spy)
     monkeypatch.setattr(fock, "_clip_factor", spy_clip)
     monkeypatch.setattr(fock, "_run_layers", spy_batch)
-    fock._CLIP_TABLES.clear()
+    fock._clip_table.cache_clear()
     rep = plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
     monkeypatch.undo()
     lams = np.array([row[0][0] for row in rep.rows])
@@ -645,48 +645,65 @@ def test_clipped_layers_share_one_shift_table(monkeypatch):
     assert (lams < -1.25).any() and (lams > 1.25).any()
     assert sorted(calls) == sorted([(49,), (unclipped, 49)])
     [batch] = batches
-    assert batch.n_shared == 41 - unclipped
-    shared = fock._CLIP_TABLES[13, 4]
-    assert list(fock._CLIP_TABLES) == [(13, 4)]
-    assert read and all(parts is shared for parts in read)
-    # the shared layers take their own sign after the GEMM, the owned none
-    signs = np.sign([sd.lam[0] for sd in batch.sds])
-    assert (signs[: batch.n_shared] > 0).any() and (signs[: batch.n_shared] < 0).any()
-    assert np.array_equal(batch.im_sign[: batch.n_shared], signs[: batch.n_shared])
-    assert (batch.im_sign[batch.n_shared :] == 1.0).all()
-    assert not any(part.flags.writeable for part in shared)
+    shared = fock._clip_factor(13, 4)
+    assert fock._clip_table.cache_info().currsize == 1
+    assert read and all(table is shared for table in read)
+    assert not shared.flags.writeable
+    # the clipped layers come first and take their own sign after the GEMM,
+    # the others none
+    s = 41 - unclipped
+    signs = np.sign(batch.lams[:, 0])
+    assert (np.abs(batch.lams[:s]) > 1.25).all() and (np.abs(batch.lams[s:]) < 1.25).all()
+    assert (signs[:s] > 0).any() and (signs[:s] < 0).any()
+    assert np.array_equal(batch.im_sign[:s], signs[:s])
+    assert (batch.im_sign[s:] == 1.0).all()
 
-    # the memo stays bounded: read-only entries within the batch budget, at
-    # most four, the oldest dropped first; a quadrant of 8 nodes is 16 points,
-    # B^2 = 25 pairs, Re and Im
-    fb = fock_basis(spectral_data(HEIS1, np.array([3.0])), 4)
+    # the memo stays bounded: at most four read-only entries, the least
+    # recently used dropped first, and none past the batch budget; a quadrant
+    # of 8 nodes is 16 points, B^2 = 25 pairs, Re and Im
+    built = []
+    factor = fock._mode_factor
+
+    def spy_factor(*args):
+        built.append(args[-1])
+        return factor(*args)
+
+    monkeypatch.setattr(fock, "_mode_factor", spy_factor)
+    fock._clip_table.cache_clear()
+    for enodes in (4, 5, 6, 7, 8):
+        fock._clip_factor(enodes, 4)
+    assert fock._clip_table.cache_info().currsize == 4
+    built.clear()
+    for enodes in (5, 6, 7, 8, 4):
+        fock._clip_factor(enodes, 4)
+    assert built == [4]
     monkeypatch.setattr(fock, "BATCH_STATE_BYTES", 16 * 25 * 8 * 2 - 1)
-    big = fock._clip_factor(fb, 8)
-    assert sum(part.nbytes for part in big) == 16 * 25 * 8 * 2
-    assert (8, 4) not in fock._CLIP_TABLES
+    fock._clip_table.cache_clear()
+    built.clear()
+    big = fock._clip_factor(8, 4)
+    assert big.nbytes == 16 * 25 * 8 * 2 and not big.flags.writeable
+    assert fock._clip_factor(8, 4) is not big and built == [8, 8]
+    assert fock._clip_table.cache_info().currsize == 0
     monkeypatch.undo()
-    fock._CLIP_TABLES.clear()
-    keys = [(enodes, 4) for enodes in (4, 5, 6, 7, 8)]
-    for enodes, _ in keys:
-        fock._clip_factor(fb, enodes)
-    assert list(fock._CLIP_TABLES) == keys[1:]
 
 
 def test_both_tables_keep_one_pair_order(monkeypatch):
-    # the 41-layer HEIS1 batch above: the shared clip table and the owned
-    # table are each one read-only (2, B^2, ...) array with the sigma = +1
-    # pairs first, the rows of the per-point shift matrices in the basis's
-    # order, weighted and permuted; the owned table is dropped after the
-    # last chunk, and share(i) puts each layer's pi(f) back in the basis's
-    # order: the radial gaussian and the square grid keep the quarter turns
-    # w -> i w, so entry [a, b] vanishes unless 4 divides a - b
+    # the 41-layer HEIS1 batch above: its runs cover its layers once, in
+    # order, the shared clip table's first, then one run a layer, each a view
+    # of one owned table equal to `_mode_factor` at its layer's scaled
+    # eigenvalue.  Every run's table is a read-only (2, B^2, Q) array with
+    # the sigma = +1 pairs first, the rows of the per-point shift matrices in
+    # the basis's order, weighted and permuted; the runs are dropped after
+    # the last chunk, and share(i) puts each layer's pi(f) back in the
+    # basis's order: the radial gaussian and the square grid keep the
+    # quarter turns w -> i w, so entry [a, b] vanishes unless 4 divides a - b
     grid = GridSpec(ebox=4.0, enodes=13, fbox=4.0, fnodes=16)
     cfg = PlancherelConfig(lam_lo=[-8.0], lam_hi=[8.0], lam_nodes=41, degree=4, grid=grid)
     seen, batches = [], []
     add, run_batch = fock._Batch.add, fock._run_layers
 
     def spy_add(self, *args):
-        seen.append((self.shared, self.owned))
+        seen.append(list(self.runs))
         return add(self, *args)
 
     def spy_batch(f, sds, *args):
@@ -699,11 +716,18 @@ def test_both_tables_keep_one_pair_order(monkeypatch):
     plancherel_residual(HEIS1, gaussian_function(HEIS1, grid), cfg)
     monkeypatch.undo()
     [batch] = batches
-    [(shared, owned)] = seen
-    s, side, pairs = batch.n_shared, 25, 7**2
-    assert 0 < s < 41 and batch.owned is None
-    assert shared.shape == (2, side, pairs) and owned.shape == (2, side, 41 - s, pairs)
-    assert not shared.flags.writeable and not owned.flags.writeable
+    [runs] = seen
+    assert batch.runs == []
+    (shared, _, s), owned = runs[0], runs[1:]
+    side, pairs = 25, 7**2
+    assert 0 < s < 41
+    assert [run[1:] for run in runs] == [(0, s)] + [(i, i + 1) for i in range(s, 41)]
+    assert shared is fock._clip_factor(grid.enodes, 4)
+    base = owned[0][0].base
+    assert base.shape == (2, side, 41 - s, pairs)
+    assert all(table.base is base for table, _, _ in owned)
+    assert all(table.shape == (2, side, pairs) and not table.flags.writeable
+               for table, _, _ in runs)
 
     order, count, back = fock._pair_order(1, 4)
     assert not (order.flags.writeable or back.flags.writeable)
@@ -722,10 +746,15 @@ def test_both_tables_keep_one_pair_order(monkeypatch):
         return np.stack([table.real, table.imag])[:, order]
 
     assert np.allclose(shared, rows(fock.PHI_CUT / 2), rtol=0.0, atol=1e-15)
-    for i, sd in enumerate(batch.sds[s:]):
-        want = rows(abs(sd.eigenvalues[0]) * grid.ebox * grid.ebox)
-        want[1] *= np.sign(sd.eigenvalues[0])
-        assert np.allclose(owned[:, :, i], want, rtol=0.0, atol=1e-15)
+    for table, lo, _ in owned:
+        eig = spectral_data(HEIS1, batch.lams[lo]).eigenvalues[0]
+        mu = abs(eig) * grid.ebox * grid.ebox
+        want = rows(mu)
+        want[1] *= np.sign(eig)
+        assert np.allclose(table, want, rtol=0.0, atol=1e-15)
+        want = fock._mode_factor(1, 4, 0, mu, grid.enodes)
+        want[1] *= np.sign(eig)
+        assert np.array_equal(table, want)
 
     for i in range(41):
         got = batch.share(i)
@@ -756,7 +785,6 @@ def test_memoized_rules_and_tables_are_safe():
     grid = GridSpec(enodes=12)
     for lam in (3.0, -3.0, 0.7):
         sd = spectral_data(HEIS1, np.array([lam]))
-        fb = fock_basis(sd, 6)
         first = layer_shifts(sd, 6, grid)[2]
         want = [part.copy() for part in first]
         # every layer's arrays are read-only; a clipped layer's are the memo's
@@ -765,9 +793,9 @@ def test_memoized_rules_and_tables_are_safe():
                 part[:] = np.nan
         again = layer_shifts(sd, 6, grid)[2]
         assert all(np.array_equal(a, b) for a, b in zip(again, want))
-    table = fock._CLIP_TABLES[12, 6]
-    assert not any(part.flags.writeable for part in table)
-    assert fock._clip_factor(fb, 12) is table
+        table = fock._clip_factor(12, 6)
+        assert not table.flags.writeable and fock._clip_factor(12, 6) is table
+        assert all(np.shares_memory(part, table) == (lam != 0.7) for part in first)
 
 
 def test_no_layer_builds_a_gauss_rule(monkeypatch):
@@ -839,7 +867,7 @@ def test_a_batch_makes_the_same_calls_at_any_layer_count(monkeypatch):
         per_batch = []
         for lam_nodes in layer_counts:
             counts.update(dict.fromkeys(counts, 0))
-            fock._CLIP_TABLES.clear()
+            fock._clip_table.cache_clear()
             rep = plancherel_residual(model, f, PlancherelConfig(lam_nodes=lam_nodes, **kw))
             assert len(rep.rows) == lam_nodes
             assert counts["_fold"] == counts["chunks"] > 0
@@ -1319,8 +1347,14 @@ def test_plancherel_layers_match_per_layer_oracle(case, monkeypatch):
         assert radical == [min(step, R - lo) for step in steps for lo in range(0, R, step)]
     if case == "heis1-odd":
         [batch] = stacks
-        signs = batch.im_sign[: batch.n_shared]
-        assert 0 < batch.n_shared < len(batch) and (signs > 0).any() and (signs < 0).any()
+        # the clipped layers come first and take their own signs, the others none
+        eig = np.array([spectral_data(model, lam).eigenvalues for lam in batch.lams])
+        clipped = fock._half_widths(eig, grid.ebox)[:, 0] < grid.ebox
+        s = int(clipped.sum())
+        signs = np.sign(eig[:s, 0])
+        assert 0 < s < len(batch) and clipped[:s].all()
+        assert (signs > 0).any() and (signs < 0).any()
+        assert np.array_equal(batch.im_sign, np.concatenate([signs, np.ones(len(batch) - s)]))
 
     erule = grid.e_rule()
     taus, tau_w = tensor_rule([gauss_legendre(cfg.tau_nodes, -cfg.tau_box, cfg.tau_box)]
